@@ -87,10 +87,6 @@ class FinAlgebra:
     def basis_vec(self, i):
         return {i: self.field.one}
 
-    def element_from_int_coeffs(self, coeffs):
-        F = self.field
-        return {i: F.from_int(c) for i, c in coeffs.items() if not F.is_zero(F.from_int(c))}
-
     def check_unital(self):
         for i in range(self.dim):
             b = self.basis_vec(i)
@@ -132,14 +128,6 @@ class FinAlgebra:
                 if lhs != rhs:
                     return ("antihom", i, j)
         return None
-
-
-def algebra_from_table(field, labels, unit, table, involution_rows=None,
-                       generators=None, name=""):
-    """FinAlgebra from an explicit {(i, j): vec} structure-constant table."""
-    def pair_mul(i, j):
-        return table.get((i, j), {})
-    return FinAlgebra(field, labels, unit, pair_mul, involution_rows, generators, name)
 
 
 def algebra_from_mult_context(ctx, cap=2000, name=""):
@@ -532,9 +520,6 @@ class Corner:
     rows: list          # corner basis as vectors in the parent
     ech: Echelon
 
-    def to_parent(self, v):
-        return vec_times_rows(self.parent.field, v, self.rows)
-
     def from_parent(self, w):
         coords = self.ech.coordinates(w)
         if coords is None:
@@ -702,10 +687,6 @@ class Presentation:
     kernel: RightModule
     incl: ModuleMap
     cover_rank: int
-
-    @property
-    def kernel_rank(self):
-        return self.kernel.dim
 
 
 def module_generators(M):

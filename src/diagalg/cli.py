@@ -184,6 +184,9 @@ def config_echo(args, field, params=None):
 
 def cmd_dims(args, field):
     dalg, params = make_context(args, field)
+    dim = dalg.dimension()
+    if dim > args.cap:
+        raise CliError(f"dimension {dim} exceeds --cap {args.cap}")
     basis = dalg.basis()
     layers = []
     total = 0
@@ -301,8 +304,15 @@ def run_replay(path):
     """Re-execute a stored witness: re-runs the recorded command line and
     reports whether the witnessed check still fails."""
     with open(path) as fh:
-        witness = json.load(fh)
-    argv = witness["argv"]
+        try:
+            witness = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"witness is not JSON: {exc}") from exc
+    argv = witness.get("argv") if isinstance(witness, dict) else None
+    if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
+        raise CliError("witness has no argv list")
+    if build_parser().parse_args(argv).replay:
+        raise CliError("witness argv asks for --replay itself; refusing to recurse")
     report, code = run(argv)
     target = witness.get("check")
     still = None

@@ -10,11 +10,19 @@ the label a by a*.  This normal form makes element equality syntactic; every
 structural check downstream compares structure constants, not pictures, so
 nothing depends on the choice.
 
-Multiplication concatenates the bottom row of X with the top row of Y,
-composes labels along every through-path in traversal order, and turns each
-closed middle loop into the scalar trace of its accumulated label.  A
-product of basis diagrams is in general a linear combination, because label
-products expand through the structure constants of the input algebra.
+Multiplication stacks X over Y, identifying the bottom row of X with the
+top row of Y.  Each basis diagram keeps a partner array, built on first use:
+for every vertex the other end of its edge and the label read when leaving
+it (b_k, or b_k* against the orientation).  One walk over the two partner
+arrays turns every through-path into a word of labels in traversal order and
+every closed middle loop into a word whose trace is a scalar factor.  When
+the input algebra is monomial (every b_i b_j and every b_i* is one basis
+element times a nonzero scalar, as for the base field and cyclic group
+algebras), a word reduces by integer lookups in the algebra's label table
+and a product of basis diagrams is one diagram times a scalar; field
+operations remain only for loop traces and coefficients other than 1.
+Otherwise words reduce through the structure constants and the product is a
+linear combination over the label choices.
 
 Walled diagrams (``family="walled"``, n = r + t columns, wall after column
 r): horizontal edges must cross the wall, vertical edges must not, and the
@@ -26,10 +34,11 @@ Elements of the diagram algebra are dicts {Diagram: scalar}.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import NamedTuple
 
 from .algebra_kernel import algebra_from_mult_context
-from .input_algebra import InputAlgebra, identity_perm
+from .input_algebra import InputAlgebra, identity_perm, label_choices
 
 
 class DiagramError(ValueError):
@@ -65,12 +74,6 @@ class DiagramKind(NamedTuple):
 class Diagram(NamedTuple):
     edges: tuple  # sorted triples (u, v, label), u < v
 
-    def horizontal_top(self, n):
-        return tuple(e for e in self.edges if e[1] < n)
-
-    def horizontal_bottom(self, n):
-        return tuple(e for e in self.edges if e[0] >= n)
-
     def horizontal_count(self, n):
         """Horizontal edges per row (equal for top and bottom)."""
         return sum(1 for e in self.edges if e[1] < n)
@@ -101,11 +104,10 @@ def _elt_add_inplace(F, acc, d, c):
         acc[d] = s
 
 
-def elt_add(F, x, y):
-    out = dict(x)
-    for d, c in y.items():
-        _elt_add_inplace(F, out, d, c)
-    return out
+def _expand(F, pairs, vecs, scalar=None):
+    """Sum over label choices: edge pairs[i] takes each basis label of vecs[i]."""
+    return {Diagram(tuple(sorted((u, v, k) for (u, v), k in zip(pairs, ks)))): c
+            for ks, c in label_choices(F, vecs, scalar)}
 
 
 def elt_scale(F, c, x):
@@ -121,6 +123,8 @@ class DiagramAlgebra:
         self.kind = kind
         self.A = A
         self.field = A.field
+        if kind.n < 0:
+            raise DiagramError(f"number of columns must be non-negative, got {kind.n}")
         if kind.family == "walled":
             if A.dim != 1:
                 raise DiagramError("walled diagrams carry no labels: input algebra must be the base field")
@@ -129,6 +133,7 @@ class DiagramAlgebra:
         elif kind.family != "abrauer":
             raise DiagramError(f"unknown diagram family {kind.family!r}")
         self._basis = None
+        self._partner_cache = {}
 
     # -- structural helpers ------------------------------------------------
 
@@ -165,6 +170,13 @@ class DiagramAlgebra:
             raise DiagramError("matching is not perfect")
 
     # -- basis -------------------------------------------------------------
+
+    def dimension(self):
+        """Closed-form basis size: (dim A)^n (2n-1)!! or, walled, (r+t)!."""
+        n = self.kind.n
+        if self.kind.family == "walled":
+            return math.factorial(n)
+        return self.A.dim ** n * math.prod(range(1, 2 * n, 2))
 
     def basis(self):
         if self._basis is None:
@@ -210,17 +222,7 @@ class DiagramAlgebra:
     def decorated_perm_diagram(self, perm, label_vecs):
         """Element with strand i -> perm(i), slot i labeled by label_vecs[i]."""
         n = self.kind.n
-        F = self.field
-        terms = [((), F.one)]
-        for vec in label_vecs:
-            terms = [(ks + (k,), F.mul(c, ck)) for ks, c in terms for k, ck in vec.items()]
-        out = {}
-        for ks, c in terms:
-            if F.is_zero(c):
-                continue
-            edges = tuple(sorted((i, n + perm[i], ks[i]) for i in range(n)))
-            _elt_add_inplace(F, out, Diagram(edges), c)
-        return out
+        return _expand(self.field, [(i, n + perm[i]) for i in range(n)], label_vecs)
 
     def swap(self, i):
         """Generator crossing columns i, i+1 (1-based i, 1 <= i <= n-1)."""
@@ -268,7 +270,6 @@ class DiagramAlgebra:
     def _cup_diagram_element(self, top_pairs, bottom_pairs):
         """Element with given unit-labeled cups and order-preserving strands."""
         n = self.kind.n
-        F = self.field
         top_used = {w for p in top_pairs for w in p}
         bot_used = {w for p in bottom_pairs for w in p}
         top_free = [i for i in range(n) if i not in top_used]
@@ -281,17 +282,9 @@ class DiagramAlgebra:
             parts.append((n + u, n + v))
         for u, v in zip(top_free, bot_free):
             parts.append((u, n + v))
-        terms = [((), F.one)]
-        for _ in parts:
-            terms = [(ks + (k,), F.mul(c, ck)) for ks, c in terms for k, ck in self.A.unit.items()]
-        out = {}
-        for ks, c in terms:
-            if F.is_zero(c):
-                continue
-            edges = tuple(sorted((u, v, k) for (u, v), k in zip(parts, ks)))
-            d = Diagram(edges)
+        out = _expand(self.field, parts, [self.A.unit] * len(parts))
+        for d in out:
             self.check_diagram(d)
-            _elt_add_inplace(F, out, d, c)
         return out
 
     def layer_idempotent(self, l):
@@ -362,92 +355,94 @@ class DiagramAlgebra:
 
     # -- multiplication ------------------------------------------------------
 
-    def mul_diagrams(self, d1: Diagram, d2: Diagram):
-        """Product of two basis diagrams as an element dict."""
+    def _partners(self, d: Diagram):
+        """Partner array of d: (other end, letter code) of each vertex.
+
+        The letter code of vertex w is the edge label k when the edge is
+        left from its canonical end u, and dim A + k (the starred label) when
+        left from v.
+        """
+        got = self._partner_cache.get(d)
+        if got is None:
+            dim = self.A.dim
+            other = [0] * (2 * self.kind.n)
+            code = [0] * (2 * self.kind.n)
+            for (u, v, k) in d.edges:
+                other[u], other[v] = v, u
+                code[u], code[v] = k, dim + k
+            got = self._partner_cache[d] = (other, code)
+        return got
+
+    def _walk(self, d1: Diagram, d2: Diagram):
+        """Words of the stacked pair d1 over d2: (ends, paths, loops).
+
+        ends[i] = (u, v) are the result vertices of through-path i, in
+        increasing order of its canonical end u, and paths[i] is its word
+        read from u to v; loops holds one word per closed middle loop, read
+        from its leftmost column into d1.
+        """
         n = self.kind.n
-        F = self.field
-        A = self.A
-        # concatenated vertex ids: top 0..n-1, middle n..2n-1, bottom 2n..3n-1
-        edges = list(d1.edges) + [(u + n, v + n, k) for (u, v, k) in d2.edges]
-        adj = {}
-        for idx, (u, v, _) in enumerate(edges):
-            adj.setdefault(u, []).append(idx)
-            adj.setdefault(v, []).append(idx)
-
-        visited = [False] * len(edges)
-
-        def label_of(edge_idx, forward):
-            k = edges[edge_idx][2]
-            return {k: F.one} if forward else A.involve_basis(k)
-
-        def walk(start, edge_idx):
-            cur = start
-            acc = None
+        sides = (self._partners(d1), self._partners(d2))
+        done = [False] * (2 * n)      # result vertices already reached
+        crossed = [False] * n         # middle columns already passed
+        ends, paths, loops = [], [], []
+        for start in range(3 * n):    # result vertices, then middle columns
+            if start < 2 * n:
+                if done[start]:
+                    continue
+                side, w, stop = (0 if start < n else 1), start, -1
+            else:
+                stop = start - 2 * n
+                if crossed[stop]:
+                    continue
+                side, w = 0, n + stop
+            word = []
             while True:
-                u, v, _ = edges[edge_idx]
-                visited[edge_idx] = True
-                forward = cur == u
-                nxt = v if forward else u
-                lab = label_of(edge_idx, forward)
-                acc = lab if acc is None else A.mul_vec(acc, lab)
-                if nxt < n or nxt >= 2 * n:
-                    return nxt, acc
-                options = [e for e in adj[nxt] if e != edge_idx]
-                if not options:
-                    return nxt, acc
-                edge_idx = options[0]
-                cur = nxt
-
-        paths = []
-        scalar = F.one
-        for i in range(n):
-            if not visited[adj[i][0]]:
-                end, acc = walk(i, adj[i][0])
-                paths.append((i, end, acc))
-        for i in range(2 * n, 3 * n):
-            if not visited[adj[i][0]]:
-                end, acc = walk(i, adj[i][0])
-                paths.append((i, end, acc))
-        for m in range(n, 2 * n):
-            pending = [e for e in adj[m] if not visited[e]]
-            if not pending:
-                continue
-            first = min(pending)
-            cur = m
-            acc = None
-            edge_idx = first
-            while True:
-                u, v, _ = edges[edge_idx]
-                visited[edge_idx] = True
-                forward = cur == u
-                nxt = v if forward else u
-                lab = label_of(edge_idx, forward)
-                acc = lab if acc is None else A.mul_vec(acc, lab)
-                if nxt == m:
+                other, code = sides[side]
+                word.append(code[w])
+                w = other[w]
+                if (w < n) == (side == 0):     # out through the top or bottom row
+                    done[w] = True
+                    ends.append((start, w))
+                    paths.append(word)
                     break
-                edge_idx = [e for e in adj[nxt] if e != edge_idx][0]
-                cur = nxt
-            scalar = F.mul(scalar, A.trace_vec(acc))
+                col = w - n if side == 0 else w
+                crossed[col] = True
+                if col == stop:
+                    loops.append(word)
+                    break
+                side, w = 1 - side, (col if side == 0 else n + col)
+        return ends, paths, loops
+
+    def _reduce_generic(self, ends, paths, loops):
+        """Reduce the words through mul_vec and expand label choices."""
+        F, A = self.field, self.A
+        scalar = F.one
+        for word in loops:
+            scalar = F.mul(scalar, A.trace_vec(A.word_vec(word)))
             if F.is_zero(scalar):
                 return {}
+        return _expand(F, ends, [A.word_vec(word) for word in paths], scalar)
 
-        def to_result(w):
-            return w if w < n else w - n
+    def _reduce(self, ends, paths, loops):
+        """Product from the words; integer table lookups for monomial labels."""
+        A = self.A
+        if A.label_table is None:
+            return self._reduce_generic(ends, paths, loops)
+        F = self.field
+        labels, c = A.reduce_words(loops + paths)
+        for k in labels[:len(loops)]:
+            c = A.trace[k] if c is None else F.mul(c, A.trace[k])
+        if c is None:
+            c = F.one
+        elif F.is_zero(c):
+            return {}
+        edges = zip(ends, labels[len(loops):])
+        return {Diagram(tuple([(u, v, k) for (u, v), k in edges])): c}
 
-        terms = [((), scalar)]
-        result_edges = []
-        for (a, b, acc) in paths:
-            u, v = to_result(a), to_result(b)
-            assert u < v, "walks must start at the canonical endpoint"
-            result_edges.append((u, v))
-            terms = [(ks + (k,), F.mul(c, ck)) for ks, c in terms for k, ck in acc.items()]
-        out = {}
-        for ks, c in terms:
-            if F.is_zero(c):
-                continue
-            es = tuple(sorted((u, v, k) for (u, v), k in zip(result_edges, ks)))
-            _elt_add_inplace(F, out, Diagram(es), c)
-        return out
+    def mul_diagrams(self, d1: Diagram, d2: Diagram):
+        """Product of two basis diagrams as an element dict."""
+        return self._reduce(*self._walk(d1, d2))
 
     def mul_basis_keys(self, d1, d2):
         return self.mul_diagrams(d1, d2)
@@ -469,28 +464,15 @@ class DiagramAlgebra:
     def involution_key(self, d: Diagram):
         """Flip across the horizontal axis and star the labels."""
         n = self.kind.n
-        F = self.field
+        dim = self.A.dim
 
         def flip(w):
             return w + n if w < n else w - n
 
-        parts = []
-        for (u, v, k) in d.edges:
-            a, b = flip(u), flip(v)
-            if a < b:
-                parts.append(((a, b), {k: F.one}))
-            else:
-                parts.append(((b, a), self.A.involve_basis(k)))
-        terms = [((), F.one)]
-        for _, vec in parts:
-            terms = [(ks + (k,), F.mul(c, ck)) for ks, c in terms for k, ck in vec.items()]
-        out = {}
-        for ks, c in terms:
-            if F.is_zero(c):
-                continue
-            es = tuple(sorted((u, v, k) for ((u, v), _), k in zip(parts, ks)))
-            _elt_add_inplace(F, out, Diagram(es), c)
-        return out
+        flipped = sorted((flip(u), flip(v), k) if flip(u) < flip(v)
+                         else (flip(v), flip(u), dim + k) for (u, v, k) in d.edges)
+        return self._reduce([(u, v) for u, v, _ in flipped],
+                            [[code] for _, _, code in flipped], [])
 
     def involution(self, x):
         F = self.field

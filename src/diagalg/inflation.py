@@ -48,10 +48,6 @@ def _to_key_vec(W, idx_vec):
     return {W.basis_keys[i]: c for i, c in idx_vec.items()}
 
 
-def _to_idx_vec(W, key_vec):
-    return {W.key_index[k]: c for k, c in key_vec.items()}
-
-
 def contraction_form(dalg: DiagramAlgebra, W, f_pd, e_pd):
     """Value of the layer bilinear form on (bottom config, top config).
 

@@ -35,6 +35,63 @@ class InputAlgebra:
         self.structconsts = structconsts  # (i, j) -> sparse coefficient dict
         self.involution_rows = [dict(r) for r in involution_rows]
         self.trace = list(trace)
+        self.label_table = self._monomial_label_table()
+
+    def _monomial_label_table(self):
+        """Integer tables for a monomial basis, or None.
+
+        A letter code is i for b_i and dim + i for b_i*.  When every b_i b_j
+        and every b_i* is one basis element times a nonzero scalar, returns
+        (letters, products): letters[code] = (k, c) is the letter as c b_k,
+        and products[i][code] = (k, c) is b_i times the letter.  A
+        coefficient equal to 1 is stored as None.
+        """
+        F = self.field
+
+        def monomial(vec):
+            if len(vec) != 1:
+                return None
+            (k, c), = vec.items()
+            return None if F.is_zero(c) else (k, None if c == F.one else c)
+
+        codes = range(2 * self.dim)
+        letters = [monomial(self.word_vec((code,))) for code in codes]
+        products = [[monomial(self.word_vec((i, code))) for code in codes]
+                    for i in range(self.dim)]
+        if None in letters or any(None in row for row in products):
+            return None
+        return letters, products
+
+    def reduce_words(self, words):
+        """Monomial table path: (labels, c) for a list of words.
+
+        Each word (letter codes, read left to right) reduces to one basis
+        label; c is the product of the word coefficients, None when it is 1.
+        """
+        letters, products = self.label_table
+        mul = self.field.mul
+        labels = []
+        c = None
+        for word in words:
+            it = iter(word)
+            k, x = letters[next(it)]
+            for code in it:
+                k, y = products[k][code]
+                if y is not None:
+                    x = y if x is None else mul(x, y)
+            if x is not None:
+                c = x if c is None else mul(c, x)
+            labels.append(k)
+        return labels, c
+
+    def word_vec(self, word):
+        """Generic path: the product of a word of letter codes as a vector."""
+        F = self.field
+        acc = None
+        for code in word:
+            lab = {code: F.one} if code < self.dim else self.involve_basis(code - self.dim)
+            acc = lab if acc is None else self.mul_vec(acc, lab)
+        return acc
 
     def mul_basis(self, i, j):
         return self.structconsts.get((i, j), {})
@@ -183,6 +240,18 @@ def validate_input_algebra(A) -> list:
     return results
 
 
+def label_choices(F, vecs, scalar=None):
+    """(labels, c) for each choice of one basis label from every vector.
+
+    c is scalar (default 1) times the chosen coefficients; zero terms are
+    dropped.  Distinct choices give distinct label tuples.
+    """
+    terms = [((), F.one if scalar is None else scalar)]
+    for vec in vecs:
+        terms = [(ks + (k,), F.mul(c, ck)) for ks, c in terms for k, ck in vec.items()]
+    return [(ks, c) for ks, c in terms if not F.is_zero(c)]
+
+
 # -- permutations, composed left to right: (s t)(i) = t(s(i)) --
 
 def compose_perms(s, t):
@@ -242,18 +311,20 @@ class _WreathContext:
         return f"({names}|{p})"
 
     def _expand(self, slot_vectors, perm):
-        """Sum over basis choices of per-slot coefficient vectors."""
-        F = self.field
-        terms = [((), F.one)]
-        for vec in slot_vectors:
-            terms = [(chosen + (k,), F.mul(c, ck))
-                     for chosen, c in terms for k, ck in vec.items()]
-        return {(lab, perm): c for lab, c in terms if not F.is_zero(c)}
+        return {(lab, perm): c for lab, c in label_choices(self.field, slot_vectors)}
+
+    def _slot_words(self, words, perm):
+        """Element whose slot i carries the product of the letter codes words[i]."""
+        A = self.A
+        if A.label_table is None:
+            return self._expand([A.word_vec(w) for w in words], perm)
+        labels, c = A.reduce_words(words)
+        return {(tuple(labels), perm): self.field.one if c is None else c}
 
     def mul_basis_keys(self, x, y):
         (a, s), (b, t) = x, y
-        slot_vectors = [self.A.mul_basis(a[i], b[s[i]]) for i in range(self.m)]
-        return self._expand(slot_vectors, compose_perms(s, t))
+        return self._slot_words([(a[i], b[s[i]]) for i in range(self.m)],
+                                compose_perms(s, t))
 
     def unit_vec(self):
         return self._expand([self.A.unit] * self.m, identity_perm(self.m))
@@ -261,8 +332,7 @@ class _WreathContext:
     def involution_key(self, key):
         a, s = key
         sinv = invert_perm(s)
-        slot_vectors = [self.A.involve_basis(a[sinv[j]]) for j in range(self.m)]
-        return self._expand(slot_vectors, sinv)
+        return self._slot_words([(self.A.dim + a[sinv[j]],) for j in range(self.m)], sinv)
 
     def decorated_perm_element(self, perm, label_vecs=None):
         vecs = label_vecs if label_vecs is not None else [self.A.unit] * self.m

@@ -40,14 +40,6 @@ def vec_scale(F, c, v):
     return {j: F.mul(c, x) for j, x in v.items()}
 
 
-def vec_neg(F, v):
-    return {j: F.neg(x) for j, x in v.items()}
-
-
-def vec_equal(v, w):
-    return v == w
-
-
 def vec_times_rows(F, v, rows):
     """Row vector times a matrix given as a list of rows: sum_i v_i * rows[i]."""
     out = {}

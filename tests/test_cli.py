@@ -1,4 +1,7 @@
 import json
+import time
+
+import pytest
 
 from diagalg.cli import emit, main, run
 
@@ -127,3 +130,33 @@ def test_exit_code_zero_iff_pass():
 
 def test_bad_field_errors(capsys):
     assert main(["dims", "--kind", "abrauer", "--n", "2", "--field", "fp:6"]) == 2
+
+
+def test_negative_sizes_exit_2(capsys):
+    for command in ("dims", "verify-inflation"):
+        assert main([command, "--kind", "abrauer", "--n", "-1"]) == 2
+        assert "non-negative" in capsys.readouterr().err
+
+
+def test_dims_checks_cap_before_enumerating(capsys):
+    started = time.monotonic()
+    assert main(["dims", "--kind", "abrauer", "--n", "8"]) == 2   # 2,027,025 diagrams
+    assert time.monotonic() - started < 5
+    assert "2027025 exceeds --cap 2000" in capsys.readouterr().err
+    assert main(["dims", "--kind", "walled", "--r", "4", "--t", "3"]) == 2   # 7! > 2000
+
+
+def test_replay_refuses_recursive_witness(tmp_path, capsys):
+    witness_file = tmp_path / "witness.json"
+    witness_file.write_text(json.dumps({"argv": ["--replay", str(witness_file)]}))
+    assert main(["--replay", str(witness_file)]) == 2
+    assert "--replay" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["not json", "[1, 2]", '{"check": "unital"}',
+                                  '{"argv": "dims"}'])
+def test_replay_refuses_malformed_witness(tmp_path, capsys, text):
+    witness_file = tmp_path / "witness.json"
+    witness_file.write_text(text)
+    assert main(["--replay", str(witness_file)]) == 2
+    assert "witness" in capsys.readouterr().err

@@ -3,9 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from diagalg.diagrams import Diagram, DiagramAlgebra, DiagramError, DiagramKind, elt_scale
+from diagalg.diagrams import (Diagram, DiagramAlgebra, DiagramError, DiagramKind,
+                              diagram_fin_algebra, elt_scale)
 from diagalg.fields import PrimeField, RationalField
-from diagalg.input_algebra import cyclic_group_algebra, trivial_input_algebra
+from diagalg.input_algebra import (cyclic_group_algebra, input_algebra_from_json,
+                                   trivial_input_algebra)
+
+from test_input_algebra import SIGNED
 
 Q = RationalField()
 
@@ -32,13 +36,11 @@ def walled(r, t, delta="1", field=Q):
 # -- enumeration ------------------------------------------------------------
 
 def test_basis_counts_match_closed_forms():
-    assert len(brauer(2).basis()) == 3            # (2n-1)!!
-    assert len(brauer(3).basis()) == 15
-    assert len(brauer(4).basis()) == 105
-    assert len(walled(1, 1).basis()) == 2         # (r+t)!
-    assert len(walled(2, 2).basis()) == 24
-    assert len(cyclo(1, 3, ["1", "1", "1"]).basis()) == 3   # r^n (2n-1)!!
-    assert len(cyclo(2, 2, ["1", "1"]).basis()) == 12
+    for dalg, dim in ((brauer(0), 1), (brauer(2), 3), (brauer(3), 15),   # (2n-1)!!
+                      (brauer(4), 105), (walled(1, 1), 2), (walled(2, 2), 24),  # (r+t)!
+                      (cyclo(1, 3, ["1", "1", "1"]), 3),              # r^n (2n-1)!!
+                      (cyclo(2, 2, ["1", "1"]), 12)):
+        assert len(dalg.basis()) == dalg.dimension() == dim
 
 
 def test_partial_counts():
@@ -165,6 +167,55 @@ def test_associativity_sampled_n4():
         lhs = dalg.mul(dalg.mul({d1: Q.one}, {d2: Q.one}), {d3: Q.one})
         rhs = dalg.mul({d1: Q.one}, dalg.mul({d2: Q.one}, {d3: Q.one}))
         assert lhs == rhs
+
+
+F5 = PrimeField(5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cyclo(3, 2, ["2", "0"]),
+    lambda: cyclo(3, 2, ["0", "3"], field=F5),
+    lambda: cyclo(3, 3, ["0", "1", "1"]),
+    lambda: cyclo(3, 3, ["2", "0", "0"], field=F5),
+    lambda: brauer(4, delta="2"),
+    lambda: brauer(4, delta="0"),
+    lambda: walled(2, 2, delta="3"),
+    lambda: DiagramAlgebra(DiagramKind.abrauer(3), input_algebra_from_json(SIGNED, Q)),
+], ids=["D3-Z2-Q", "D3-Z2-F5", "D3-Z3-Q", "D3-Z3-F5", "D4-delta2", "D4-delta0", "walled22",
+        "D3-signed"])
+def test_label_table_matches_generic_reduction(make):
+    """Every product by table lookups equals the mul_vec reduction of its words."""
+    dalg = make()
+    assert dalg.A.label_table is not None
+    basis = dalg.basis()
+    for d1 in basis:
+        for d2 in basis:
+            assert dalg.mul_diagrams(d1, d2) == dalg._reduce_generic(*dalg._walk(d1, d2))
+
+
+DUAL_NUMBERS = {
+    # k[x]/(x^2) with x* = x, tr(1) = 3, tr(x) = 0: x^2 = 0 is not monomial
+    "dim": 2,
+    "basis": ["1", "x"],
+    "unit": ["1", "0"],
+    "structconsts": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]],
+    "involution": [["1", "0"], ["0", "1"]],
+    "trace": ["3", "0"],
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_non_monomial_input_takes_generic_path(n):
+    A = input_algebra_from_json(DUAL_NUMBERS, Q)
+    assert A.label_table is None
+    alg = diagram_fin_algebra(DiagramAlgebra(DiagramKind.abrauer(n), A))
+    assert alg.check_unital() is None
+    assert alg.check_associative(exhaustive_limit=alg.dim) is None
+
+
+def test_negative_columns_refused():
+    with pytest.raises(DiagramError):
+        brauer(-1)
 
 
 # -- involution ---------------------------------------------------------------

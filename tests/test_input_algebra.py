@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -142,3 +143,28 @@ def test_input_algebra_from_json_roundtrip():
     A = input_algebra_from_json(obj, Q)
     assert all(c.ok for c in validate_input_algebra(A))
     assert A.delta() == fr(3)
+
+
+SIGNED = {
+    # k[g]/(g^2 - 2) with g* = -g: monomial, with coefficients other than 1
+    "dim": 2,
+    "basis": ["1", "g"],
+    "unit": ["1", "0"],
+    "structconsts": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [1, 1, 0, "2"]],
+    "involution": [["1", "0"], ["0", "-1"]],
+    "trace": ["3", "0"],
+}
+
+
+def test_wreath_label_table_matches_generic_reduction():
+    A = input_algebra_from_json(SIGNED, Q)
+    assert A.label_table is not None
+    assert all(c.ok for c in validate_input_algebra(A))
+    generic = copy.copy(A)
+    generic.label_table = None
+    for m in (2, 3):
+        W, G = wreath_product(A, m), wreath_product(generic, m)
+        assert W.involution_rows == G.involution_rows
+        for i in range(W.dim):
+            for j in range(W.dim):
+                assert W.mul_basis(i, j) == G.mul_basis(i, j)
