@@ -17,22 +17,43 @@ be used without materializing the full multiplication table.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 
 from .linalg import (
     Echelon,
+    entry_iadd,
     identity_rows,
     invert_rows,
     kernel_basis,
+    transpose_rows,
+    vec_iadd,
     vec_scale,
-    vec_scaled_add,
     vec_times_rows,
 )
 
 
 class AlgebraError(ValueError):
     pass
+
+
+def index_cases(sizes, limit, samples, seed):
+    """Index tuples (i_0, i_1, ...) with i_k in range(sizes[k]) for a check.
+
+    Every tuple, in itertools.product order, when no size exceeds limit;
+    otherwise ``samples`` tuples drawn coordinate by coordinate with
+    randrange from random.Random(seed).  An empty size gives no tuples.
+    Returns (iterator of tuples, their number, whether they are sampled).
+    """
+    if max(sizes, default=0) <= limit:
+        return itertools.product(*map(range, sizes)), math.prod(sizes), False
+    if not all(sizes):
+        return iter(()), 0, True
+    rng = random.Random(seed)
+    draws = (tuple(rng.randrange(size) for size in sizes) for _ in range(samples))
+    return draws, samples, True
 
 
 class FinAlgebra:
@@ -73,10 +94,7 @@ class FinAlgebra:
         out = {}
         for i, a in u.items():
             for j, b in v.items():
-                c = F.mul(a, b)
-                if F.is_zero(c):
-                    continue
-                out = vec_scaled_add(F, out, c, self.mul_basis(i, j))
+                vec_iadd(F, out, F.mul(a, b), self.mul_basis(i, j))
         return out
 
     def involve(self, v):
@@ -94,18 +112,13 @@ class FinAlgebra:
                 return i
         return None
 
-    def check_associative(self, exhaustive_limit=120, samples=1000, seed=0):
+    def check_associative(self, exhaustive_limit=120, seed=0):
         """Witness triple (i, j, k) violating associativity, or None.
 
-        Exhaustive below the dimension limit, seeded random sampling above.
+        Exhaustive up to the dimension limit, 1000 seeded triples above.
         """
         n = self.dim
-        if n <= exhaustive_limit:
-            triples = ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
-        else:
-            rng = random.Random(seed)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                       for _ in range(samples))
+        triples, _, _ = index_cases((n, n, n), exhaustive_limit, 1000, seed)
         for i, j, k in triples:
             lhs = self.mul(self.mul_basis(i, j), self.basis_vec(k))
             rhs = self.mul(self.basis_vec(i), self.mul_basis(j, k))
@@ -180,15 +193,15 @@ class RightModule:
         F = self.algebra.field
         out = {}
         for b, c in a_vec.items():
-            out = vec_scaled_add(F, out, c, self.act_basis(v, b))
+            vec_iadd(F, out, c, self.act_basis(v, b))
         return out
 
     def action_rows(self, a_vec):
         F = self.algebra.field
         rows = [{} for _ in range(self.dim)]
         for b, c in a_vec.items():
-            for i, row in enumerate(self.action[b]):
-                rows[i] = vec_scaled_add(F, rows[i], c, row)
+            for acc, row in zip(rows, self.action[b]):
+                vec_iadd(F, acc, c, row)
         return rows
 
     def check(self, pairs=None):
@@ -316,23 +329,12 @@ def hom_space(M, N):
     eqs = []
     for g in _generating_vectors(alg):
         rm = M.action_rows(g)
-        rn = N.action_rows(g)
-        rn_cols = [{} for _ in range(n)]
-        for k, row in enumerate(rn):
-            for j, c in row.items():
-                rn_cols[j][k] = c
+        rn_cols = transpose_rows(N.action_rows(g), n)
         for i in range(m):
             for j in range(n):
-                eq = {}
-                for k, c in rm[i].items():
-                    eq[k * n + j] = c
+                eq = {k * n + j: c for k, c in rm[i].items()}
                 for k, c in rn_cols[j].items():
-                    prev = eq.get(i * n + k, F.zero)
-                    s = F.sub(prev, c)
-                    if F.is_zero(s):
-                        eq.pop(i * n + k, None)
-                    else:
-                        eq[i * n + k] = s
+                    entry_iadd(F, eq, i * n + k, F.neg(c))
                 if eq:
                     eqs.append(eq)
     sols = kernel_basis(F, eqs, m * n)
@@ -362,8 +364,8 @@ def find_isomorphism(M, N, seed=0, tries=80):
             c = F.from_int(rng.randint(-2, 2))
             if F.is_zero(c):
                 continue
-            for i in range(M.dim):
-                rows[i] = vec_scaled_add(F, rows[i], c, basis[t].rows[i])
+            for acc, row in zip(rows, basis[t].rows):
+                vec_iadd(F, acc, c, row)
         cand = ModuleMap(M, N, rows)
         if cand.is_iso():
             return cand
@@ -392,16 +394,14 @@ def submodule(M, vectors, name="sub"):
     for v in vectors:
         ech.insert(v)
     rows = ech.basis_rows()
-    pivot_pos = {p: t for t, p in enumerate(ech.pivots())}
     action = []
     for b in range(alg.dim):
         mats = []
         for r in rows:
-            img = M.act_basis(r, b)
-            coords = ech.coordinates(img)
+            coords = ech.coords(M.act_basis(r, b))
             if coords is None:
                 raise AlgebraError("span is not action-stable")
-            mats.append({pivot_pos[p]: c for p, c in coords.items()})
+            mats.append(coords)
         action.append(mats)
     sub = RightModule(alg, len(rows), action, name=name)
     incl = ModuleMap(sub, M, rows)
@@ -459,20 +459,15 @@ def ideal_span(alg, gen_vectors):
     return ech
 
 
-def is_two_sided_ideal(alg, ech, samples=None, seed=0):
+def is_two_sided_ideal(alg, ech, seed=0):
     """Check closure of the echelon span under basis multiplication.
 
-    Exhaustive when samples is None, else that many seeded random pairs.
+    Exhaustive up to dimension 200, 1000 seeded (basis, row) pairs above.
     Returns a witness (side, i, pivot) or None.
     """
     rows = ech.basis_rows()
     pivs = ech.pivots()
-    if samples is None:
-        pairs = [(i, t) for i in range(alg.dim) for t in range(len(rows))]
-    else:
-        rng = random.Random(seed)
-        pairs = [(rng.randrange(alg.dim), rng.randrange(len(rows)))
-                 for _ in range(samples)] if rows else []
+    pairs, _, _ = index_cases((alg.dim, len(rows)), 200, 1000, seed)
     for i, t in pairs:
         b = alg.basis_vec(i)
         if not ech.contains(alg.mul(b, rows[t])):
@@ -495,8 +490,7 @@ def quotient_algebra(alg, ideal_ech, name=""):
         red = ideal_ech.reduce(v)
         return {pos[j]: c for j, c in red.items()}
 
-    witness = is_two_sided_ideal(alg, ideal_ech,
-                                 samples=None if alg.dim <= 200 else 1000)
+    witness = is_two_sided_ideal(alg, ideal_ech)
     if witness is not None:
         raise AlgebraError(f"not a two-sided ideal: witness {witness}")
 
@@ -518,14 +512,7 @@ class Corner:
     idempotent: dict
     algebra: FinAlgebra
     rows: list          # corner basis as vectors in the parent
-    ech: Echelon
-
-    def from_parent(self, w):
-        coords = self.ech.coordinates(w)
-        if coords is None:
-            return None
-        pos = {p: t for t, p in enumerate(self.ech.pivots())}
-        return {pos[p]: c for p, c in coords.items()}
+    ech: Echelon        # its span; ech.coords reads corner coordinates
 
 
 def corner_algebra(alg, e_vec, name=""):
@@ -536,18 +523,17 @@ def corner_algebra(alg, e_vec, name=""):
     for i in range(alg.dim):
         ech.insert(alg.mul(alg.mul(e_vec, alg.basis_vec(i)), e_vec))
     rows = ech.basis_rows()
-    pivot_pos = {p: t for t, p in enumerate(ech.pivots())}
 
     def from_parent(w):
-        coords = ech.coordinates(w)
+        coords = ech.coords(w)
         assert coords is not None, "product escaped the corner"
-        return {pivot_pos[p]: c for p, c in coords.items()}
+        return coords
 
     def pair_mul(i, j):
         return from_parent(alg.mul(rows[i], rows[j]))
 
     unit = from_parent(e_vec)
-    labels = [f"c{p}" for p in sorted(pivot_pos)]
+    labels = [f"c{p}" for p in ech.pivots()]
     corner_alg = FinAlgebra(F, labels, unit, pair_mul, name=name or f"e({alg.name})e")
     return Corner(alg, dict(e_vec), corner_alg, rows, ech)
 
@@ -567,14 +553,14 @@ class Bimodule:
         F = self.right_algebra.field
         out = {}
         for b, c in a_vec.items():
-            out = vec_scaled_add(F, out, c, vec_times_rows(F, v, self.right_action[b]))
+            vec_iadd(F, out, c, vec_times_rows(F, v, self.right_action[b]))
         return out
 
     def act_left(self, b_vec, v):
         F = self.left_algebra.field
         out = {}
         for b, c in b_vec.items():
-            out = vec_scaled_add(F, out, c, vec_times_rows(F, v, self.left_action[b]))
+            vec_iadd(F, out, c, vec_times_rows(F, v, self.left_action[b]))
         return out
 
     def right_module(self):
@@ -639,13 +625,8 @@ def tensor_over(M, S):
     total = M.dim * dS
 
     def pure(mvec, svec):
-        out = {}
-        for i, a in mvec.items():
-            for s, b in svec.items():
-                c = F.mul(a, b)
-                if not F.is_zero(c):
-                    out[i * dS + s] = F.add(out.get(i * dS + s, F.zero), c)
-        return {k: v for k, v in out.items() if not F.is_zero(v)}
+        # distinct (i, s) give distinct coordinates, so nothing adds up
+        return {i * dS + s: F.mul(a, b) for i, a in mvec.items() for s, b in svec.items()}
 
     rel = Echelon(F)
     for b in range(B.dim):
@@ -654,7 +635,7 @@ def tensor_over(M, S):
             mb = M.act_basis({i: F.one}, b)
             for s in range(dS):
                 bs = S.act_left(bvec, {s: F.one})
-                row = vec_scaled_add(F, pure(mb, {s: F.one}), F.neg(F.one), pure({i: F.one}, bs))
+                row = vec_iadd(F, pure(mb, {s: F.one}), F.neg(F.one), pure({i: F.one}, bs))
                 if row:
                     rel.insert(row)
 
@@ -722,11 +703,7 @@ def free_presentation(M):
         for i in range(alg.dim):
             proj_rows.append(M.act_basis({g: F.one}, i))
     proj = ModuleMap(cover, M, proj_rows)
-    transposed = [{} for _ in range(M.dim)]
-    for i, row in enumerate(proj_rows):
-        for j, c in row.items():
-            transposed[j][i] = c
-    ker_vectors = kernel_basis(F, transposed, cover.dim)
+    ker_vectors = kernel_basis(F, transpose_rows(proj_rows, M.dim), cover.dim)
     kernel, incl = submodule(cover, ker_vectors, name=f"Omega({M.name})")
     assert proj.image_rank() == M.dim, "free cover must surject"
     assert kernel.dim == cover.dim - M.dim
@@ -746,21 +723,16 @@ def ext1(M, N, presentation=None):
     return dim_hom_omega - pres.cover_rank * N.dim + dim_hom_m
 
 
-def check_algebra_map(source, target, rows, exhaustive_limit=200, samples=1000, seed=0):
+def check_algebra_map(source, target, rows, seed=0):
     """Witness that rows: source -> target is not a unital algebra map, or None.
 
-    Exhaustive over basis pairs up to the dimension limit, seeded random
-    pairs above it.
+    Exhaustive over basis pairs up to dimension 200, 1000 seeded pairs above.
     """
     F = source.field
     if vec_times_rows(F, source.unit, rows) != target.unit:
         return ("unit",)
-    if source.dim <= exhaustive_limit:
-        pairs = ((i, j) for i in range(source.dim) for j in range(source.dim))
-    else:
-        rng = random.Random(seed)
-        pairs = ((rng.randrange(source.dim), rng.randrange(source.dim))
-                 for _ in range(samples))
+    n = source.dim
+    pairs, _, _ = index_cases((n, n), 200, 1000, seed)
     for i, j in pairs:
         lhs = vec_times_rows(F, source.mul_basis(i, j), rows)
         rhs = target.mul(rows[i], rows[j])

@@ -142,25 +142,34 @@ def make_input_algebra(args, field):
 
 
 def make_context(args, field):
+    """Diagram algebra of the --kind options, refused when its closed-form
+    dimension exceeds --cap (checked before any basis is enumerated)."""
     kind_name = args.kind
     if kind_name == "walled":
         if args.r is None or args.t is None:
             raise CliError("walled kind needs --r and --t")
         A = trivial_input_algebra(field, field.parse(args.delta))
-        return DiagramAlgebra(DiagramKind.walled(args.r, args.t), A), {"r": args.r, "t": args.t}
-    if args.n is None:
-        raise CliError(f"{kind_name} kind needs --n")
-    if kind_name == "cyclotomic":
-        if args.deltas is not None:
-            deltas = parse_deltas(field, args.deltas)
-        elif args.r is not None:
-            deltas = [field.parse(args.delta)] * args.r
-        else:
-            raise CliError("cyclotomic kind needs --deltas (or --r with --delta)")
-        A = cyclic_group_algebra(field, len(deltas), deltas)
+        dalg = DiagramAlgebra(DiagramKind.walled(args.r, args.t), A)
+        params = {"r": args.r, "t": args.t}
     else:
-        A, _ = make_input_algebra(args, field)
-    return DiagramAlgebra(DiagramKind.abrauer(args.n), A), {"n": args.n, "dimA": A.dim}
+        if args.n is None:
+            raise CliError(f"{kind_name} kind needs --n")
+        if kind_name == "cyclotomic":
+            if args.deltas is not None:
+                deltas = parse_deltas(field, args.deltas)
+            elif args.r is not None:
+                deltas = [field.parse(args.delta)] * args.r
+            else:
+                raise CliError("cyclotomic kind needs --deltas (or --r with --delta)")
+            A = cyclic_group_algebra(field, len(deltas), deltas)
+        else:
+            A, _ = make_input_algebra(args, field)
+        dalg = DiagramAlgebra(DiagramKind.abrauer(args.n), A)
+        params = {"n": args.n, "dimA": A.dim}
+    dim = dalg.dimension()
+    if dim > args.cap:
+        raise CliError(f"dimension {dim} exceeds --cap {args.cap}")
+    return dalg, params
 
 
 def config_echo(args, field, params=None):
@@ -184,9 +193,6 @@ def config_echo(args, field, params=None):
 
 def cmd_dims(args, field):
     dalg, params = make_context(args, field)
-    dim = dalg.dimension()
-    if dim > args.cap:
-        raise CliError(f"dimension {dim} exceeds --cap {args.cap}")
     basis = dalg.basis()
     layers = []
     total = 0
@@ -315,11 +321,10 @@ def run_replay(path):
         raise CliError("witness argv asks for --replay itself; refusing to recurse")
     report, code = run(argv)
     target = witness.get("check")
-    still = None
     if target and "checks" in report:
-        for c in report["checks"]:
-            if c["name"] == target:
-                still = not c["ok"]
+        still = next((not c["ok"] for c in report["checks"] if c["name"] == target), None)
+    else:
+        still = not report["ok"]
     return {"replayed": argv, "check": target, "stillFailing": still,
             "ok": code == 0}, 0 if code == 0 else 1
 

@@ -37,8 +37,9 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .algebra_kernel import algebra_from_mult_context
+from .algebra_kernel import AlgebraError, algebra_from_mult_context
 from .input_algebra import InputAlgebra, identity_perm, label_choices
+from .linalg import entry_iadd, vec_iadd, vec_scale
 
 
 class DiagramError(ValueError):
@@ -46,7 +47,14 @@ class DiagramError(ValueError):
 
 
 def diagram_fin_algebra(dalg, cap=2000):
-    """FinAlgebra over the diagram basis; products cached on demand."""
+    """FinAlgebra over the diagram basis; products cached on demand.
+
+    The closed-form dimension is compared with the cap before any basis
+    diagram is enumerated.
+    """
+    dim = dalg.dimension()
+    if dim > cap:
+        raise AlgebraError(f"dimension {dim} exceeds cap {cap}")
     kind = dalg.kind
     if kind.family == "abrauer":
         name = f"D_{kind.n}(dimA={dalg.A.dim})"
@@ -96,24 +104,10 @@ def _inv_power(F, delta, l):
     return scale
 
 
-def _elt_add_inplace(F, acc, d, c):
-    s = F.add(acc.get(d, F.zero), c)
-    if F.is_zero(s):
-        acc.pop(d, None)
-    else:
-        acc[d] = s
-
-
 def _expand(F, pairs, vecs, scalar=None):
     """Sum over label choices: edge pairs[i] takes each basis label of vecs[i]."""
     return {Diagram(tuple(sorted((u, v, k) for (u, v), k in zip(pairs, ks)))): c
             for ks, c in label_choices(F, vecs, scalar)}
-
-
-def elt_scale(F, c, x):
-    if F.is_zero(c):
-        return {}
-    return {d: F.mul(c, v) for d, v in x.items()}
 
 
 class DiagramAlgebra:
@@ -306,7 +300,7 @@ class DiagramAlgebra:
                 raise DiagramError(f"layer {l} out of range")
             if not F.is_zero(delta):
                 cups = tuple((n - 2 * l + 2 * i, n - 2 * l + 2 * i + 1) for i in range(l))
-                return elt_scale(F, _inv_power(F, delta, l),
+                return vec_scale(F, _inv_power(F, delta, l),
                                  self._cup_diagram_element(cups, cups))
             if n % 2 == 0:
                 raise DiagramError("delta = 0 with an even number of strands is excluded")
@@ -321,7 +315,7 @@ class DiagramAlgebra:
             raise DiagramError(f"layer {l} out of range")
         top = tuple((r - l + i, r + l - 1 - i) for i in range(l))
         if not F.is_zero(delta):
-            return elt_scale(F, _inv_power(F, delta, l),
+            return vec_scale(F, _inv_power(F, delta, l),
                              self._cup_diagram_element(top, top))
         if l < t:
             bottom = tuple((r - l + i, r + l - i) for i in range(l))
@@ -452,11 +446,7 @@ class DiagramAlgebra:
         out = {}
         for d1, c1 in x.items():
             for d2, c2 in y.items():
-                c = F.mul(c1, c2)
-                if F.is_zero(c):
-                    continue
-                for d, v in self.mul_diagrams(d1, d2).items():
-                    _elt_add_inplace(F, out, d, F.mul(c, v))
+                vec_iadd(F, out, F.mul(c1, c2), self.mul_diagrams(d1, d2))
         return out
 
     # -- involution ----------------------------------------------------------
@@ -478,8 +468,7 @@ class DiagramAlgebra:
         F = self.field
         out = {}
         for d, c in x.items():
-            for d2, v in self.involution_key(d).items():
-                _elt_add_inplace(F, out, d2, F.mul(c, v))
+            vec_iadd(F, out, c, self.involution_key(d))
         return out
 
     # -- layer structure -------------------------------------------------------
@@ -540,7 +529,7 @@ class DiagramAlgebra:
         F = self.field
         out = {}
         for key, c in wreath_vec.items():
-            _elt_add_inplace(F, out, self.layer_assemble_key(top, bottom, key), c)
+            entry_iadd(F, out, self.layer_assemble_key(top, bottom, key), c)
         return out
 
     # -- FinAlgebra glue --------------------------------------------------------

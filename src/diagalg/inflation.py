@@ -20,14 +20,12 @@ involution swaps the two configurations and stars the wreath part.
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass, field as dc_field
 
-from .algebra_kernel import FinAlgebra
+from .algebra_kernel import FinAlgebra, index_cases
 from .diagrams import DiagramAlgebra
 from .input_algebra import wreath_product
-from .linalg import Echelon
+from .linalg import Echelon, entry_iadd
 
 
 def small_algebra(dalg: DiagramAlgebra, l: int) -> FinAlgebra:
@@ -66,12 +64,7 @@ def contraction_form(dalg: DiagramAlgebra, W, f_pd, e_pd):
     for d, c in prod.items():
         top, bottom, key = dalg.layer_factorize(d)
         assert top == f_pd and bottom == e_pd, "contraction changed the configurations"
-        idx = W.key_index[key]
-        s = F.add(out.get(idx, F.zero), c)
-        if F.is_zero(s):
-            out.pop(idx, None)
-        else:
-            out[idx] = s
+        entry_iadd(F, out, W.key_index[key], c)
     return out
 
 
@@ -90,23 +83,19 @@ def layer_ideal(dalg: DiagramAlgebra, big: FinAlgebra, l: int) -> Echelon:
     return ech
 
 
-def check_layer_ideal_closed(dalg: DiagramAlgebra, l: int, samples=None, seed=0):
+def check_layer_ideal_closed(dalg: DiagramAlgebra, l: int, seed=0):
     """Closure of the layer span under diagram multiplication.
 
     Uses the support of products directly: every product diagram must again
-    have at least l horizontal edges.  Exhaustive when samples is None.
-    Returns a witness pair or None.
+    have at least l horizontal edges.  Exhaustive up to 150 basis diagrams,
+    1000 seeded (basis, member) pairs above.  Returns a witness pair or None.
     """
     n = dalg.kind.n
     basis = dalg.basis()
     members = [d for d in basis if d.horizontal_count(n) >= l]
-    if samples is None:
-        pairs = [(b, d) for b in basis for d in members]
-    else:
-        rng = random.Random(seed)
-        pairs = [(rng.choice(basis), rng.choice(members)) for _ in range(samples)] \
-            if members else []
-    for b, d in pairs:
+    pairs, _, _ = index_cases((len(basis), len(members)), 150, 1000, seed)
+    for i, t in pairs:
+        b, d = basis[i], members[t]
         for side in (dalg.mul_diagrams(b, d), dalg.mul_diagrams(d, b)):
             for prod in side:
                 if prod.horizontal_count(n) < l:
@@ -146,8 +135,10 @@ class LayerReport:
         }
 
 
-def verify_layer(dalg: DiagramAlgebra, l: int, W=None, max_exhaustive_pairs=40000,
-                 sample_pairs=600, seed=0) -> LayerReport:
+def verify_layer(dalg: DiagramAlgebra, l: int, W=None, seed=0) -> LayerReport:
+    """Checks (a)-(c) of the module docstring at layer l; multiplication is
+    checked on every pair of layer diagrams up to 200 of them, on 600 seeded
+    pairs above."""
     if W is None:
         W = small_algebra(dalg, l)
     layer = dalg.layer_basis(l)
@@ -173,15 +164,7 @@ def verify_layer(dalg: DiagramAlgebra, l: int, W=None, max_exhaustive_pairs=4000
             failures.append({"check": "involution", "diagram": dalg.label(d)})
             break
 
-    total_pairs = len(layer) ** 2
-    sampled = total_pairs > max_exhaustive_pairs
-    if sampled:
-        rng = random.Random(seed)
-        pairs = [(rng.randrange(len(layer)), rng.randrange(len(layer)))
-                 for _ in range(sample_pairs)]
-    else:
-        pairs = list(itertools.product(range(len(layer)), repeat=2))
-
+    pairs, pairs_checked, sampled = index_cases((len(layer), len(layer)), 200, 600, seed)
     phi_cache = {}
     multiplicative = True
     for i, j in pairs:
@@ -205,17 +188,13 @@ def verify_layer(dalg: DiagramAlgebra, l: int, W=None, max_exhaustive_pairs=4000
                 break
 
     return LayerReport(l, len(partials), W.dim, expected, bijective,
-                       multiplicative, involution_ok, len(pairs), sampled, failures)
+                       multiplicative, involution_ok, pairs_checked, sampled, failures)
 
 
-def verify_decomposition(dalg: DiagramAlgebra, max_exhaustive_pairs=40000,
-                         sample_pairs=600, seed=0, ideal_sample_threshold=150) -> dict:
+def verify_decomposition(dalg: DiagramAlgebra, seed=0) -> dict:
     basis = dalg.basis()
     bound = dalg.layer_bound()
-    layers = []
-    for l in range(bound + 1):
-        layers.append(verify_layer(dalg, l, max_exhaustive_pairs=max_exhaustive_pairs,
-                                   sample_pairs=sample_pairs, seed=seed))
+    layers = [verify_layer(dalg, l, seed=seed) for l in range(bound + 1)]
 
     chain_ok = True
     ideal_witnesses = []
@@ -224,8 +203,7 @@ def verify_decomposition(dalg: DiagramAlgebra, max_exhaustive_pairs=40000,
     for l in range(bound + 1):
         if counts[l + 1] >= counts[l]:   # every layer is nonempty, so strictly nested
             chain_ok = False
-        samples = None if len(basis) <= ideal_sample_threshold else 1000
-        w = check_layer_ideal_closed(dalg, l, samples=samples, seed=seed)
+        w = check_layer_ideal_closed(dalg, l, seed=seed)
         if w is not None:
             chain_ok = False
             ideal_witnesses.append({"l": l, "pair": [dalg.label(w[0]), dalg.label(w[1])]})

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra_kernel import FinAlgebra, algebra_from_mult_context
-from .linalg import vec_scaled_add, vec_times_rows
+from .linalg import vec_iadd, vec_times_rows
 
 
 class InputAlgebraError(ValueError):
@@ -101,9 +101,7 @@ class InputAlgebra:
         out = {}
         for i, a in u.items():
             for j, b in v.items():
-                c = F.mul(a, b)
-                if not F.is_zero(c):
-                    out = vec_scaled_add(F, out, c, self.mul_basis(i, j))
+                vec_iadd(F, out, F.mul(a, b), self.mul_basis(i, j))
         return out
 
     def involve_basis(self, i):

@@ -4,34 +4,51 @@ Vectors are dicts {column index: nonzero scalar}; matrices are lists of such
 rows.  Echelon keeps fully reduced rows (Gauss-Jordan, pivot = smallest
 column), so span membership, rank and coordinate extraction are single
 passes with no numerical pivoting.
+
+Every layer follows the same sparse invariants:
+
+* no stored zeros: a vector never holds a zero entry, so ``not v`` tests
+  for the zero vector and ``==`` is equality of vectors;
+* accumulators are owned by the caller: ``vec_iadd`` and ``entry_iadd``
+  change their first dict in place, and that dict is always one the caller
+  has just created, never a cached product, a stored action row or an
+  Echelon row already handed out;
+* coordinates are read from the support: the coordinates of a span member
+  by pivot position are its own entries at pivot columns
+  (``Echelon.coords``), so no call walks every stored pivot.
 """
 
 from __future__ import annotations
 
 
-def vec_add(F, u, v):
-    out = dict(u)
-    for j, c in v.items():
-        s = F.add(out.get(j, F.zero), c)
-        if F.is_zero(s):
-            out.pop(j, None)
-        else:
-            out[j] = s
-    return out
-
-
-def vec_scaled_add(F, u, c, v):
-    """u + c*v as a new dict."""
-    if F.is_zero(c):
-        return dict(u)
-    out = dict(u)
+def vec_iadd(F, acc, c, v):
+    """acc += c*v in place, dropping entries that cancel; returns acc."""
+    add, mul, is_zero, get = F.add, F.mul, F.is_zero, acc.get
+    if is_zero(c):
+        return acc
+    scaled = c != F.one
     for j, x in v.items():
-        s = F.add(out.get(j, F.zero), F.mul(c, x))
-        if F.is_zero(s):
-            out.pop(j, None)
+        if scaled:
+            x = mul(c, x)
+        s = get(j)
+        if s is None:
+            acc[j] = x
         else:
-            out[j] = s
-    return out
+            s = add(s, x)
+            if is_zero(s):
+                del acc[j]
+            else:
+                acc[j] = s
+    return acc
+
+
+def entry_iadd(F, acc, j, c):
+    """acc[j] += c in place, dropping the entry if it cancels."""
+    s = F.add(acc[j], c) if j in acc else c
+    if F.is_zero(s):
+        acc.pop(j, None)
+    else:
+        acc[j] = s
 
 
 def vec_scale(F, c, v):
@@ -42,15 +59,23 @@ def vec_scale(F, c, v):
 
 def vec_times_rows(F, v, rows):
     """Row vector times a matrix given as a list of rows: sum_i v_i * rows[i]."""
+    add, mul, is_zero, one = F.add, F.mul, F.is_zero, F.one
     out = {}
+    get = out.get
     for i, c in v.items():
-        row = rows[i]
-        for j, x in row.items():
-            s = F.add(out.get(j, F.zero), F.mul(c, x))
-            if F.is_zero(s):
-                out.pop(j, None)
+        scaled = c != one
+        for j, x in rows[i].items():
+            if scaled:
+                x = mul(c, x)
+            s = get(j)
+            if s is None:
+                out[j] = x
             else:
-                out[j] = s
+                s = add(s, x)
+                if is_zero(s):
+                    del out[j]
+                else:
+                    out[j] = s
     return out
 
 
@@ -60,6 +85,15 @@ def mat_mul(F, a_rows, b_rows):
 
 def identity_rows(F, n):
     return [{i: F.one} for i in range(n)]
+
+
+def transpose_rows(rows, width):
+    """Transpose of a matrix given as rows with columns in range(width)."""
+    out = [{} for _ in range(width)]
+    for i, r in enumerate(rows):
+        for j, c in r.items():
+            out[j][i] = c
+    return out
 
 
 class Echelon:
@@ -73,6 +107,7 @@ class Echelon:
     def __init__(self, field):
         self.F = field
         self.rows = {}  # pivot column -> row dict
+        self._pos = None  # pivot column -> position in pivots(), built on demand
 
     @property
     def dim(self):
@@ -83,12 +118,12 @@ class Echelon:
 
     def reduce(self, v):
         F = self.F
+        rows = self.rows
         out = dict(v)
-        for p in sorted(set(out) & set(self.rows)):
-            c = out.get(p)
-            if c is None or F.is_zero(c):
-                continue
-            out = vec_scaled_add(F, out, F.neg(c), self.rows[p])
+        # a stored row meets no other pivot column, so each pivot entry of v
+        # is cleared by its own row alone
+        for p in sorted(out.keys() & rows.keys()):
+            vec_iadd(F, out, F.neg(out[p]), rows[p])
         return out
 
     def contains(self, v) -> bool:
@@ -101,15 +136,16 @@ class Echelon:
         if not red:
             return None
         p = min(red)
-        inv = F.inv(red[p])
-        row = vec_scale(F, inv, red)
+        row = vec_scale(F, F.inv(red[p]), red)
         row[p] = F.one
-        # keep Jordan form: clear the new pivot column from existing rows
+        # keep Jordan form: clear the new pivot column from existing rows,
+        # into new dicts because basis_rows() may have handed the old ones out
         for q, other in self.rows.items():
             c = other.get(p)
-            if c is not None and not F.is_zero(c):
-                self.rows[q] = vec_scaled_add(F, other, F.neg(c), row)
+            if c is not None:
+                self.rows[q] = vec_iadd(F, dict(other), F.neg(c), row)
         self.rows[p] = row
+        self._pos = None
         return p
 
     def insert_all(self, vectors):
@@ -117,12 +153,19 @@ class Echelon:
             self.insert(v)
         return self
 
-    def coordinates(self, v):
-        """Coordinates of v w.r.t. the stored rows {pivot: row}; None if outside."""
-        red = self.reduce(v)
-        if red:
+    def coords(self, v):
+        """Coordinates of v over basis_rows(): {position: coefficient}, or
+        None when v is outside the span.
+
+        The coefficient of the row at position t is v's own entry at the
+        t-th pivot, so only v's support is read.
+        """
+        if self.reduce(v):
             return None
-        return {p: v.get(p, self.F.zero) for p in self.rows if not self.F.is_zero(v.get(p, self.F.zero))}
+        pos = self._pos
+        if pos is None:
+            pos = self._pos = {p: t for t, p in enumerate(self.pivots())}
+        return {pos[p]: c for p, c in v.items() if p in pos}
 
     def basis_rows(self):
         return [self.rows[p] for p in self.pivots()]
@@ -173,7 +216,7 @@ class CoordSolver:
         self.count += 1
 
     def coords(self, v):
-        red = self.ech.reduce(dict(v))
+        red = self.ech.reduce(v)
         if any(j < self.n for j in red):
             return None
         return {j - self.n: self.F.neg(c) for j, c in red.items()}
@@ -184,7 +227,7 @@ def invert_rows(F, rows):
     n = len(rows)
     ech = Echelon(F)
     for i, r in enumerate(rows):
-        ech.insert({**{j: c for j, c in r.items()}, n + i: F.one})
+        ech.insert({**r, n + i: F.one})
     if set(ech.rows) != set(range(n)):
         return None
     inv = []

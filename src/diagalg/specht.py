@@ -19,7 +19,7 @@ from math import factorial
 
 from .algebra_kernel import RightModule, free_presentation
 from .input_algebra import invert_perm, perm_sign, trivial_input_algebra, wreath_product
-from .linalg import CoordSolver
+from .linalg import CoordSolver, entry_iadd
 
 
 class SpechtError(ValueError):
@@ -171,12 +171,7 @@ def _polytabloid(tableau, m, tab_index, field):
         for i, row in enumerate(tableau):
             for v in row:
                 key[image[v]] = i
-        idx = tab_index[tuple(key)]
-        c = F.add(vec.get(idx, F.zero), F.from_int(sign))
-        if F.is_zero(c):
-            vec.pop(idx, None)
-        else:
-            vec[idx] = c
+        entry_iadd(F, vec, tab_index[tuple(key)], F.from_int(sign))
     return vec
 
 
@@ -207,12 +202,7 @@ def specht_module(lam, W=None, field=None, max_size=5):
         for idx, c in vec.items():
             key = tabs[idx]
             moved = tuple(key[pinv[v]] for v in range(m))
-            j = tab_index[moved]
-            s = F.add(out.get(j, F.zero), c)
-            if F.is_zero(s):
-                out.pop(j, None)
-            else:
-                out[j] = s
+            entry_iadd(F, out, tab_index[moved], c)
         return out
 
     action = []

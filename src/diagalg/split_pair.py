@@ -21,7 +21,6 @@ the W-embedding; ``natural_unit_iso`` realizes M = res(ind M) through
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .algebra_kernel import (
@@ -34,6 +33,7 @@ from .algebra_kernel import (
     ext1,
     free_presentation,
     hom_space,
+    index_cases,
     quotient_module,
     regular_module,
 )
@@ -42,10 +42,12 @@ from .inflation import layer_ideal_indices, rank_v, small_algebra
 from .linalg import (
     CoordSolver,
     Echelon,
+    entry_iadd,
     invert_rows,
     kernel_basis,
     mat_mul,
-    vec_scaled_add,
+    transpose_rows,
+    vec_iadd,
     vec_times_rows,
 )
 
@@ -67,7 +69,7 @@ class SplitQuotientDatum:
     embed_rows: list
     kernel_indices: list
 
-    def verify(self, exhaustive_limit=200, samples=1000, seed=0) -> dict:
+    def verify(self, seed=0) -> dict:
         big, W = self.big, self.small
         F = big.field
         failures = []
@@ -80,11 +82,7 @@ class SplitQuotientDatum:
         if check_algebra_map(W, big, self.embed_rows) is not None:
             failures.append({"check": "embed_is_algebra_map"})
 
-        if big.dim <= exhaustive_limit:
-            pairs = [(i, j) for i in range(big.dim) for j in range(big.dim)]
-        else:
-            rng = random.Random(seed)
-            pairs = [(rng.randrange(big.dim), rng.randrange(big.dim)) for _ in range(samples)]
+        pairs, pairs_checked, _ = index_cases((big.dim, big.dim), 200, 1000, seed)
         for i, j in pairs:
             lhs = vec_times_rows(F, big.mul_basis(i, j), self.proj_rows)
             rhs = W.mul(vec_times_rows(F, big.basis_vec(i), self.proj_rows),
@@ -105,7 +103,7 @@ class SplitQuotientDatum:
 
         return {"smallDim": W.dim, "bigDim": big.dim,
                 "kernelDim": len(self.kernel_indices),
-                "pairsChecked": len(pairs), "failures": failures,
+                "pairsChecked": pairs_checked, "failures": failures,
                 "ok": not failures}
 
 
@@ -254,12 +252,7 @@ class CornerSplitDatum:
             top, bottom, key = self.dalg.layer_factorize(d)
             assert top == self.e_top and bottom == self.e_bottom, \
                 "corner element with foreign configurations"
-            idx = self.W.key_index[key]
-            s = F.add(out.get(idx, F.zero), c)
-            if F.is_zero(s):
-                out.pop(idx, None)
-            else:
-                out[idx] = s
+            entry_iadd(F, out, self.W.key_index[key], c)
         return out
 
     def _build_alpha(self):
@@ -276,7 +269,7 @@ class CornerSplitDatum:
         for key in self.W.basis_keys:
             d = self.small_dalg.layer_assemble_key(empty, empty, key)
             mu = self.mu_rows[small_index[d]]
-            coords = self.corner.from_parent(mu)
+            coords = self.corner.ech.coords(mu)
             assert coords is not None
             self.section_rows.append(coords)
         self.section_big = [vec_times_rows(F, row, self.corner.rows)
@@ -312,9 +305,7 @@ class CornerSplitDatum:
             if p is not None:
                 order.append(p)
         self.eD_ech = ed
-        self.eD_pivots = ed.pivots()
-        self.eD_pos = {p: t for t, p in enumerate(self.eD_pivots)}
-        self.eD_rows = [ed.rows[p] for p in self.eD_pivots]
+        self.eD_rows = ed.basis_rows()
 
         rel = Echelon(F)
         if self.layer == 0:
@@ -323,11 +314,8 @@ class CornerSplitDatum:
             for i in layer_ideal_indices(self.dalg, big, 1):
                 rel.insert(self._eD_coords(big.basis_vec(i)))
         else:
-            transposed = [{} for _ in range(self.W.dim)]
-            for i, row in enumerate(self.alpha_rows):
-                for j, c in row.items():
-                    transposed[j][i] = c
-            ker = kernel_basis(F, transposed, self.corner.algebra.dim)
+            ker = kernel_basis(F, transpose_rows(self.alpha_rows, self.W.dim),
+                               self.corner.algebra.dim)
             ker_big = [vec_times_rows(F, k, self.corner.rows) for k in ker]
             for kv in ker_big:
                 for r in self.eD_rows:
@@ -339,14 +327,13 @@ class CornerSplitDatum:
         self.S_dim = len(keep)
 
     def _eD_coords(self, big_vec):
-        red = self.eD_ech.reduce(big_vec)
-        assert not red, "vector outside e*D"
-        return {self.eD_pos[p]: c for p, c in
-                ((p, big_vec.get(p)) for p in self.eD_pivots)
-                if c is not None and not self.field.is_zero(c)}
+        coords = self.eD_ech.coords(big_vec)
+        assert coords is not None, "vector outside e*D"
+        return coords
 
-    def _project_S(self, ed_coords):
-        red = self.rel_ech.reduce(ed_coords)
+    def _to_S(self, big_vec):
+        """Class in S of an element of e*D given in big coordinates."""
+        red = self.rel_ech.reduce(self._eD_coords(big_vec))
         return {self.S_pos[t]: c for t, c in red.items()}
 
     def _lift_S(self, s_vec):
@@ -354,16 +341,15 @@ class CornerSplitDatum:
         F = self.field
         out = {}
         for s, c in s_vec.items():
-            out = vec_scaled_add(F, out, c, self.eD_rows[self.S_keep[s]])
+            vec_iadd(F, out, c, self.eD_rows[self.S_keep[s]])
         return out
 
     def _S_right_rows(self, b):
         rows = self._right_action_cache.get(b)
         if rows is None:
             big = self.big
-            rows = [self._project_S(self._eD_coords(big.mul(
-                self.eD_rows[self.S_keep[s]], big.basis_vec(b))))
-                for s in range(self.S_dim)]
+            rows = [self._to_S(big.mul(self.eD_rows[self.S_keep[s]], big.basis_vec(b)))
+                    for s in range(self.S_dim)]
             self._right_action_cache[b] = rows
         return rows
 
@@ -373,8 +359,7 @@ class CornerSplitDatum:
         out = {}
         lift = self._lift_S(s_vec)
         for w, c in w_vec.items():
-            prod = self.big.mul(self.section_big[w], lift)
-            out = vec_scaled_add(F, out, c, self._project_S(self._eD_coords(prod)))
+            vec_iadd(F, out, c, self._to_S(self.big.mul(self.section_big[w], lift)))
         return out
 
     # -- left basis and the right-module isomorphism S*e = W ----------------------
@@ -389,8 +374,7 @@ class CornerSplitDatum:
         self.left_basis = []
         for f in self.bottom_configs:
             d = dalg.layer_assemble_key(self.e_top, f, id_key)
-            vec = {self.big.key_index[d]: F.one}
-            self.left_basis.append(self._project_S(self._eD_coords(vec)))
+            self.left_basis.append(self._to_S({self.big.key_index[d]: F.one}))
         spanning = []
         for s_vec in self.left_basis:
             for w in range(W.dim):
@@ -419,15 +403,14 @@ class CornerSplitDatum:
         F = self.field
         img = Echelon(F)
         for s in range(self.S_dim):
-            img.insert(self._project_S(self._eD_coords(
-                self.big.mul(self.eD_rows[self.S_keep[s]], self.idem_vec))))
+            img.insert(self._to_S(self.big.mul(self.eD_rows[self.S_keep[s]], self.idem_vec)))
         self.Se_ech = img
         self.Se_rows = img.basis_rows()
 
     def theta(self, s_vec):
         """alpha(lift(s) * e): the right-module map S -> W, bijective on S*e."""
         lifted = self.big.mul(self._lift_S(s_vec), self.idem_vec)
-        coords = self.corner.from_parent(lifted)
+        coords = self.corner.ech.coords(lifted)
         assert coords is not None
         return vec_times_rows(self.field, coords, self.alpha_rows)
 
@@ -461,9 +444,18 @@ class CornerSplitDatum:
         F = self.field
         out = {}
         for b, c in big_elt.items():
-            out = vec_scaled_add(F, out, c,
-                                 vec_times_rows(F, s_vec, self._S_right_rows(b)))
+            vec_iadd(F, out, c, vec_times_rows(F, s_vec, self._S_right_rows(b)))
         return out
+
+    def _ind_row(self, M, i, slots):
+        """m_i (x) sum over slots of (left basis slot) * w_vec, in ind M
+        coordinates (ii, slot) -> ii * rank V + slot."""
+        F = self.field
+        row = {}
+        for slot, w_vec in slots.items():
+            for ii, c in M.act({i: F.one}, w_vec).items():
+                entry_iadd(F, row, ii * self.n_l + slot, c)
+        return row
 
     # -- the functors ---------------------------------------------------------------
 
@@ -483,21 +475,8 @@ class CornerSplitDatum:
                 per_b.append(self._left_coords(moved))
             decomp.append(per_b)
         for b in range(self.big.dim):
-            rows = []
-            for i in range(M.dim):
-                for k in range(n_l):
-                    row = {}
-                    for slot, w_vec in decomp[k][b].items():
-                        mi = M.act({i: F.one}, w_vec)
-                        for ii, c in mi.items():
-                            key = ii * n_l + slot
-                            s = F.add(row.get(key, F.zero), c)
-                            if F.is_zero(s):
-                                row.pop(key, None)
-                            else:
-                                row[key] = s
-                    rows.append(row)
-            action.append(rows)
+            action.append([self._ind_row(M, i, decomp[k][b])
+                           for i in range(M.dim) for k in range(n_l)])
         return RightModule(self.big, dim, action, name=f"ind_{self.layer}({M.name})")
 
     def induce_map(self, f: ModuleMap, src_ind=None, dst_ind=None) -> ModuleMap:
@@ -515,19 +494,13 @@ class CornerSplitDatum:
         if N.algebra is not self.big and N.algebra.dim != self.big.dim:
             raise SplitPairError("module is not over the diagram algebra")
         F = self.field
-        e_rows = N.action_rows(self.idem_vec)
-        img = Echelon(F)
-        for i in range(N.dim):
-            img.insert(e_rows[i])
+        img = Echelon(F).insert_all(N.action_rows(self.idem_vec))
         rows = img.basis_rows()
-        pivots = img.pivots()
-        pos = {p: t for t, p in enumerate(pivots)}
 
         def coords(v):
-            red = img.reduce(v)
-            assert not red, "restriction escaped N*e"
-            return {pos[p]: c for p, c in ((p, v.get(p)) for p in pivots)
-                    if c is not None and not F.is_zero(c)}
+            got = img.coords(v)
+            assert got is not None, "restriction escaped N*e"
+            return got
 
         action = []
         for w in range(self.W.dim):
@@ -554,21 +527,8 @@ class CornerSplitDatum:
         unit_coords = vec_times_rows(F, self.W.unit, inv)
         s0 = vec_times_rows(F, unit_coords, self.Se_rows)
         slots = self._left_coords(s0)
-        n_l = self.n_l
-        rows = []
-        for i in range(M.dim):
-            v = {}
-            for slot, w_vec in slots.items():
-                mi = M.act({i: F.one}, w_vec)
-                for ii, c in mi.items():
-                    key = ii * n_l + slot
-                    s = F.add(v.get(key, F.zero), c)
-                    if not F.is_zero(s):
-                        v[key] = s
-                    else:
-                        v.pop(key, None)
-            ve = ind.act(v, self.idem_vec)
-            rows.append(res.subspace_coords(ve))
+        rows = [res.subspace_coords(ind.act(self._ind_row(M, i, slots), self.idem_vec))
+                for i in range(M.dim)]
         return ModuleMap(M, res, rows), ind, res
 
 
@@ -718,17 +678,9 @@ def cell_head_sequence(datum, char_module) -> ShortExactSequence:
         gram.append({j: char(contraction_form(datum.dalg, datum.W, f, e))
                      for j, e in enumerate(configs)})
     gram = [{j: c for j, c in row.items() if not F.is_zero(c)} for row in gram]
-    rad = kernel_basis(F, _transpose_rows(gram, len(configs)), len(configs))
+    rad = kernel_basis(F, transpose_rows(gram, len(configs)), len(configs))
     head, _ = quotient_module(ind, rad, name=f"head({ind.name})")
     return presentation_sequence(head)
-
-
-def _transpose_rows(rows, width):
-    out = [{} for _ in range(width)]
-    for i, r in enumerate(rows):
-        for j, c in r.items():
-            out[j][i] = c
-    return out
 
 
 def apply_functor_to_sequence(seq, on_module, on_map) -> ShortExactSequence:

@@ -25,7 +25,7 @@ from diagalg.algebra_kernel import (
     tensor_over,
     zero_module,
 )
-from diagalg.diagrams import DiagramAlgebra, DiagramKind, diagram_fin_algebra, elt_scale
+from diagalg.diagrams import DiagramAlgebra, DiagramKind, diagram_fin_algebra
 from diagalg.fields import PrimeField, RationalField
 from diagalg.input_algebra import (
     cyclic_group_algebra,
@@ -33,6 +33,7 @@ from diagalg.input_algebra import (
     trivial_input_algebra,
     wreath_product,
 )
+from diagalg.linalg import vec_scale
 
 Q = RationalField()
 
@@ -150,7 +151,7 @@ def test_corner_of_unit_is_whole_algebra():
 
 def test_corner_of_scaled_cup_is_one_dimensional():
     dalg, alg = brauer_alg(2, "5")
-    e = elt_scale(Q, fr("1/5"), dalg.cup_generator(1))
+    e = vec_scale(Q, fr("1/5"), dalg.cup_generator(1))
     e_vec = {alg.key_index[d]: c for d, c in e.items()}
     corner = corner_algebra(alg, e_vec)
     assert corner.algebra.dim == 1
@@ -314,3 +315,41 @@ def test_submodule_and_quotient_split_regular_s2():
 def test_zero_module():
     W = group_algebra_sn(2)
     assert zero_module(W).dim == 0
+
+
+def test_index_cases_exhaustive_sampled_and_empty():
+    import itertools
+    import random
+
+    from diagalg.algebra_kernel import index_cases
+
+    cases, count, sampled = index_cases((2, 3), 3, 5, seed=0)
+    assert list(cases) == list(itertools.product(range(2), range(3)))
+    assert (count, sampled) == (6, False)
+    cases, count, sampled = index_cases((4, 2), 3, 5, seed=7)
+    rng = random.Random(7)
+    assert list(cases) == [(rng.randrange(4), rng.randrange(2)) for _ in range(5)]
+    assert (count, sampled) == (5, True)
+    # rng.choice over sequences of those sizes makes the same draws
+    rng = random.Random(7)
+    picks = [(rng.choice("abcd"), rng.choice("xy")) for _ in range(5)]
+    assert picks == [("abcd"[i], "xy"[j]) for i, j in index_cases((4, 2), 3, 5, seed=7)[0]]
+    for sizes in ((4, 0), (0, 0)):
+        cases, count, _ = index_cases(sizes, 3, 5, seed=0)
+        assert list(cases) == [] and count == 0
+
+
+def test_products_and_actions_leave_stored_rows_alone():
+    # accumulation happens in place, so a product or an action must never
+    # accumulate into a cached structure constant or a stored action row
+    _, alg = brauer_alg(3, delta="2")
+    M = regular_module(alg)
+    snapshot = {(i, j): dict(alg.mul_basis(i, j))
+                for i in range(alg.dim) for j in range(alg.dim)}
+    stored = [[dict(r) for r in rows] for rows in M.action]
+    total = {i: Q.one for i in range(alg.dim)}
+    alg.mul(total, total)
+    M.action_rows(total)
+    M.act(total, total)
+    assert all(alg.mul_basis(i, j) == c for (i, j), c in snapshot.items())
+    assert [[dict(r) for r in rows] for rows in M.action] == stored

@@ -160,3 +160,48 @@ def test_replay_refuses_malformed_witness(tmp_path, capsys, text):
     witness_file.write_text(text)
     assert main(["--replay", str(witness_file)]) == 2
     assert "witness" in capsys.readouterr().err
+
+
+def test_verify_inflation_honours_cap(capsys):
+    assert main(["verify-inflation", "--kind", "abrauer", "--n", "4", "--cap", "10"]) == 2
+    assert "105 exceeds --cap 10" in capsys.readouterr().err
+    assert main(["verify-inflation", "--kind", "abrauer", "--n", "2", "--cap", "1"]) == 2
+    assert "exceeds --cap 1" in capsys.readouterr().err
+
+
+def test_split_pair_checks_cap_before_enumerating(capsys):
+    started = time.monotonic()
+    assert main(["verify-split-pair", "--kind", "abrauer", "--n", "8", "--l", "1"]) == 2
+    assert time.monotonic() - started < 5
+    assert "2027025 exceeds --cap 2000" in capsys.readouterr().err
+
+
+NONASSOCIATIVE_ALGEBRA = {
+    # x*x = y and x*y = x but y*x = 0: (x*x)*x = 0 while x*(x*x) = x, which
+    # breaks the layer-1 multiplicativity check of D_3 over this algebra
+    "dim": 3,
+    "basis": ["1", "x", "y"],
+    "unit": ["1", "0", "0"],
+    "structconsts": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [0, 2, 2, "1"],
+                     [2, 0, 2, "1"], [1, 1, 2, "1"], [1, 2, 1, "1"]],
+    "involution": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    "trace": ["1", "0", "0"],
+}
+
+
+def test_replay_decides_verify_inflation_witness(tmp_path):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(NONASSOCIATIVE_ALGEBRA))
+    report, code = run_json(["verify-inflation", "--kind", "abrauer", "--n", "3",
+                             "--input-algebra", str(path)])
+    assert code == 1 and "checks" not in report
+    witness_file = tmp_path / "witness.json"
+    witness_file.write_text(json.dumps({"argv": report["argv"]}))
+    replay_report, replay_code = run_json(["--replay", str(witness_file)])
+    assert replay_report["stillFailing"] is True
+    assert replay_code == 1
+    witness_file.write_text(json.dumps({"argv": ["verify-inflation", "--kind", "abrauer",
+                                                 "--n", "2"]}))
+    replay_report, replay_code = run_json(["--replay", str(witness_file)])
+    assert replay_report["stillFailing"] is False
+    assert replay_code == 0

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from diagalg.diagrams import (Diagram, DiagramAlgebra, DiagramError, DiagramKind,
-                              diagram_fin_algebra, elt_scale)
+                              diagram_fin_algebra)
 from diagalg.fields import PrimeField, RationalField
 from diagalg.input_algebra import (cyclic_group_algebra, input_algebra_from_json,
                                    trivial_input_algebra)
+from diagalg.linalg import vec_scale
 
 from test_input_algebra import SIGNED
 
@@ -101,7 +102,7 @@ def test_swap_squares_to_identity():
 def test_cup_squares_to_delta_cup():
     dalg = brauer(2, delta="5")
     e = dalg.cup_generator(1)
-    assert dalg.mul(e, e) == elt_scale(Q, fr(5), e)
+    assert dalg.mul(e, e) == vec_scale(Q, fr(5), e)
 
 
 def test_cup_label_cup_contracts_to_trace():
@@ -110,13 +111,13 @@ def test_cup_label_cup_contracts_to_trace():
     for m, want in ((0, fr(9)), (1, fr(4)), (2, fr(4))):
         h = dalg.label_generator(1, m)
         prod = dalg.mul(dalg.mul(e, h), e)
-        assert prod == elt_scale(Q, want, e)
+        assert prod == vec_scale(Q, want, e)
 
 
 def test_walled_cup_squares_to_delta_cup():
     dalg = walled(1, 1, delta="3")
     e = dalg.cup_generator(1, 2)
-    assert dalg.mul(e, e) == elt_scale(Q, fr(3), e)
+    assert dalg.mul(e, e) == vec_scale(Q, fr(3), e)
 
 
 def test_product_of_wall_legal_is_wall_legal():
@@ -327,4 +328,4 @@ def test_mixed_field():
     F5 = PrimeField(5)
     dalg = brauer(2, delta="2", field=F5)
     e = dalg.cup_generator(1)
-    assert dalg.mul(e, e) == elt_scale(F5, F5.from_int(2), e)
+    assert dalg.mul(e, e) == vec_scale(F5, F5.from_int(2), e)

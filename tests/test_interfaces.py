@@ -113,5 +113,5 @@ def test_diagram_algebra_over_cyclotomic_field():
     e = dalg.cup_generator(1)
     h = dalg.label_generator(1, 1)
     prod = dalg.mul(dalg.mul(e, h), e)
-    from diagalg.diagrams import elt_scale
-    assert prod == elt_scale(C3, z, e)
+    from diagalg.linalg import vec_scale
+    assert prod == vec_scale(C3, z, e)

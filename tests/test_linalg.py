@@ -11,9 +11,9 @@ from diagalg.linalg import (
     invert_rows,
     kernel_basis,
     mat_mul,
+    entry_iadd,
     rank,
-    vec_add,
-    vec_scaled_add,
+    vec_iadd,
     vec_times_rows,
 )
 
@@ -27,8 +27,15 @@ def fr(rows):
 def test_vec_ops_drop_zeros():
     u = {0: Fraction(1), 1: Fraction(2)}
     v = {0: Fraction(-1), 2: Fraction(3)}
-    assert vec_add(Q, u, v) == {1: Fraction(2), 2: Fraction(3)}
-    assert vec_scaled_add(Q, u, Fraction(0), v) == u
+    acc = dict(u)
+    assert vec_iadd(Q, acc, Q.one, v) is acc
+    assert acc == {1: Fraction(2), 2: Fraction(3)}
+    assert vec_iadd(Q, dict(u), Fraction(0), v) == u
+    assert vec_iadd(Q, dict(u), Fraction(2), v) == {0: Fraction(-1), 1: Fraction(2), 2: Fraction(6)}
+    assert v == {0: Fraction(-1), 2: Fraction(3)}
+    entry_iadd(Q, acc, 1, Fraction(-2))
+    entry_iadd(Q, acc, 5, Fraction(1, 2))
+    assert acc == {2: Fraction(3), 5: Fraction(1, 2)}
 
 
 def test_echelon_rank_and_membership():
@@ -43,11 +50,24 @@ def test_echelon_coordinates_reconstruct():
     rows = fr([{0: 1, 2: 1}, {1: 1, 2: -1}])
     ech = Echelon(Q).insert_all(rows)
     v = {0: Fraction(2), 1: Fraction(3), 2: Fraction(-1)}
-    coords = ech.coordinates(v)
-    rebuilt = {}
-    for p, c in coords.items():
-        rebuilt = vec_scaled_add(Q, rebuilt, c, ech.rows[p])
-    assert rebuilt == v
+    coords = ech.coords(v)
+    assert vec_times_rows(Q, coords, ech.basis_rows()) == v
+    assert ech.coords({2: Fraction(1)}) is None
+
+
+def test_echelon_coords_by_pivot_position_after_inserts():
+    # rows: pivot 2 -> {2: 1, 4: -1}, pivot 3 -> {3: 1, 4: 1}
+    ech = Echelon(Q).insert_all(fr([{3: 1, 4: 1}, {2: 1, 3: 1}]))
+    handed_out = ech.basis_rows()
+    snapshot = [dict(r) for r in handed_out]
+    v = {2: Fraction(1), 3: Fraction(2), 4: Fraction(1)}
+    assert ech.coords(v) == {0: Fraction(1), 1: Fraction(2)}
+    ech.insert({0: Fraction(1)})        # a smaller pivot shifts the positions
+    assert ech.coords(v) == {1: Fraction(1), 2: Fraction(2)}
+    ech.insert({4: Fraction(1)})        # clears column 4 from the stored rows
+    assert handed_out == snapshot
+    assert ech.coords(v) == {1: Fraction(1), 2: Fraction(2), 3: Fraction(1)}
+    assert vec_times_rows(Q, ech.coords(v), ech.basis_rows()) == v
 
 
 def test_kernel_of_known_matrix():
