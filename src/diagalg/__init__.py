@@ -29,7 +29,6 @@ from .algebra_kernel import (
     corner_algebra,
     direct_sum,
     ext1,
-    find_isomorphism,
     free_module,
     free_presentation,
     hom_space,

@@ -147,7 +147,7 @@ def algebra_from_mult_context(ctx, cap=2000, name=""):
     """FinAlgebra over the basis of a multiplication context.
 
     ``ctx`` provides ``field``, ``basis()`` (canonical list of hashable keys),
-    ``mul_basis_keys(x, y) -> {key: scalar}``, ``unit_vec() -> {key: scalar}``
+    ``mul_diagrams(x, y) -> {key: scalar}``, ``identity() -> {key: scalar}``
     and optionally ``involution_key(x)``, ``generator_elements()``.
     """
     basis = ctx.basis()
@@ -159,7 +159,7 @@ def algebra_from_mult_context(ctx, cap=2000, name=""):
         return {index[k]: c for k, c in d.items()}
 
     def pair_mul(i, j):
-        return to_vec(ctx.mul_basis_keys(basis[i], basis[j]))
+        return to_vec(ctx.mul_diagrams(basis[i], basis[j]))
 
     invo = None
     if hasattr(ctx, "involution_key"):
@@ -168,7 +168,7 @@ def algebra_from_mult_context(ctx, cap=2000, name=""):
     if hasattr(ctx, "generator_elements"):
         gens = [to_vec(g) for g in ctx.generator_elements()]
     labels = [ctx.label(k) for k in basis] if hasattr(ctx, "label") else [str(k) for k in basis]
-    alg = FinAlgebra(ctx.field, labels, to_vec(ctx.unit_vec()), pair_mul, invo, gens, name)
+    alg = FinAlgebra(ctx.field, labels, to_vec(ctx.identity()), pair_mul, invo, gens, name)
     alg.basis_keys = basis
     alg.key_index = index
     return alg
@@ -345,31 +345,6 @@ def hom_space(M, N):
             rows[flat // n][flat % n] = c
         maps.append(ModuleMap(M, N, rows))
     return maps
-
-
-def find_isomorphism(M, N, seed=0, tries=80):
-    """Invertible module map M -> N, or None; searched inside hom_space."""
-    if M.dim != N.dim:
-        return None
-    basis = hom_space(M, N)
-    for h in basis:
-        if h.is_iso():
-            return h
-    F = M.algebra.field
-    rng = random.Random(seed)
-    span = list(range(len(basis)))
-    for _ in range(tries):
-        rows = [{} for _ in range(M.dim)]
-        for t in span:
-            c = F.from_int(rng.randint(-2, 2))
-            if F.is_zero(c):
-                continue
-            for acc, row in zip(rows, basis[t].rows):
-                vec_iadd(F, acc, c, row)
-        cand = ModuleMap(M, N, rows)
-        if cand.is_iso():
-            return cand
-    return None
 
 
 def direct_sum(M, N):

@@ -210,9 +210,6 @@ class DiagramAlgebra:
         return self.decorated_perm_diagram(identity_perm(self.kind.n),
                                            [self.A.unit] * self.kind.n)
 
-    def unit_vec(self):
-        return self.identity()
-
     def decorated_perm_diagram(self, perm, label_vecs):
         """Element with strand i -> perm(i), slot i labeled by label_vecs[i]."""
         n = self.kind.n
@@ -437,9 +434,6 @@ class DiagramAlgebra:
     def mul_diagrams(self, d1: Diagram, d2: Diagram):
         """Product of two basis diagrams as an element dict."""
         return self._reduce(*self._walk(d1, d2))
-
-    def mul_basis_keys(self, d1, d2):
-        return self.mul_diagrams(d1, d2)
 
     def mul(self, x, y):
         F = self.field

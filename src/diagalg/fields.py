@@ -3,10 +3,15 @@
 Elements are plain hashable Python values kept in canonical form, so ``==``
 and dict membership are semantic equality:
 
-* rationals      -- ``fractions.Fraction`` (reduced, positive denominator)
+* rationals      -- ``int`` when integral, else a reduced ``fractions.Fraction``
+  (denominator > 1); ``rational`` puts any exact rational in this form.
+  Never divide with ``/`` where an operand can be an ``int``: ``1 / 2`` is
+  the float 0.5.  Divide through a Fraction (``Fraction(1) / a``) and
+  normalise the result.
 * prime field    -- ``int`` in ``range(p)``
-* cyclotomic(r)  -- tuple of Fraction of length ``deg Phi_r``: coefficients of
-  the residue modulo the r-th cyclotomic polynomial, low degree first.
+* cyclotomic(r)  -- tuple of rationals (in the form above) of length
+  ``deg Phi_r``: coefficients of the residue modulo the r-th cyclotomic
+  polynomial, low degree first.
 
 Elements carry no field pointer; all arithmetic goes through a Field
 instance.  Division by zero raises ``ZeroDivisionError`` so call sites can
@@ -38,7 +43,16 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-# -- polynomial helpers over Fraction, coefficient lists low degree first --
+def rational(x):
+    """The canonical form of an exact rational: its int value when integral,
+    else x as a reduced Fraction."""
+    if x.__class__ is int:
+        return x
+    return x.numerator if x.denominator == 1 else x
+
+
+# -- polynomial helpers over the rationals, coefficient lists low degree first;
+# -- coefficients may be in any exact form until ``_from_poly`` normalises them
 
 def _poly_trim(p):
     while p and p[-1] == 0:
@@ -47,7 +61,7 @@ def _poly_trim(p):
 
 
 def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -58,21 +72,20 @@ def _poly_mul(a, b):
 
 def _poly_sub(a, b):
     n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
+    a = list(a) + [0] * (n - len(a))
+    b = list(b) + [0] * (n - len(b))
     return _poly_trim([x - y for x, y in zip(a, b)])
 
 
 def _poly_divmod(a, b):
-    a = list(a)
+    # trim first: a zero leading entry would give a negative shift below
+    a = _poly_trim(list(a))
     assert b and b[-1] != 0
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / Fraction(b[-1])
-    while len(a) >= len(b) and _poly_trim(a):
-        if not a:
-            break
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    lead = b[-1]
+    while len(a) >= len(b):
         shift = len(a) - len(b)
-        c = a[-1] * inv_lead
+        c = a[-1] if lead == 1 else Fraction(a[-1]) / lead
         q[shift] = c
         for i, y in enumerate(b):
             a[shift + i] -= c * y
@@ -86,10 +99,10 @@ def _divisors(n):
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(r: int) -> tuple:
-    """Coefficients of Phi_r, low degree first, as Fractions (monic)."""
+    """Coefficients of Phi_r, low degree first, as ints (monic)."""
     if r < 1:
         raise FieldError(f"cyclotomic index must be >= 1, got {r}")
-    num = [Fraction(-1)] + [Fraction(0)] * (r - 1) + [Fraction(1)]
+    num = [-1] + [0] * (r - 1) + [1]
     for d in _divisors(r):
         if d < r:
             num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
@@ -153,25 +166,28 @@ class Field:
 
 
 class RationalField(Field):
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
-        return a + b
+        return rational(a + b)
 
     def neg(self, a):
-        return -a
+        return rational(-a)
 
     def mul(self, a, b):
-        return a * b
+        return rational(a * b)
 
     def inv(self, a):
-        if a == 0:
+        if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return rational(Fraction(1) / a)
+
+    def is_zero(self, a):
+        return not a
 
     def from_int(self, n):
-        return Fraction(n)
+        return rational(n)
 
     def descriptor(self):
         return "q"
@@ -181,7 +197,7 @@ class RationalField(Field):
 
     def parse(self, s):
         try:
-            return Fraction(s.strip())
+            return rational(Fraction(s.strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"cannot parse rational {s!r}") from exc
 
@@ -207,6 +223,9 @@ class PrimeField(Field):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
+
+    def is_zero(self, a):
+        return not a
 
     def from_int(self, n):
         return n % self.p
@@ -242,23 +261,22 @@ class CyclotomicField(Field):
         self.r = r
         self.modulus = list(cyclotomic_polynomial(r))
         self.degree = len(self.modulus) - 1
-        self.zero = (Fraction(0),) * self.degree
-        self.one = self._from_poly([Fraction(1)])
+        self.zero = (0,) * self.degree
+        self.one = self._from_poly([1])
 
     def _from_poly(self, p):
         _, rem = _poly_divmod(list(p), self.modulus)
-        rem = rem + [Fraction(0)] * (self.degree - len(rem))
-        return tuple(rem)
+        return tuple(map(rational, rem)) + (0,) * (self.degree - len(rem))
 
     def generator(self):
         """The class of x, a primitive r-th root of unity."""
-        return self._from_poly([Fraction(0), Fraction(1)])
+        return self._from_poly([0, 1])
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(rational(x + y) for x, y in zip(a, b))
 
     def neg(self, a):
-        return tuple(-x for x in a)
+        return tuple(rational(-x) for x in a)
 
     def mul(self, a, b):
         return self._from_poly(_poly_mul(list(a), list(b)))
@@ -268,17 +286,17 @@ class CyclotomicField(Field):
             raise ZeroDivisionError("inverse of zero")
         # extended Euclid in Q[x], invariant s_i * a == r_i mod Phi_r
         r0, r1 = self.modulus, _poly_trim(list(a))
-        s0, s1 = [], [Fraction(1)]
+        s0, s1 = [], [1]
         while r1:
             q, rem = _poly_divmod(r0, r1)
             r0, r1 = r1, rem
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         assert len(r0) == 1, "Phi_r not coprime to a nonzero residue?"
-        c = 1 / r0[0]
+        c = Fraction(1) / r0[0]
         return self._from_poly([x * c for x in s0])
 
     def from_int(self, n):
-        return self._from_poly([Fraction(n)])
+        return self._from_poly([n])
 
     def descriptor(self):
         return f"cyc:{self.r}"

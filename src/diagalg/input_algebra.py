@@ -292,6 +292,9 @@ def _side_preserving_perms(m, wall):
 
 
 class _WreathContext:
+    """Multiplication context whose basis keys (labels, perm) are decorated
+    permutation diagrams."""
+
     def __init__(self, A, m, wall):
         self.A = A
         self.field = A.field
@@ -319,12 +322,12 @@ class _WreathContext:
         labels, c = A.reduce_words(words)
         return {(tuple(labels), perm): self.field.one if c is None else c}
 
-    def mul_basis_keys(self, x, y):
+    def mul_diagrams(self, x, y):
         (a, s), (b, t) = x, y
         return self._slot_words([(a[i], b[s[i]]) for i in range(self.m)],
                                 compose_perms(s, t))
 
-    def unit_vec(self):
+    def identity(self):
         return self._expand([self.A.unit] * self.m, identity_perm(self.m))
 
     def involution_key(self, key):

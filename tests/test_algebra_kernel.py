@@ -8,7 +8,6 @@ from diagalg.algebra_kernel import (
     corner_algebra,
     direct_sum,
     ext1,
-    find_isomorphism,
     free_module,
     free_presentation,
     generated_subalgebra_dim,
@@ -34,6 +33,7 @@ from diagalg.input_algebra import (
     wreath_product,
 )
 from diagalg.linalg import vec_scale
+from isomorphism import find_isomorphism
 
 Q = RationalField()
 

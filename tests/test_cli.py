@@ -35,6 +35,14 @@ def test_verify_inflation_cyclotomic():
     assert report["dimensionIdentity"]
 
 
+def test_cyclotomic_delta_with_trailing_zero_coefficient():
+    # "[0,1,0]" over Q(zeta_3) is zeta itself, echoed as its residue [0,1]
+    report, code = run_json(["verify-inflation", "--kind", "abrauer", "--n", "2",
+                             "--field", "cyc:3", "--delta", "[0,1,0]"])
+    assert code == 0
+    assert report["config"]["delta"] == "[0,1]"
+
+
 def test_verify_split_pair_walled():
     report, code = run_json(["verify-split-pair", "--kind", "walled",
                              "--r", "2", "--t", "2", "--l", "1",

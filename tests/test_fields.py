@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diagalg.fields import (
     CyclotomicField,
@@ -121,3 +122,134 @@ def test_characteristic():
     assert make_field("q").characteristic() == 0
     assert make_field("fp:5").characteristic() == 5
     assert make_field("cyc:3").characteristic() == 0
+
+
+# -- canonical rationals against a plain-Fraction reference ---------------------
+
+# Phi_3 = 1 + x + x^2 and Phi_6 = 1 - x + x^2, so x^2 = -c0 - c1 x
+PHI = {"cyc:3": (Fraction(1), Fraction(1)), "cyc:6": (Fraction(1), Fraction(-1))}
+
+# derandomized so that the suite gives the same verdict on every run
+props = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+# integral values arrive both as int and as Fraction(n, 1): either input form
+# must give canonical results
+rationals = st.one_of(
+    st.integers(-50, 50),
+    st.integers(-50, 50).map(Fraction),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+def assert_canonical_rational(x):
+    assert type(x) in (int, Fraction), repr(x)
+    if type(x) is Fraction:
+        assert x.denominator > 1, repr(x)
+
+
+def assert_canonical(spec, x):
+    if spec == "q":
+        assert_canonical_rational(x)
+    else:
+        assert type(x) is tuple and len(x) == 2
+        for c in x:
+            assert_canonical_rational(c)
+
+
+def ref_reduce(spec, coeffs):
+    """Residue of sum coeffs[k] x^k modulo Phi, as two Fractions."""
+    c0, c1 = PHI[spec]
+    p = [Fraction(c) for c in coeffs] + [Fraction(0)] * 2
+    for k in range(len(p) - 1, 1, -1):
+        top, p[k] = p[k], Fraction(0)
+        p[k - 2] -= top * c0
+        p[k - 1] -= top * c1
+    return (p[0], p[1])
+
+
+def ref_mul(spec, a, b):
+    if spec == "q":
+        return Fraction(a) * Fraction(b)
+    return ref_reduce(spec, [a[0] * b[0], a[0] * b[1] + a[1] * b[0], a[1] * b[1]])
+
+
+def ref_inv(spec, a):
+    if spec == "q":
+        return 1 / Fraction(a)
+    # (a0 + a1 x)(u + v x) = 1 with x^2 = -c0 - c1 x: a 2x2 system by Cramer
+    c0, c1 = PHI[spec]
+    a0, a1 = Fraction(a[0]), Fraction(a[1])
+    m = ((a0, -a1 * c0), (a1, a0 - a1 * c1))
+    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return (m[1][1] / det, -m[1][0] / det)
+
+
+def elements(spec):
+    if spec == "q":
+        return rationals
+    return st.tuples(rationals, rationals).map(lambda t: make_field(spec).parse(
+        "[" + ",".join(str(c) for c in t) + "]"))
+
+
+def as_ref(spec, x):
+    return Fraction(x) if spec == "q" else tuple(Fraction(c) for c in x)
+
+
+SPECS = ["q", "cyc:3", "cyc:6"]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@props
+@given(data=st.data())
+def test_arithmetic_matches_fraction_reference_and_is_canonical(spec, data):
+    fld = make_field(spec)
+    a, b = data.draw(elements(spec)), data.draw(elements(spec))
+    if spec == "q":
+        want_add, want_neg = Fraction(a) + Fraction(b), -Fraction(a)
+    else:
+        want_add = tuple(Fraction(x) + Fraction(y) for x, y in zip(a, b))
+        want_neg = tuple(-Fraction(x) for x in a)
+    cases = [
+        (fld.add(a, b), want_add),
+        (fld.neg(a), want_neg),
+        (fld.mul(a, b), ref_mul(spec, a, b)),
+    ]
+    if not fld.is_zero(a):
+        cases.append((fld.inv(a), ref_inv(spec, a)))
+    for got, want in cases:
+        assert_canonical(spec, got)
+        assert got == want
+    assert fld.is_zero(a) == (as_ref(spec, a) == as_ref(spec, fld.zero))
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@props
+@given(n=st.integers(-10**6, 10**6), d=st.integers(1, 60), coeffs=st.lists(
+    st.tuples(st.integers(-40, 40), st.integers(1, 9)), min_size=1, max_size=5))
+def test_parse_and_from_int_match_fraction_reference(spec, n, d, coeffs):
+    fld = make_field(spec)
+    got = fld.from_int(n)
+    assert_canonical(spec, got)
+    assert got == (Fraction(n) if spec == "q" else ref_reduce(spec, [n]))
+    got = fld.parse(f"{n}/{d}")
+    assert_canonical(spec, got)
+    assert got == (Fraction(n, d) if spec == "q" else ref_reduce(spec, [Fraction(n, d)]))
+    if spec != "q":
+        # coefficient lists longer than deg Phi are reduced modulo Phi
+        got = fld.parse("[" + ",".join(f"{p}/{q}" for p, q in coeffs) + "]")
+        assert_canonical(spec, got)
+        assert got == ref_reduce(spec, [Fraction(p, q) for p, q in coeffs])
+
+
+def test_canonical_rational_pins():
+    Q = RationalField()
+    assert type(Q.inv(2)) is Fraction and Q.inv(2) == Fraction(1, 2)
+    assert type(Q.parse("4/2")) is int and Q.parse("4/2") == 2
+    assert type(Q.inv(Fraction(1, 3))) is int and Q.inv(Fraction(1, 3)) == 3
+    assert type(Q.zero) is int and type(Q.one) is int
+    C3 = CyclotomicField(3)
+    assert C3.inv(C3.from_int(2)) == (Fraction(1, 2), 0)
+    assert all(type(c) is int for c in C3.mul(C3.generator(), C3.generator()))
+    # trailing zero coefficients: "[1,0,0]" is 1, "[0,1,0]" is zeta
+    assert C3.parse("[1,0,0]") == C3.one
+    assert C3.parse("[0,1,0]") == C3.generator()

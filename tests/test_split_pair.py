@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from diagalg.algebra_kernel import find_isomorphism, pullback_module
+from diagalg.algebra_kernel import pullback_module
 from diagalg.diagrams import DiagramAlgebra, DiagramKind, diagram_fin_algebra
 from diagalg.fields import PrimeField, RationalField
 from diagalg.input_algebra import cyclic_group_algebra, trivial_input_algebra
@@ -24,6 +24,7 @@ from diagalg.split_pair import (
     wreath_sign_module,
     wreath_trivial_module,
 )
+from isomorphism import find_isomorphism
 
 Q = RationalField()
 
