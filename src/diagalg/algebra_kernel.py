@@ -13,6 +13,15 @@ Conventions, fixed globally:
 Algebras are given by structure constants over an exact field.  Products of
 basis pairs are computed on demand and cached, so large diagram algebras can
 be used without materializing the full multiplication table.
+
+Module actions are built on first use in the same spirit: free modules,
+direct sums, submodules, quotients and inductions hold a ``LazyAction``
+whose matrix for basis element b is computed when ``action[b]`` is first
+read.  Hom solving, Ext^1 and module-map checks read only the action of the
+algebra generators, so a presentation kernel builds a handful of its
+``dim A`` matrices.  Action stability of a submodule or quotient is checked
+at construction on every basis element in the support of the generators,
+which suffices because the generators and the unit generate the algebra.
 """
 
 from __future__ import annotations
@@ -174,13 +183,44 @@ def algebra_from_mult_context(ctx, cap=2000, name=""):
     return alg
 
 
+class LazyAction:
+    """Action matrices of a module, each built when it is first read.
+
+    A sequence of length ``dim`` whose item b is ``rows_for(b)``, computed
+    once and kept.
+    """
+
+    def __init__(self, dim, rows_for):
+        self._rows_for = rows_for
+        self._built = [None] * dim
+
+    def __len__(self):
+        return len(self._built)
+
+    def __getitem__(self, b):
+        rows = self._built[b]
+        if rows is None:
+            rows = self._built[b] = self._rows_for(b)
+        return rows
+
+    def built_indices(self):
+        """Basis elements whose matrix has been built so far."""
+        return [b for b, rows in enumerate(self._built) if rows is not None]
+
+
 class RightModule:
-    """Right module given by one action matrix per algebra basis element."""
+    """Right module given by one action matrix per algebra basis element.
+
+    ``action[b]`` is the matrix of basis element b, a list of ``dim`` row
+    dicts.  ``action`` is a list or a ``LazyAction`` of length
+    ``algebra.dim``; the module constructions here build each matrix on
+    first use, and check action stability on the generators only.
+    """
 
     def __init__(self, algebra, dim, action, name=""):
         self.algebra = algebra
         self.dim = dim
-        self.action = action  # action[b] = list of dim row dicts
+        self.action = action
         self.name = name
 
     def __repr__(self):
@@ -232,14 +272,13 @@ def regular_module(alg):
 def free_module(alg, rank):
     """Free right module of the given rank, coordinates (g, i) -> g*dim + i."""
     d = alg.dim
-    action = []
-    for b in range(d):
-        rows = []
-        for g in range(rank):
-            for i in range(d):
-                rows.append({g * d + j: c for j, c in alg.mul_basis(i, b).items()})
-        action.append(rows)
-    return RightModule(alg, rank * d, action, name=f"free^{rank}")
+
+    def rows_for(b):
+        column = [alg.mul_basis(i, b) for i in range(d)]
+        return [{g * d + j: c for j, c in prod.items()}
+                for g in range(rank) for prod in column]
+
+    return RightModule(alg, rank * d, LazyAction(d, rows_for), name=f"free^{rank}")
 
 
 def zero_module(alg):
@@ -297,6 +336,24 @@ def _generating_vectors(alg):
     return [alg.basis_vec(i) for i in range(alg.dim)]
 
 
+def _generator_support(alg):
+    """Basis elements in the support of the generating vectors.
+
+    A span stable under these is stable under every word in the generators,
+    hence under the whole algebra.
+    """
+    return sorted({b for g in _generating_vectors(alg) for b in g})
+
+
+def stable_action(alg, action):
+    """The action, with the matrices of the generators' basis elements built,
+    so that a lazy action whose ``rows_for`` raises on a span that is not
+    action-stable raises here, at construction."""
+    for b in _generator_support(alg):
+        action[b]
+    return action
+
+
 def generated_subalgebra_dim(alg, gens=None):
     """Dimension of the unital subalgebra generated by the given elements."""
     F = alg.field
@@ -349,19 +406,20 @@ def hom_space(M, N):
 
 def direct_sum(M, N):
     alg = M.algebra
-    F = alg.field
-    action = []
-    for b in range(alg.dim):
+
+    def rows_for(b):
         rows = [dict(r) for r in M.action[b]]
         rows += [{j + M.dim: c for j, c in r.items()} for r in N.action[b]]
-        action.append(rows)
-    return RightModule(alg, M.dim + N.dim, action, name=f"{M.name}+{N.name}")
+        return rows
+
+    return RightModule(alg, M.dim + N.dim, LazyAction(alg.dim, rows_for),
+                       name=f"{M.name}+{N.name}")
 
 
 def submodule(M, vectors, name="sub"):
     """Submodule spanned by the given vectors (must be action-stable).
 
-    Returns (module, inclusion map).
+    Returns (module, inclusion map); AlgebraError if the span is not stable.
     """
     alg = M.algebra
     F = alg.field
@@ -369,15 +427,17 @@ def submodule(M, vectors, name="sub"):
     for v in vectors:
         ech.insert(v)
     rows = ech.basis_rows()
-    action = []
-    for b in range(alg.dim):
+
+    def rows_for(b):
         mats = []
         for r in rows:
             coords = ech.coords(M.act_basis(r, b))
             if coords is None:
                 raise AlgebraError("span is not action-stable")
             mats.append(coords)
-        action.append(mats)
+        return mats
+
+    action = stable_action(alg, LazyAction(alg.dim, rows_for))
     sub = RightModule(alg, len(rows), action, name=name)
     incl = ModuleMap(sub, M, rows)
     return sub, incl
@@ -386,29 +446,28 @@ def submodule(M, vectors, name="sub"):
 def quotient_module(M, vectors, name="quot"):
     """Quotient of M by the action-stable span of the vectors.
 
-    Returns (module, projection map).
+    Returns (module, projection map); AlgebraError if the span is not stable.
     """
     alg = M.algebra
     F = alg.field
     ech = Echelon(F)
     for v in vectors:
         ech.insert(v)
+    rows = ech.basis_rows()
+    for b in _generator_support(alg):
+        if not all(ech.contains(M.act_basis(r, b)) for r in rows):
+            raise AlgebraError("span is not action-stable")
     keep = [j for j in range(M.dim) if j not in ech.rows]
     pos = {j: t for t, j in enumerate(keep)}
 
     def project(v):
-        red = ech.reduce(v)
-        out = {}
-        for j, c in red.items():
-            if j not in pos:
-                raise AlgebraError("span is not action-stable")
-            out[pos[j]] = c
-        return out
+        # reduction clears every pivot column, so only kept columns remain
+        return {pos[j]: c for j, c in ech.reduce(v).items()}
 
-    action = []
-    for b in range(alg.dim):
-        action.append([project(M.act_basis({j: F.one}, b)) for j in keep])
-    quot = RightModule(alg, len(keep), action, name=name)
+    def rows_for(b):
+        return [project(M.act_basis({j: F.one}, b)) for j in keep]
+
+    quot = RightModule(alg, len(keep), LazyAction(alg.dim, rows_for), name=name)
     proj = ModuleMap(M, quot, [project({i: F.one}) for i in range(M.dim)])
     return quot, proj
 

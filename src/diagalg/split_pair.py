@@ -16,7 +16,10 @@ For a diagram algebra D with layer idempotent e at depth l:
 Induction tensors against S (computed through the certified left basis, so
 dim ind M = rank V * dim M), restriction multiplies by e and restricts along
 the W-embedding; ``natural_unit_iso`` realizes M = res(ind M) through
-``theta^{-1}(1)``, which is the unit of the split-pair adjunction.
+``theta^{-1}(1)``, which is the unit of the split-pair adjunction.  An
+induced module builds each action matrix on first use, from the left
+coordinates of (left basis) * b, which do not depend on M and are cached on
+the datum.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 
 from .algebra_kernel import (
     FinAlgebra,
+    LazyAction,
     ModuleMap,
     RightModule,
     check_algebra_map,
@@ -36,6 +40,7 @@ from .algebra_kernel import (
     index_cases,
     quotient_module,
     regular_module,
+    stable_action,
 )
 from .diagrams import Diagram, DiagramAlgebra
 from .inflation import layer_ideal_indices, rank_v, small_algebra
@@ -166,6 +171,7 @@ class CornerSplitDatum:
         self._build_left_basis()
         self._build_corner_restriction()
         self._right_action_cache = {}
+        self._induce_decomp_cache = {}
 
     # -- corner isomorphism ---------------------------------------------------
 
@@ -463,21 +469,26 @@ class CornerSplitDatum:
         """M over the wreath algebra, tensored against the transfer bimodule."""
         if M.algebra.dim != self.W.dim:
             raise SplitPairError("module is not over the layer wreath algebra")
-        F = self.field
-        n_l = self.n_l
-        dim = M.dim * n_l
-        action = []
-        decomp = []
-        for k in range(n_l):
-            per_b = []
-            for b in range(self.big.dim):
-                moved = vec_times_rows(F, self.left_basis[k], self._S_right_rows(b))
-                per_b.append(self._left_coords(moved))
-            decomp.append(per_b)
-        for b in range(self.big.dim):
-            action.append([self._ind_row(M, i, decomp[k][b])
-                           for i in range(M.dim) for k in range(n_l)])
-        return RightModule(self.big, dim, action, name=f"ind_{self.layer}({M.name})")
+
+        def rows_for(b):
+            decomp = self._induce_decomp(b)
+            return [self._ind_row(M, i, slots)
+                    for i in range(M.dim) for slots in decomp]
+
+        return RightModule(self.big, M.dim * self.n_l, LazyAction(self.big.dim, rows_for),
+                           name=f"ind_{self.layer}({M.name})")
+
+    def _induce_decomp(self, b):
+        """Left coordinates of (left basis k) * b for every k; the part of
+        the action of b on ind M that does not depend on M."""
+        decomp = self._induce_decomp_cache.get(b)
+        if decomp is None:
+            F = self.field
+            right = self._S_right_rows(b)
+            decomp = [self._left_coords(vec_times_rows(F, s_vec, right))
+                      for s_vec in self.left_basis]
+            self._induce_decomp_cache[b] = decomp
+        return decomp
 
     def induce_map(self, f: ModuleMap, src_ind=None, dst_ind=None) -> ModuleMap:
         n_l = self.n_l
@@ -608,16 +619,14 @@ def split_control_sequence(M, M2) -> ShortExactSequence:
 def coordinate_submodule(big, indices, name=""):
     """Right module on a subset of basis coordinates closed under the action."""
     pos = {i: t for t, i in enumerate(indices)}
-    action = []
-    for b in range(big.dim):
-        rows = []
-        for i in indices:
-            prod = big.mul_basis(i, b)
-            try:
-                rows.append({pos[j]: c for j, c in prod.items()})
-            except KeyError as exc:
-                raise SplitPairError(f"coordinate span not action-stable: {exc}")
-        action.append(rows)
+
+    def rows_for(b):
+        try:
+            return [{pos[j]: c for j, c in big.mul_basis(i, b).items()} for i in indices]
+        except KeyError as exc:
+            raise SplitPairError(f"coordinate span not action-stable: {exc}")
+
+    action = stable_action(big, LazyAction(big.dim, rows_for))
     return RightModule(big, len(indices), action, name=name)
 
 
@@ -636,14 +645,12 @@ def chain_ideal_sequence(dalg, big, l) -> ShortExactSequence:
     incl = ModuleMap(J_next, J_l,
                      [{posL[i]: F.one} for i in upper if i in lower])
 
-    quot_action = []
-    for b in range(big.dim):
-        rows = []
-        for i in exact:
-            prod = big.mul_basis(i, b)
-            rows.append({posQ[j]: c for j, c in prod.items() if j in posQ})
-        quot_action.append(rows)
-    quot = RightModule(big, len(exact), quot_action, name=f"J{l}/J{l + 1}")
+    def quot_rows(b):
+        return [{posQ[j]: c for j, c in big.mul_basis(i, b).items() if j in posQ}
+                for i in exact]
+
+    quot = RightModule(big, len(exact), LazyAction(big.dim, quot_rows),
+                       name=f"J{l}/J{l + 1}")
     proj = ModuleMap(J_l, quot,
                      [{posQ[i]: F.one} if i in posQ else {} for i in upper])
     return ShortExactSequence(incl, proj, name=f"layer-chain({l})")
@@ -769,9 +776,9 @@ def verify_exact_split_pair(datum, samples=None, small_sequences=None,
     Checks the corner isomorphism, the split surjection alpha, freeness of
     the transfer bimodule, res(ind M) = M through the natural unit map for
     every sample (also confirming the map lies in the solved hom space),
-    naturality on one morphism between samples, and exactness of ind / res
-    on the provided short exact sequences (split status recorded per
-    sequence).
+    naturality on a basis of one Hom space between samples, and exactness
+    of ind / res on the provided short exact sequences (split status
+    recorded per sequence).
     """
     F = datum.field
     report = {
@@ -848,7 +855,12 @@ def _flatten_rows(rows, width):
 
 
 def _check_naturality(datum, etas):
-    """Unit-map naturality square on one morphism between distinct samples."""
+    """Unit-map naturality square on every map of a basis of Hom(M1, M2),
+    for the first pair of distinct samples with a nonzero Hom space.
+
+    The square is linear in the map, so the basis decides it on all of
+    Hom(M1, M2).
+    """
     F = datum.field
     for a in range(len(etas)):
         for b in range(len(etas)):
@@ -857,14 +869,15 @@ def _check_naturality(datum, etas):
             M1, eta1, ind1, res1 = etas[a]
             M2, eta2, ind2, res2 = etas[b]
             homs = hom_space(M1, M2)
-            f = next((h for h in homs if any(h.rows)), None)
-            if f is None:
+            if not homs:
                 continue
-            ind_f = datum.induce_map(f, src_ind=ind1, dst_ind=ind2)
-            res_f = datum.restrict_map(ind_f, res1, res2)
-            lhs = mat_mul(F, f.rows, eta2.rows)
-            rhs = mat_mul(F, eta1.rows, res_f.rows)
-            return {"ok": lhs == rhs, "pair": [M1.name, M2.name]}
+            pair = [M1.name, M2.name]
+            for f in homs:
+                ind_f = datum.induce_map(f, src_ind=ind1, dst_ind=ind2)
+                res_f = datum.restrict_map(ind_f, res1, res2)
+                if mat_mul(F, f.rows, eta2.rows) != mat_mul(F, eta1.rows, res_f.rows):
+                    return {"ok": False, "pair": pair}
+            return {"ok": True, "pair": pair}
     return {"ok": True, "pair": None}
 
 

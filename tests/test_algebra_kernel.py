@@ -93,6 +93,31 @@ def test_diagram_generators_generate():
     dalg = DiagramAlgebra(DiagramKind.abrauer(2), A)
     alg = diagram_fin_algebra(dalg)
     assert generated_subalgebra_dim(alg) == alg.dim == 12
+    # Submodule stability is checked on the generators alone, which is sound
+    # only if they generate.  These are the big and small (fewer strands per
+    # side) diagram algebras that the README and benchmark configurations
+    # build modules over, at every loop parameter those configurations use.
+    F5 = PrimeField(5)
+    for field in (Q, F5):
+        for delta in ("1", "2", "0"):
+            algs = [brauer_alg(n, delta, field) for n in (1, 2, 3, 4)]
+            algs += [walled_alg(r, t, delta, field)
+                     for r, t in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3))]
+            for _, alg in algs:
+                assert generated_subalgebra_dim(alg) == alg.dim, (alg.name, delta, field)
+    # a quotient algebra carries the projected generators: killing the cup
+    # ideal leaves the permutations, which they must still generate
+    for delta in ("2", "0"):
+        cases = [(dalg, alg, dalg.cup_generator(1))
+                 for dalg, alg in (brauer_alg(3, delta), brauer_alg(4, delta))]
+        cases += [(dalg, alg, dalg.cup_generator(r, r + 1))
+                  for (dalg, alg), r in ((walled_alg(3, 2, delta), 3),
+                                         (walled_alg(2, 3, delta), 2))]
+        for dalg, alg, cup in cases:
+            e_vec = {alg.key_index[d]: c for d, c in cup.items()}
+            quot, _ = quotient_algebra(alg, ideal_span(alg, [e_vec]))
+            assert quot.generators is not None
+            assert generated_subalgebra_dim(quot) == quot.dim, (alg.name, delta)
 
 
 # -- ideals and quotients ---------------------------------------------------------

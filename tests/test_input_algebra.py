@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from diagalg.algebra_kernel import generated_subalgebra_dim, regular_module
-from diagalg.fields import RationalField
+from diagalg.diagrams import DiagramAlgebra, DiagramKind
+from diagalg.fields import PrimeField, RationalField
+from diagalg.inflation import small_algebra
 from diagalg.input_algebra import (
     InputAlgebra,
     InputAlgebraError,
@@ -116,6 +118,24 @@ def test_wreath_generators_generate():
     triv = trivial_input_algebra(Q, fr(1))
     W = wreath_product(triv, 4, wall=2)
     assert generated_subalgebra_dim(W) == W.dim
+    # the layer wreath algebras of the README and benchmark configurations,
+    # over which their sample, Specht and induced modules are built
+    F5 = PrimeField(5)
+    for field in (Q, F5):
+        for kind, layers in ((DiagramKind.abrauer(3), (0, 1)),
+                             (DiagramKind.abrauer(4), (0, 1, 2)),
+                             (DiagramKind.walled(2, 2), (0, 1)),
+                             (DiagramKind.walled(3, 2), (0, 1, 2)),
+                             (DiagramKind.walled(2, 3), (0, 1, 2))):
+            for delta in ("2", "0"):
+                dalg = DiagramAlgebra(kind, trivial_input_algebra(field, field.parse(delta)))
+                for l in layers:
+                    W = small_algebra(dalg, l)
+                    assert generated_subalgebra_dim(W) == W.dim, (W.name, delta, field)
+        # the symmetric group algebras of the Specht modules
+        for m in range(6):
+            W = wreath_product(trivial_input_algebra(field, field.one), m)
+            assert generated_subalgebra_dim(W) == W.dim
 
 
 def test_wreath_regular_module_is_a_module():

@@ -282,3 +282,38 @@ def test_transfer_bimodule_is_a_bimodule():
     assert S.check_commuting() is None
     assert S.left_module_check() is None
     assert S.right_module().check() is None
+
+
+def test_naturality_checks_every_map_of_the_hom_basis():
+    from diagalg.algebra_kernel import ModuleMap, direct_sum, hom_space, regular_module
+    from diagalg.linalg import vec_scale
+    dalg, big = brauer(3, "2")
+    datum = corner_split_datum(dalg, big, 0)    # the wreath algebra is QS_3
+    W = datum.W
+    samples = [direct_sum(wreath_trivial_module(W), wreath_sign_module(W)),
+               regular_module(W)]
+    n_maps = len(hom_space(samples[0], samples[1]))
+    assert n_maps == 2
+    honest = datum.induce_map
+    calls = []
+
+    def spy(f, src_ind=None, dst_ind=None):
+        calls.append(f)
+        return honest(f, src_ind=src_ind, dst_ind=dst_ind)
+
+    datum.induce_map = spy
+    rep = verify_exact_split_pair(datum, samples=samples)
+    assert rep["naturality"] == {"ok": True, "pair": [samples[0].name, samples[1].name]}
+    assert len(calls) == n_maps
+
+    # a square that breaks only on the last basis map must be caught
+    def broken_last(f, src_ind=None, dst_ind=None):
+        got = spy(f, src_ind=src_ind, dst_ind=dst_ind)
+        if len(calls) < n_maps:
+            return got
+        return ModuleMap(got.source, got.target,
+                         [vec_scale(Q, Q.from_int(2), r) for r in got.rows])
+
+    calls.clear()
+    datum.induce_map = broken_last
+    assert verify_exact_split_pair(datum, samples=samples)["naturality"]["ok"] is False
