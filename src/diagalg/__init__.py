@@ -22,7 +22,6 @@ from .diagrams import (
 )
 from .algebra_kernel import (
     AlgebraError,
-    Bimodule,
     FinAlgebra,
     ModuleMap,
     RightModule,
@@ -38,7 +37,6 @@ from .algebra_kernel import (
     regular_module,
     submodule,
     quotient_module,
-    tensor_over,
 )
 from .inflation import (
     contraction_form,

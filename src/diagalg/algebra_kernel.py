@@ -6,13 +6,12 @@ Conventions, fixed globally:
   and a matrix acts from the right, so ``rho(x*y) = rho(x) * rho(y)``.
 * A map of modules f: M -> N is a matrix F with v |-> v*F; composition of
   M -> N -> P is the matrix product F*G.
-* In a bimodule the left action is stored as row matrices as well, which
-  makes it anti-homomorphic: ``L(x*y) = L(y) * L(x)``; left and right action
-  matrices commute elementwise.
 
 Algebras are given by structure constants over an exact field.  Products of
 basis pairs are computed on demand and cached, so large diagram algebras can
-be used without materializing the full multiplication table.
+be used without materializing the full multiplication table.  The checks of
+the algebra axioms (unit, associativity, involution) return a witness tuple
+of basis indices or None; input-algebra validation reports them.
 
 Module actions are built on first use in the same spirit: free modules,
 direct sums, submodules, quotients and inductions hold a ``LazyAction``
@@ -39,7 +38,6 @@ from .linalg import (
     kernel_basis,
     transpose_rows,
     vec_iadd,
-    vec_scale,
     vec_times_rows,
 )
 
@@ -115,10 +113,11 @@ class FinAlgebra:
         return {i: self.field.one}
 
     def check_unital(self):
+        """Witness (i,) with 1*b_i or b_i*1 other than b_i, or None."""
         for i in range(self.dim):
             b = self.basis_vec(i)
             if self.mul(self.unit, b) != b or self.mul(b, self.unit) != b:
-                return i
+                return (i,)
         return None
 
     def check_associative(self, exhaustive_limit=120, seed=0):
@@ -135,20 +134,20 @@ class FinAlgebra:
                 return (i, j, k)
         return None
 
-    def check_involution(self):
-        """Witness that * is not an involutory anti-automorphism, or None."""
+    def check_involution_square(self):
+        """Witness (i,) with (b_i*)* != b_i, or None."""
+        for i in range(self.dim):
+            b = self.basis_vec(i)
+            if self.involve(self.involve(b)) != b:
+                return (i,)
+        return None
+
+    def check_involution_antihom(self):
+        """Witness (i, j) with (b_i b_j)* != b_j* b_i*, or None."""
         rows = self.involution_rows
-        F = self.field
-        for i in range(self.dim):
-            twice = vec_times_rows(F, rows[i], rows)
-            if twice != self.basis_vec(i):
-                return ("square", i)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                lhs = self.involve(self.mul_basis(i, j))
-                rhs = self.mul(self.involve(self.basis_vec(j)), self.involve(self.basis_vec(i)))
-                if lhs != rhs:
-                    return ("antihom", i, j)
+        for i, j in itertools.product(range(self.dim), repeat=2):
+            if self.involve(self.mul_basis(i, j)) != self.mul(rows[j], rows[i]):
+                return (i, j)
         return None
 
 
@@ -279,10 +278,6 @@ def free_module(alg, rank):
                 for g in range(rank) for prod in column]
 
     return RightModule(alg, rank * d, LazyAction(d, rows_for), name=f"free^{rank}")
-
-
-def zero_module(alg):
-    return RightModule(alg, 0, [[] for _ in range(alg.dim)], name="0")
 
 
 class ModuleMap:
@@ -572,127 +567,6 @@ def corner_algebra(alg, e_vec, name=""):
     return Corner(alg, dict(e_vec), corner_alg, rows, ech)
 
 
-class Bimodule:
-    """(B, A)-bimodule with commuting left/right actions (see module docstring)."""
-
-    def __init__(self, left_algebra, right_algebra, dim, left_action, right_action, name=""):
-        self.left_algebra = left_algebra
-        self.right_algebra = right_algebra
-        self.dim = dim
-        self.left_action = left_action
-        self.right_action = right_action
-        self.name = name
-
-    def act_right(self, v, a_vec):
-        F = self.right_algebra.field
-        out = {}
-        for b, c in a_vec.items():
-            vec_iadd(F, out, c, vec_times_rows(F, v, self.right_action[b]))
-        return out
-
-    def act_left(self, b_vec, v):
-        F = self.left_algebra.field
-        out = {}
-        for b, c in b_vec.items():
-            vec_iadd(F, out, c, vec_times_rows(F, v, self.left_action[b]))
-        return out
-
-    def right_module(self):
-        return RightModule(self.right_algebra, self.dim, self.right_action, name=self.name)
-
-    def left_module_check(self):
-        """Witness that the left action is not unital/anti-compositional, or None."""
-        F = self.left_algebra.field
-        if [self.act_left(self.left_algebra.unit, {i: F.one}) for i in range(self.dim)] \
-                != identity_rows(F, self.dim):
-            return ("unit",)
-        alg = self.left_algebra
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                prod = alg.mul_basis(i, j)
-                for k in range(self.dim):
-                    lhs = self.act_left(prod, {k: F.one})
-                    rhs = self.act_left({i: F.one}, self.act_left({j: F.one}, {k: F.one}))
-                    if lhs != rhs:
-                        return ("compose", i, j, k)
-        return None
-
-    def check_commuting(self):
-        F = self.right_algebra.field
-        for bl in range(self.left_algebra.dim):
-            for br in range(self.right_algebra.dim):
-                for i in range(self.dim):
-                    v = {i: F.one}
-                    lr = self.act_right(self.act_left({bl: F.one}, v), {br: F.one})
-                    rl = self.act_left({bl: F.one}, self.act_right(v, {br: F.one}))
-                    if lr != rl:
-                        return (bl, br, i)
-        return None
-
-
-def regular_bimodule(alg, right_twist=None):
-    """The algebra as a bimodule over itself; ``right_twist`` optionally
-    scales the right action of basis element b by right_twist(b)."""
-    F = alg.field
-    left = []
-    right = []
-    for b in range(alg.dim):
-        left.append([alg.mul(alg.basis_vec(b), alg.basis_vec(i)) for i in range(alg.dim)])
-        rows = [alg.mul_basis(i, b) for i in range(alg.dim)]
-        if right_twist is not None:
-            rows = [vec_scale(F, right_twist(b), r) for r in rows]
-        right.append(rows)
-    return Bimodule(alg, alg, alg.dim, left, right, name=f"{alg.name}-bimod")
-
-
-def tensor_over(M, S):
-    """M (x)_B S for a right B-module M and a (B, A)-bimodule S.
-
-    Returns (module over A, projection rows from the plain tensor square,
-    relation echelon).  Coordinates of the plain tensor space are
-    (i, s) -> i*dim S + s.
-    """
-    B = M.algebra
-    A = S.right_algebra
-    F = A.field
-    dS = S.dim
-    total = M.dim * dS
-
-    def pure(mvec, svec):
-        # distinct (i, s) give distinct coordinates, so nothing adds up
-        return {i * dS + s: F.mul(a, b) for i, a in mvec.items() for s, b in svec.items()}
-
-    rel = Echelon(F)
-    for b in range(B.dim):
-        bvec = {b: F.one}
-        for i in range(M.dim):
-            mb = M.act_basis({i: F.one}, b)
-            for s in range(dS):
-                bs = S.act_left(bvec, {s: F.one})
-                row = vec_iadd(F, pure(mb, {s: F.one}), F.neg(F.one), pure({i: F.one}, bs))
-                if row:
-                    rel.insert(row)
-
-    keep = [j for j in range(total) if j not in rel.rows]
-    pos = {j: t for t, j in enumerate(keep)}
-
-    def project(v):
-        red = rel.reduce(v)
-        return {pos[j]: c for j, c in red.items()}
-
-    action = []
-    for a in range(A.dim):
-        rows = []
-        for j in keep:
-            i, s = divmod(j, dS)
-            sa = S.act_right({s: F.one}, {a: F.one})
-            rows.append(project(pure({i: F.one}, sa)))
-        action.append(rows)
-    mod = RightModule(A, len(keep), action, name=f"{M.name}(x){S.name}")
-    proj_rows = [project({t: F.one}) for t in range(total)]
-    return mod, proj_rows, rel
-
-
 @dataclass
 class Presentation:
     """Start of a free resolution: 0 -> kernel -> cover -> M -> 0."""
@@ -773,32 +647,6 @@ def check_algebra_map(source, target, rows, seed=0):
         if lhs != rhs:
             return ("mult", i, j)
     return None
-
-
-def module_to_json(M) -> dict:
-    """Serialize a right module: dense action matrices keyed by basis label."""
-    alg = M.algebra
-    F = alg.field
-    action = {}
-    for b in range(alg.dim):
-        rows = [[F.format(r.get(j, F.zero)) for j in range(M.dim)]
-                for r in M.action[b]]
-        action[alg.labels[b]] = rows
-    return {"algebra": alg.name, "dim": M.dim, "action": action}
-
-
-def module_from_json(obj, alg) -> RightModule:
-    F = alg.field
-    dim = obj["dim"]
-    by_label = {lab: i for i, lab in enumerate(alg.labels)}
-    action = [None] * alg.dim
-    for lab, rows in obj["action"].items():
-        mat = [{j: F.parse(str(c)) for j, c in enumerate(row)
-                if not F.is_zero(F.parse(str(c)))} for row in rows]
-        action[by_label[lab]] = mat
-    if any(a is None for a in action):
-        raise AlgebraError("action matrices missing for some basis elements")
-    return RightModule(alg, dim, action, name=obj.get("name", ""))
 
 
 def pullback_module(M, q_rows, C, check=True):

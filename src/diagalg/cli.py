@@ -138,7 +138,11 @@ def make_input_algebra(args, field):
     if args.input_algebra == "trivial":
         return trivial_input_algebra(field, field.parse(args.delta)), "trivial"
     with open(args.input_algebra) as fh:
-        return input_algebra_from_json(json.load(fh), field), args.input_algebra
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputAlgebraError(f"input algebra is not JSON: {exc}") from exc
+    return input_algebra_from_json(obj, field), args.input_algebra
 
 
 def make_context(args, field):

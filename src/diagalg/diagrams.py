@@ -406,7 +406,7 @@ class DiagramAlgebra:
         return ends, paths, loops
 
     def _reduce_generic(self, ends, paths, loops):
-        """Reduce the words through mul_vec and expand label choices."""
+        """Reduce the words through the structure constants and expand label choices."""
         F, A = self.field, self.A
         scalar = F.one
         for word in loops:
@@ -565,54 +565,9 @@ def format_diagram(dalg: DiagramAlgebra, d: Diagram) -> str:
     def vname(w):
         return f"t{w + 1}" if w < n else f"b{w - n + 1}"
 
-    body = ",".join(f"({vname(u)},{vname(v)},{dalg.A.basis_labels[k]},+)"
+    body = ",".join(f"({vname(u)},{vname(v)},{dalg.A.labels[k]},+)"
                     for (u, v, k) in d.edges)
     return f"[{body}] @ {_kind_suffix(dalg.kind)}"
-
-
-def parse_diagram(dalg: DiagramAlgebra, text: str) -> Diagram:
-    """Inverse of format_diagram; a ``-`` direction flag stars the label while
-    normalizing (only basis-permuting involutions can be parsed)."""
-    body, _, kind_part = text.partition("@")
-    if kind_part.strip() != _kind_suffix(dalg.kind):
-        raise DiagramError(f"diagram is for {kind_part.strip()!r}, "
-                           f"context is {_kind_suffix(dalg.kind)!r}")
-    n = dalg.kind.n
-    label_index = {name: i for i, name in enumerate(dalg.A.basis_labels)}
-
-    def vidx(name):
-        name = name.strip()
-        row, col = name[0], int(name[1:]) - 1
-        if row not in "tb" or not 0 <= col < n:
-            raise DiagramError(f"bad vertex {name!r}")
-        return col if row == "t" else n + col
-
-    edges = []
-    body = body.strip().strip("[]").strip()
-    if body:
-        for chunk in body.split("),"):
-            parts = chunk.strip().strip("()").split(",")
-            if len(parts) != 4:
-                raise DiagramError(f"bad edge {chunk!r}")
-            u, v = vidx(parts[0]), vidx(parts[1])
-            lab = label_index.get(parts[2].strip())
-            if lab is None:
-                raise DiagramError(f"unknown label {parts[2].strip()!r}")
-            direction = parts[3].strip()
-            if direction not in "+-":
-                raise DiagramError(f"bad direction flag {direction!r}")
-            flip = (direction == "-") != (u > v)
-            if flip:
-                starred = dalg.A.involve_basis(lab)
-                if len(starred) != 1:
-                    raise DiagramError("cannot normalize a non-monomial starred label")
-                (lab, coeff), = starred.items()
-                if coeff != dalg.field.one:
-                    raise DiagramError("cannot normalize a scaled starred label")
-            edges.append((min(u, v), max(u, v), lab))
-    d = Diagram(tuple(sorted(edges)))
-    dalg.check_diagram(d)
-    return d
 
 
 def _perfect_matchings(verts):

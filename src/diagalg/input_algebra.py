@@ -1,10 +1,13 @@
 """Input algebras for the labeled-diagram construction, and wreath products.
 
-An InputAlgebra is a finite-dimensional unital algebra over an exact field,
-given by structure constants, together with an involutory anti-automorphism
-``*`` and a ``*``-invariant trace.  The trace of the unit is the loop
-parameter delta.  The cyclic-group instance has basis h^0..h^{r-1},
-involution h^m -> h^{r-m} and trace values delta_0..delta_{r-1}.
+An InputAlgebra is a FinAlgebra with involution and trace: a finite-
+dimensional unital algebra over an exact field, given by structure
+constants, together with an involutory anti-automorphism ``*`` and a
+``*``-invariant trace.  The trace of the unit is the loop parameter delta.
+The cyclic-group instance has basis h^0..h^{r-1}, involution h^m -> h^{r-m}
+and trace values delta_0..delta_{r-1}.  Validation runs the kernel's
+unit, associativity and involution checks, exhaustively, and adds the two
+trace conditions.
 
 ``wreath_product(A, m)`` builds the algebra with basis (label tuple, perm),
 product ``(a, s)(b, t) = (a * s(b), s t)`` where s permutes tuple slots and
@@ -19,21 +22,23 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra_kernel import FinAlgebra, algebra_from_mult_context
-from .linalg import vec_iadd, vec_times_rows
 
 
 class InputAlgebraError(ValueError):
     pass
 
 
-class InputAlgebra:
+class InputAlgebra(FinAlgebra):
+    """FinAlgebra with a trace, given by structure constants.
+
+    ``mul_basis`` reads ``structconsts`` on every call, bypassing the
+    kernel's product cache.
+    """
+
     def __init__(self, field, basis_labels, unit, structconsts, involution_rows, trace):
-        self.field = field
-        self.basis_labels = list(basis_labels)
-        self.dim = len(self.basis_labels)
-        self.unit = dict(unit)
+        super().__init__(field, basis_labels, unit, None,
+                         [dict(r) for r in involution_rows])
         self.structconsts = structconsts  # (i, j) -> sparse coefficient dict
-        self.involution_rows = [dict(r) for r in involution_rows]
         self.trace = list(trace)
         self.label_table = self._monomial_label_table()
 
@@ -86,29 +91,15 @@ class InputAlgebra:
 
     def word_vec(self, word):
         """Generic path: the product of a word of letter codes as a vector."""
-        F = self.field
         acc = None
         for code in word:
-            lab = {code: F.one} if code < self.dim else self.involve_basis(code - self.dim)
-            acc = lab if acc is None else self.mul_vec(acc, lab)
+            lab = (self.basis_vec(code) if code < self.dim
+                   else self.involution_rows[code - self.dim])
+            acc = lab if acc is None else self.mul(acc, lab)
         return acc
 
     def mul_basis(self, i, j):
         return self.structconsts.get((i, j), {})
-
-    def mul_vec(self, u, v):
-        F = self.field
-        out = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                vec_iadd(F, out, F.mul(a, b), self.mul_basis(i, j))
-        return out
-
-    def involve_basis(self, i):
-        return self.involution_rows[i]
-
-    def involve_vec(self, v):
-        return vec_times_rows(self.field, v, self.involution_rows)
 
     def trace_vec(self, v):
         F = self.field
@@ -148,8 +139,45 @@ def trivial_input_algebra(field, delta):
     return cyclic_group_algebra(field, 1, [delta])
 
 
+def _check_json_shape(obj):
+    """InputAlgebraError unless the keys, lengths and indices fit ``dim``."""
+    missing = [key for key in ("dim", "unit", "structconsts", "involution", "trace")
+               if not isinstance(obj, dict) or key not in obj]
+    if missing:
+        raise InputAlgebraError(f"input algebra lacks the keys {', '.join(missing)}")
+    dim = obj["dim"]
+    if type(dim) is not int or dim < 1:
+        raise InputAlgebraError(f"dim must be a positive integer, got {dim!r}")
+
+    def need_list(what, value, length):
+        if not isinstance(value, list) or len(value) != length:
+            raise InputAlgebraError(f"{what} must be a list of {length} entries")
+
+    for key in ("basis", "unit", "trace", "involution"):
+        if key in obj:
+            need_list(key, obj[key], dim)
+    for i, row in enumerate(obj["involution"]):
+        need_list(f"involution row {i}", row, dim)
+    if not isinstance(obj["structconsts"], list):
+        raise InputAlgebraError("structconsts must be a list")
+    seen = set()
+    for entry in obj["structconsts"]:
+        need_list(f"structure constant {entry!r}", entry, 4)
+        if not all(type(x) is int and 0 <= x < dim for x in entry[:3]):
+            raise InputAlgebraError(
+                f"structure constant {entry!r} has an index outside range({dim})")
+        if tuple(entry[:3]) in seen:
+            raise InputAlgebraError(f"structure constant {entry[:3]} is given twice")
+        seen.add(tuple(entry[:3]))
+
+
 def input_algebra_from_json(obj, field):
-    """Parse the input-algebra JSON schema (see README) over the given field."""
+    """Parse the input-algebra JSON schema (see README) over the given field.
+
+    A missing key, dim < 1, a length other than ``dim``, an index outside
+    range(dim) or an index triple given twice raises InputAlgebraError.
+    """
+    _check_json_shape(obj)
     F = field
     dim = obj["dim"]
     labels = obj.get("basis", [f"b{i}" for i in range(dim)])
@@ -181,61 +209,25 @@ class CheckResult:
 
 
 def validate_input_algebra(A) -> list:
-    """Exhaustive basis-triple validation; failures carry a witness tuple."""
-    F = A.field
-    results = []
+    """Exhaustive basis validation; failures carry a witness tuple.
 
-    def record(name, witness):
-        results.append(CheckResult(name, witness is None, witness))
-
-    w = None
-    for i in range(A.dim):
-        b = {i: F.one}
-        if A.mul_vec(A.unit, b) != b or A.mul_vec(b, A.unit) != b:
-            w = (i,)
-            break
-    record("unital", w)
-
-    w = None
-    for i, j, k in itertools.product(range(A.dim), repeat=3):
-        lhs = A.mul_vec(A.mul_basis(i, j), {k: F.one})
-        rhs = A.mul_vec({i: F.one}, A.mul_basis(j, k))
-        if lhs != rhs:
-            w = (i, j, k)
-            break
-    record("associative", w)
-
-    w = None
-    for i in range(A.dim):
-        if A.involve_vec(A.involve_basis(i)) != {i: F.one}:
-            w = (i,)
-            break
-    record("involution squares to identity", w)
-
-    w = None
-    for i, j in itertools.product(range(A.dim), repeat=2):
-        lhs = A.involve_vec(A.mul_basis(i, j))
-        rhs = A.mul_vec(A.involve_basis(j), A.involve_basis(i))
-        if lhs != rhs:
-            w = (i, j)
-            break
-    record("involution is an anti-automorphism", w)
-
-    w = None
-    for i in range(A.dim):
-        if A.trace_vec(A.involve_basis(i)) != A.trace[i]:
-            w = (i,)
-            break
-    record("trace is *-invariant", w)
-
-    w = None
-    for i, j in itertools.product(range(A.dim), repeat=2):
-        if A.trace_vec(A.mul_basis(i, j)) != A.trace_vec(A.mul_basis(j, i)):
-            w = (i, j)
-            break
-    record("trace is tracial", w)
-
-    return results
+    Unit, associativity and involution go through the kernel's checks; the
+    trace must be *-invariant and tracial on basis elements.
+    """
+    pairs = itertools.product(range(A.dim), repeat=2)
+    checks = [
+        ("unital", A.check_unital()),
+        ("associative", A.check_associative(exhaustive_limit=A.dim)),
+        ("involution squares to identity", A.check_involution_square()),
+        ("involution is an anti-automorphism", A.check_involution_antihom()),
+        ("trace is *-invariant",
+         next(((i,) for i in range(A.dim)
+               if A.trace_vec(A.involution_rows[i]) != A.trace[i]), None)),
+        ("trace is tracial",
+         next(((i, j) for i, j in pairs
+               if A.trace_vec(A.mul_basis(i, j)) != A.trace_vec(A.mul_basis(j, i))), None)),
+    ]
+    return [CheckResult(name, w is None, w) for name, w in checks]
 
 
 def label_choices(F, vecs, scalar=None):
@@ -308,7 +300,7 @@ class _WreathContext:
 
     def label(self, key):
         lab, p = key
-        names = ",".join(self.A.basis_labels[i] for i in lab)
+        names = ",".join(self.A.labels[i] for i in lab)
         return f"({names}|{p})"
 
     def _expand(self, slot_vectors, perm):

@@ -744,28 +744,6 @@ def default_sample_modules(W, minimum=4):
 
 
 # ---------------------------------------------------------------------------
-# the independent tensor route for induction (oracle for the fast path)
-# ---------------------------------------------------------------------------
-
-def transfer_bimodule(datum):
-    """The (wreath, diagram-algebra) bimodule S as an explicit Bimodule."""
-    from .algebra_kernel import Bimodule
-    left = []
-    for w in range(datum.W.dim):
-        left.append([datum._S_left_act(datum.W.basis_vec(w), {s: datum.field.one})
-                     for s in range(datum.S_dim)])
-    right = [datum._S_right_rows(b) for b in range(datum.big.dim)]
-    return Bimodule(datum.W, datum.big, datum.S_dim, left, right,
-                    name=f"S(l={datum.layer})")
-
-
-def induce_via_tensor(datum, M):
-    from .algebra_kernel import tensor_over
-    mod, _, _ = tensor_over(M, transfer_bimodule(datum))
-    return mod
-
-
-# ---------------------------------------------------------------------------
 # full verification reports
 # ---------------------------------------------------------------------------
 

@@ -16,13 +16,10 @@ from diagalg.algebra_kernel import (
     is_two_sided_ideal,
     pullback_module,
     quotient_algebra,
-    regular_bimodule,
     regular_module,
     RightModule,
     submodule,
     quotient_module,
-    tensor_over,
-    zero_module,
 )
 from diagalg.diagrams import DiagramAlgebra, DiagramKind, diagram_fin_algebra
 from diagalg.fields import PrimeField, RationalField
@@ -34,6 +31,7 @@ from diagalg.input_algebra import (
 )
 from diagalg.linalg import vec_scale
 from isomorphism import find_isomorphism
+from tensor_route import regular_bimodule, tensor_over
 
 Q = RationalField()
 
@@ -83,7 +81,8 @@ def test_diagram_algebra_is_associative_and_unital():
         alg = make()
         assert alg.check_unital() is None
         assert alg.check_associative() is None
-        assert alg.check_involution() is None
+        assert alg.check_involution_square() is None
+        assert alg.check_involution_antihom() is None
 
 
 def test_diagram_generators_generate():
@@ -172,6 +171,11 @@ def test_corner_of_unit_is_whole_algebra():
     _, alg = brauer_alg(2, "1")
     corner = corner_algebra(alg, alg.unit)
     assert corner.algebra.dim == alg.dim
+    # a corner carries no involution, so both involution checks refuse it
+    for check in (corner.algebra.check_involution_square,
+                  corner.algebra.check_involution_antihom):
+        with pytest.raises(AlgebraError):
+            check()
 
 
 def test_corner_of_scaled_cup_is_one_dimensional():
@@ -335,11 +339,6 @@ def test_submodule_and_quotient_split_regular_s2():
     quot, proj = quotient_module(R, [v])
     assert quot.dim == 1
     assert incl.is_module_map() and proj.is_module_map()
-
-
-def test_zero_module():
-    W = group_algebra_sn(2)
-    assert zero_module(W).dim == 0
 
 
 def test_index_cases_exhaustive_sampled_and_empty():

@@ -124,6 +124,77 @@ def test_replay_witness_roundtrip(tmp_path):
     assert replay_code == 1
 
 
+TAMPERED_CYCLIC = {
+    # group algebra of Z/3 with the product h*h tampered to h: not associative,
+    # and * is no longer an anti-automorphism
+    "dim": 3,
+    "basis": ["h^0", "h^1", "h^2"],
+    "unit": ["1", "0", "0"],
+    "structconsts": [[i, j, (i + j) % 3, "1"] for i in range(3) for j in range(3)
+                     if (i, j) != (1, 1)] + [[1, 1, 1, "1"]],
+    "involution": [["1", "0", "0"], ["0", "0", "1"], ["0", "1", "0"]],
+    "trace": ["1", "1", "1"],
+}
+
+SHIFTED_INVOLUTION = {
+    # dual numbers with x* = 1 + x: (x*)* = 2 + x, (x x)* = 0 but x* x* = 1 + 2x,
+    # and tr(x*) = 1 differs from tr(x) = 0
+    "dim": 2,
+    "basis": ["1", "x"],
+    "unit": ["1", "0"],
+    "structconsts": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]],
+    "involution": [["1", "0"], ["1", "1"]],
+    "trace": ["1", "0"],
+}
+
+
+def _checks(unital, associative, square, antihom, star, tracial):
+    names = ["unital", "associative", "involution squares to identity",
+             "involution is an anti-automorphism", "trace is *-invariant",
+             "trace is tracial"]
+    witnesses = [unital, associative, square, antihom, star, tracial]
+    return [{"name": n, "ok": w is None, "witness": w} for n, w in zip(names, witnesses)]
+
+
+@pytest.mark.parametrize("algebra, checks", [
+    (BROKEN_ALGEBRA, _checks(None, None, None, [0, 0], None, None)),
+    (TAMPERED_CYCLIC, _checks(None, [1, 1, 2], None, [1, 1], None, None)),
+    (SHIFTED_INVOLUTION, _checks(None, None, [1], [1, 1], [1], None)),
+], ids=["broken", "tampered-cyclic", "shifted-involution"])
+def test_validate_input_algebra_failing_checks_are_pinned(tmp_path, algebra, checks):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(algebra))
+    report, code = run_json(["validate-input-algebra", "--input-algebra", str(path)])
+    assert code == 1
+    assert report["checks"] == checks
+    assert report["delta"] == "1"
+
+
+def _malformed(change):
+    obj = json.loads(json.dumps(BROKEN_ALGEBRA))
+    change(obj)
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("text", [
+    _malformed(lambda obj: obj.pop("unit")),
+    _malformed(lambda obj: obj.update(trace=["1"])),
+    _malformed(lambda obj: obj.update(involution=[["0", "1"]])),
+    _malformed(lambda obj: obj["structconsts"].append([1, 1, 2, "1"])),
+    _malformed(lambda obj: obj["structconsts"].append([0, 1, 1, "2"])),
+    '{"dim": 0, "unit": [], "structconsts": [], "involution": [], "trace": []}',
+    '{"dim": 2,',
+], ids=["missing-unit", "short-trace", "few-involution-rows", "structconst-index",
+        "repeated-structconst", "zero-dim", "not-json"])
+def test_malformed_input_algebra_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "alg.json"
+    path.write_text(text)
+    for argv in (["validate-input-algebra"],
+                 ["verify-inflation", "--kind", "abrauer", "--n", "2"]):
+        assert main(argv + ["--input-algebra", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 def test_byte_determinism():
     argv = ["dims", "--kind", "abrauer", "--n", "3"]
     r1, _ = run_json(argv)

@@ -185,7 +185,8 @@ F5 = PrimeField(5)
 ], ids=["D3-Z2-Q", "D3-Z2-F5", "D3-Z3-Q", "D3-Z3-F5", "D4-delta2", "D4-delta0", "walled22",
         "D3-signed"])
 def test_label_table_matches_generic_reduction(make):
-    """Every product by table lookups equals the mul_vec reduction of its words."""
+    """Every product by table lookups equals the reduction of its words through
+    the structure constants."""
     dalg = make()
     assert dalg.A.label_table is not None
     basis = dalg.basis()

@@ -17,7 +17,8 @@ def test_wreath_m3_dim2_associative_unital_involutive():
     assert W.dim == 48
     assert W.check_unital() is None
     assert W.check_associative(exhaustive_limit=48) is None
-    assert W.check_involution() is None
+    assert W.check_involution_square() is None
+    assert W.check_involution_antihom() is None
 
 
 def test_three_strand_labeled_diagram_algebra_associative():

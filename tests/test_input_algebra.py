@@ -37,7 +37,7 @@ def test_cyclic_r2():
     assert A.dim == 2
     assert A.mul_basis(1, 1) == {0: Q.one}          # (h^1)^2 = h^0
     assert A.trace[1] == fr(1)
-    assert A.involve_basis(1) == {1: Q.one}          # h -> h^{2-1}
+    assert A.involution_rows[1] == {1: Q.one}        # h -> h^{2-1}
 
 
 def test_cyclic_r3_star_invariance_enforced():
@@ -91,7 +91,8 @@ def test_wreath_associative_and_unital_small():
         W = wreath_product(A, m)
         assert W.check_associative() is None
         assert W.check_unital() is None
-        assert W.check_involution() is None
+        assert W.check_involution_square() is None
+        assert W.check_involution_antihom() is None
 
 
 def test_wreath_involution_matches_formula():

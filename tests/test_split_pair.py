@@ -14,17 +14,16 @@ from diagalg.split_pair import (
     default_sample_modules,
     hom_ext_transfer,
     induce_sequence,
-    induce_via_tensor,
     presentation_sequence,
     restrict_sequence,
     split_control_sequence,
     split_quotient,
-    transfer_bimodule,
     verify_exact_split_pair,
     wreath_sign_module,
     wreath_trivial_module,
 )
 from isomorphism import find_isomorphism
+from tensor_route import induce_via_tensor, transfer_bimodule
 
 Q = RationalField()
 
