@@ -31,6 +31,7 @@ from .algebra_kernel import (
     free_module,
     free_presentation,
     hom_space,
+    hom_spaces,
     ideal_span,
     pullback_module,
     quotient_algebra,

@@ -16,15 +16,26 @@ of basis indices or None; input-algebra validation reports them.
 Module actions are built on first use in the same spirit: free modules,
 direct sums, submodules, quotients and inductions hold a ``LazyAction``
 whose matrix for basis element b is computed when ``action[b]`` is first
-read.  Hom solving, Ext^1 and module-map checks read only the action of the
-algebra generators, so a presentation kernel builds a handful of its
-``dim A`` matrices.  Action stability of a submodule or quotient is checked
-at construction on every basis element in the support of the generators,
-which suffices because the generators and the unit generate the algebra.
+read.  Hom spaces, Ext^1, module generators and module-map checks read only
+the action of the algebra generators, so a presentation kernel builds a
+handful of its ``dim A`` matrices.  Action stability of a submodule or
+quotient is checked at construction on every basis element in the support
+of the generators, which suffices because the generators and the unit
+generate the algebra.
+
+Hom spaces are found by spinning module generators (``Spin``): the
+standard-basis method of the MeatAxe (Parker 1984), in the form Lux and
+Szőke use for Hom spaces (Experimental Math. 2003).  The unknowns of a map
+M -> N are the images of the k generators of M, k*dim N of them rather
+than dim M * dim N.  The spin of M does not depend on N, so one spin serves
+a list of targets (``hom_spaces``, ``ext1_dims``).  The method rests on the
+same premise as the stability checks: the algebra generators and the unit
+generate the algebra.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -38,6 +49,7 @@ from .linalg import (
     kernel_basis,
     transpose_rows,
     vec_iadd,
+    vec_times_diag_kron,
     vec_times_rows,
 )
 
@@ -369,34 +381,162 @@ def generated_subalgebra_dim(alg, gens=None):
     return ech.dim
 
 
-def hom_space(M, N):
-    """Basis of Hom over the common algebra, found by linear solving."""
-    if M.algebra is not N.algebra and M.algebra.dim != N.algebra.dim:
-        raise AlgebraError("modules live over different algebras")
-    alg = M.algebra
-    F = alg.field
-    m, n = M.dim, N.dim
-    if m == 0 or n == 0:
-        return []
-    eqs = []
-    for g in _generating_vectors(alg):
-        rm = M.action_rows(g)
-        rn_cols = transpose_rows(N.action_rows(g), n)
+class Spin:
+    """Standard-basis spin of a module M, carrying images in target modules.
+
+    Greedy generators x_1..x_k of M are spun under the algebra generators G:
+    basis vector i becomes a generator when it lies outside the submodule
+    spun so far, and every vector v kept by the spin is followed by v*g for
+    each g in G.  Each vector carries its image under an unknown module map
+    from M to every target N, written in the unknowns u_s, the image of
+    x_s: the image of x_s*w is u_s*w, so the image of v*g is the image of v
+    times the action of g on N.  The augmented vectors [v | image] share one
+    Echelon whose M columns come first, so the M part pivots first.  A spun
+    vector whose M part reduces to zero leaves a pure image part, which a
+    module map must send to zero: dim N linear equations in the k*dim N
+    unknowns of N.  Their null space is Hom(M, N), because G and the unit
+    generate the algebra, so the spin spans M and its relations are all
+    the conditions on a module map.
+
+    The targets' coordinates are concatenated into 0..n-1; unknown row
+    r = s*n + j is coordinate j of u_s, and image column j2 of row r sits at
+    column m + r*n + j2 (j and j2 in the same target).  The M part does not
+    depend on the targets, so one spin serves all of them, and their
+    equations separate by target.
+    """
+
+    def __init__(self, M, targets=()):
+        alg = M.algebra
+        F = alg.field
+        targets = list(targets)
+        if any(N.algebra is not alg and N.algebra.dim != alg.dim for N in targets):
+            raise AlgebraError("modules live over different algebras")
+        m = M.dim
+        offsets = list(itertools.accumulate((N.dim for N in targets), initial=0))
+        n = offsets[-1]
+        self.M, self.targets, self._offsets = M, targets, offsets
+        self._block = [t for t, N in enumerate(targets) for _ in range(N.dim)]
+
+        # [v | image] times g: the M part by M's matrix of g, and each image
+        # row, a vector in the concatenated targets, by their matrices of g
+        actions = [(M.action_rows(g),
+                    [{o + j: c for j, c in row.items()}
+                     for N, o in zip(targets, offsets) for row in N.action_rows(g)])
+                   for g in _generating_vectors(alg)]
+
+        equations = [Echelon(F) for _ in targets]
+        seen = [set() for _ in targets]
+
+        def add_equations(residue):
+            # one equation per target coordinate of the residue
+            eqs = {}
+            for col, c in residue.items():
+                t, unknown, j2 = self._locate(col)
+                eqs.setdefault((t, j2), {})[unknown] = c
+            for (t, _), eq in eqs.items():
+                # most relations repeat an equation already seen verbatim
+                key = frozenset(eq.items())
+                if key not in seen[t]:
+                    seen[t].add(key)
+                    equations[t].insert(eq)
+
+        ech = Echelon(F)
+        gens = []
         for i in range(m):
+            if ech.dim == m:
+                break
+            start = {i: F.one}
+            r0 = len(gens) * n
             for j in range(n):
-                eq = {k * n + j: c for k, c in rm[i].items()}
-                for k, c in rn_cols[j].items():
-                    entry_iadd(F, eq, i * n + k, F.neg(c))
-                if eq:
-                    eqs.append(eq)
-    sols = kernel_basis(F, eqs, m * n)
-    maps = []
-    for x in sols:
-        rows = [{} for _ in range(m)]
-        for flat, c in x.items():
-            rows[flat // n][flat % n] = c
-        maps.append(ModuleMap(M, N, rows))
-    return maps
+                start[m + (r0 + j) * n + j] = F.one
+            red = ech.reduce(start)
+            if min(red, default=m) >= m:    # basis vector i is spun already
+                continue
+            gens.append(i)
+            ech.insert(red)
+            queue = collections.deque([red])
+            while queue:
+                v = queue.popleft()
+                for m_rows, image_rows in actions:
+                    w = ech.reduce(vec_times_diag_kron(F, v, m_rows, image_rows))
+                    if min(w, default=m) < m:
+                        ech.insert(w)
+                        queue.append(w)
+                    elif w:
+                        add_equations(w)
+        assert ech.dim == m, "the spin must span the module"
+        self.generators = gens
+        self._ech = ech
+        self.solutions = [eqs.null_space(len(gens) * N.dim)
+                          for eqs, N in zip(equations, targets)]
+
+    def _locate(self, col):
+        """(target t, unknown of t, coordinate of t) of an image column."""
+        m, n = self.M.dim, self._offsets[-1]
+        r, j2 = divmod(col - m, n)
+        s, j = divmod(r, n)
+        t = self._block[j2]
+        o = self._offsets[t]
+        return t, s * self.targets[t].dim + j - o, j2 - o
+
+    def maps(self):
+        """A basis of Hom(M, N) for each target N, as module maps.
+
+        Row p of a map is u times the image part of the spin's row with
+        pivot p, whose M part is the basis vector p alone.
+        """
+        M = self.M
+        F = M.algebra.field
+        m = M.dim
+        maps, uses = [], []
+        for sols in self.solutions:
+            rows = [[{} for _ in range(m)] for _ in sols]
+            use = {}
+            for map_rows, u in zip(rows, sols):
+                for idx, c in u.items():
+                    use.setdefault(idx, []).append((map_rows, c))
+            maps.append(rows)
+            uses.append(use)
+        for p in range(m):
+            for col, c in self._ech.rows[p].items():
+                if col < m:
+                    continue
+                t, unknown, j2 = self._locate(col)
+                for map_rows, x in uses[t].get(unknown, ()):
+                    entry_iadd(F, map_rows[p], j2, F.mul(x, c))
+        return [[ModuleMap(M, N, rows) for rows in rows_t]
+                for N, rows_t in zip(self.targets, maps)]
+
+
+def module_generators(M):
+    """Indices of basis vectors that generate M: the M part of a spin.
+
+    Scans the basis in order and keeps a vector only when it lies outside the
+    submodule generated so far, so a cyclic module gets a single generator.
+    """
+    return Spin(M).generators
+
+
+def hom_spaces(M, targets):
+    """A basis of Hom(M, N) for each target N, from one spin of M.
+
+    Greedy generators of M are spun under the algebra generators, carrying
+    their images in every target (see ``Spin``).  The unknowns are the
+    images of the k generators of M, k*dim N of them per target rather than
+    dim M * dim N, and each relation the spin meets gives dim N equations.
+    This rests on the premise that the algebra generators and the unit
+    generate the algebra; without generators, the basis is used.
+    """
+    return Spin(M, targets).maps()
+
+
+def hom_space(M, N):
+    """A basis of Hom(M, N) over the common algebra: ``hom_spaces(M, [N])``.
+
+    Solved in the images of the generators of M, by a spin under the algebra
+    generators, which must generate the algebra together with the unit.
+    """
+    return hom_spaces(M, [N])[0]
 
 
 def direct_sum(M, N):
@@ -578,27 +718,6 @@ class Presentation:
     cover_rank: int
 
 
-def module_generators(M):
-    """Indices of basis vectors that generate M, greedily pruned.
-
-    Scans the basis in order and keeps a vector only when it lies outside the
-    submodule generated so far, so a cyclic module gets a single generator.
-    """
-    alg = M.algebra
-    F = alg.field
-    ech = Echelon(F)
-    gens = []
-    for i in range(M.dim):
-        v = {i: F.one}
-        if ech.contains(v):
-            continue
-        gens.append(i)
-        for b in range(alg.dim):
-            ech.insert(M.act_basis(v, b))
-    assert ech.dim == M.dim or all(ech.contains({i: F.one}) for i in range(M.dim))
-    return gens
-
-
 def free_presentation(M):
     """Free cover on a pruned generating set, with its kernel as a submodule."""
     alg = M.algebra
@@ -618,17 +737,23 @@ def free_presentation(M):
     return Presentation(M, cover, proj, kernel, incl, b)
 
 
-def ext1(M, N, presentation=None):
-    """dim Ext^1 computed from a free presentation.
+def ext1_dims(M, targets, hom_dims, presentation=None):
+    """dim Ext^1(M, N) for each target N, given each dim Hom(M, N).
 
-    The image of Hom(P0, N) inside Hom(Omega M, N) has dimension
-    b*dim N - dim Hom(M, N), since maps vanishing on Omega M are exactly
-    the maps factoring through M.
+    From a free presentation 0 -> Omega M -> P0 -> M -> 0 with P0 free of
+    rank b: the image of Hom(P0, N) inside Hom(Omega M, N) has dimension
+    b*dim N - dim Hom(M, N), since maps vanishing on Omega M are exactly the
+    maps factoring through M.  One spin of Omega M serves every target.
     """
     pres = presentation or free_presentation(M)
-    dim_hom_omega = len(hom_space(pres.kernel, N))
-    dim_hom_m = len(hom_space(M, N))
-    return dim_hom_omega - pres.cover_rank * N.dim + dim_hom_m
+    omega = Spin(pres.kernel, targets).solutions
+    return [len(sols) - pres.cover_rank * N.dim + hom
+            for sols, N, hom in zip(omega, targets, hom_dims)]
+
+
+def ext1(M, N, presentation=None):
+    """dim Ext^1(M, N) computed from a free presentation."""
+    return ext1_dims(M, [N], [len(hom_space(M, N))], presentation)[0]
 
 
 def check_algebra_map(source, target, rows, seed=0):

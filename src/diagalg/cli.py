@@ -131,7 +131,13 @@ def parse_deltas(field, spec):
     return [field.parse(x) for x in spec.split(",")]
 
 
-def make_input_algebra(args, field):
+def make_input_algebra(args, field, validate=True):
+    """The input algebra of the options and its label.
+
+    A file input is checked with ``validate_input_algebra`` unless
+    ``validate`` is false, and refused with the first failing check and its
+    witness; the built-in algebras are algebras by construction.
+    """
     if args.deltas is not None:
         deltas = parse_deltas(field, args.deltas)
         return cyclic_group_algebra(field, len(deltas), deltas), f"cyclic({len(deltas)})"
@@ -142,7 +148,14 @@ def make_input_algebra(args, field):
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputAlgebraError(f"input algebra is not JSON: {exc}") from exc
-    return input_algebra_from_json(obj, field), args.input_algebra
+    A = input_algebra_from_json(obj, field)
+    if validate:
+        failed = next((c for c in validate_input_algebra(A) if not c.ok), None)
+        if failed is not None:
+            raise InputAlgebraError(
+                f"input algebra {args.input_algebra} fails the check "
+                f"'{failed.name}' with witness {list(failed.witness)}")
+    return A, args.input_algebra
 
 
 def make_context(args, field):
@@ -257,11 +270,12 @@ def cmd_hom_ext(args, field):
         ok = all(row["transferOK"] for row in rows)
     else:
         mods = [wreath_trivial_module(datum.W), wreath_sign_module(datum.W)]
+        inds = [datum.induce(M) for M in mods]
         pairs = []
         ok = True
-        for M in mods:
-            for N in mods:
-                rep = hom_ext_transfer(datum, M, N)
+        for M, ind in zip(mods, inds):
+            reps = hom_ext_transfer(datum, M, mods, ind_m=ind, ind_targets=inds)
+            for N, rep in zip(mods, reps):
                 pairs.append({"M": M.name, "N": N.name, **rep})
                 ok = ok and rep["ok"]
     return {"config": config_echo(args, field, params), "pairs": pairs, "ok": ok}
@@ -284,7 +298,7 @@ def cmd_dominance_table(args, field):
 
 
 def cmd_validate_input_algebra(args, field):
-    A, label = make_input_algebra(args, field)
+    A, label = make_input_algebra(args, field, validate=False)
     checks = validate_input_algebra(A)
     return {
         "config": config_echo(args, field, {"inputAlgebra": label, "dimA": A.dim}),

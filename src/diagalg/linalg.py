@@ -79,6 +79,41 @@ def vec_times_rows(F, v, rows):
     return out
 
 
+def vec_times_diag_kron(F, v, a_rows, b_rows):
+    """Row vector times the block-diagonal matrix diag(A, B, B, ...), with A
+    and the square B given as lists of rows.
+
+    The coordinates of v below len(a_rows) meet the rows of A; each later
+    run of len(b_rows) coordinates meets the rows of B and lands in the same
+    run of columns, so B is never copied into its blocks.
+    """
+    add, mul, is_zero, one = F.add, F.mul, F.is_zero, F.one
+    m, n = len(a_rows), len(b_rows)
+    out = {}
+    get = out.get
+    for i, c in v.items():
+        if i < m:
+            row, shift = a_rows[i], 0
+        else:
+            r = (i - m) % n
+            row, shift = b_rows[r], i - r
+        scaled = c != one
+        for j, x in row.items():
+            if scaled:
+                x = mul(c, x)
+            j += shift
+            s = get(j)
+            if s is None:
+                out[j] = x
+            else:
+                s = add(s, x)
+                if is_zero(s):
+                    del out[j]
+                else:
+                    out[j] = s
+    return out
+
+
 def mat_mul(F, a_rows, b_rows):
     return [vec_times_rows(F, r, b_rows) for r in a_rows]
 
@@ -170,25 +205,27 @@ class Echelon:
     def basis_rows(self):
         return [self.rows[p] for p in self.pivots()]
 
+    def null_space(self, ncols):
+        """Basis of {x : x . row = 0 for every row}, read as equations over
+        unknowns 0..ncols-1: one vector per non-pivot unknown."""
+        F = self.F
+        out = []
+        for j in range(ncols):
+            if j in self.rows:
+                continue
+            x = {j: F.one}
+            for p, row in self.rows.items():
+                c = row.get(j)
+                if c is not None:
+                    x[p] = F.neg(c)
+            out.append(x)
+        return out
+
 
 def kernel_basis(F, rows, ncols):
     """Basis of the null space {x : sum_j x_j row[., j] = 0} of the matrix
     whose rows are equations over unknowns 0..ncols-1."""
-    ech = Echelon(F)
-    for r in rows:
-        ech.insert(r)
-    pivots = set(ech.rows)
-    out = []
-    for j in range(ncols):
-        if j in pivots:
-            continue
-        x = {j: F.one}
-        for p, row in ech.rows.items():
-            c = row.get(j)
-            if c is not None and not F.is_zero(c):
-                x[p] = F.neg(c)
-        out.append(x)
-    return out
+    return Echelon(F).insert_all(rows).null_space(ncols)
 
 
 class CoordSolver:

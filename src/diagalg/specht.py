@@ -17,7 +17,10 @@ import itertools
 from functools import lru_cache
 from math import factorial
 
-from .algebra_kernel import RightModule, free_presentation
+from .algebra_kernel import RightModule
+# bound here because the benchmark harness checks that its tracer wraps and
+# restores this module's binding (benchmarks/test_harness.py)
+from .algebra_kernel import free_presentation  # noqa: F401
 from .input_algebra import invert_perm, perm_sign, trivial_input_algebra, wreath_product
 from .linalg import CoordSolver, entry_iadd
 
@@ -271,24 +274,17 @@ def dominance_vanishing_experiment(datum, with_ext=True, max_size=5):
     Wa = wreath_product(trivial_input_algebra(F, F.one), r - l)
     Wb = wreath_product(trivial_input_algebra(F, F.one), t - l)
     labels = walled_cell_labels(r, t, l)
-    modules = {}
-    for (lam, mu) in labels:
-        Sa = specht_module(lam, W=Wa, max_size=max_size)
-        Sb = specht_module(mu, W=Wb, max_size=max_size)
-        modules[(lam, mu)] = outer_product(Sa, Sb, datum.W)
-
-    inductions = {key: datum.induce(M) for key, M in modules.items()}
-    pres_small = {key: free_presentation(M) for key, M in modules.items()} if with_ext else {}
-    pres_big = {key: free_presentation(M) for key, M in inductions.items()} if with_ext else {}
+    modules = [outer_product(specht_module(lam, W=Wa, max_size=max_size),
+                             specht_module(mu, W=Wb, max_size=max_size), datum.W)
+               for lam, mu in labels]
+    inductions = [datum.induce(M) for M in modules]
 
     rows = []
-    for x in labels:
-        for y in labels:
-            rep = hom_ext_transfer(datum, modules[x], modules[y],
-                                   ind_m=inductions[x], ind_n=inductions[y],
-                                   pres_small=pres_small.get(x),
-                                   pres_big=pres_big.get(x),
-                                   with_ext=with_ext)
+    for x, M, ind in zip(labels, modules, inductions):
+        # one spin per source row serves every target of the row
+        reps = hom_ext_transfer(datum, M, modules, ind_m=ind,
+                                ind_targets=inductions, with_ext=with_ext)
+        for y, rep in zip(labels, reps):
             dom_ok = dominates(x[0], y[0]) and dominates(x[1], y[1])
             violation = (rep["homBig"] > 0 and not dom_ok) or \
                         (with_ext and rep.get("extBig", 0) > 0 and not dom_ok)

@@ -34,9 +34,10 @@ from .algebra_kernel import (
     check_algebra_map,
     corner_algebra,
     direct_sum,
-    ext1,
+    ext1_dims,
     free_presentation,
     hom_space,
+    hom_spaces,
     index_cases,
     quotient_module,
     regular_module,
@@ -859,25 +860,28 @@ def _check_naturality(datum, etas):
     return {"ok": True, "pair": None}
 
 
-def hom_ext_transfer(datum, M, N, ind_m=None, ind_n=None,
-                     pres_small=None, pres_big=None, with_ext=True) -> dict:
-    """Hom and first-extension dimensions on both sides of the pair.
+def hom_ext_transfer(datum, M, targets, ind_m=None, ind_targets=None,
+                     with_ext=True) -> list:
+    """Hom and first-extension dimensions on both sides of the pair, from M
+    to each target N: one report dict per target.
 
-    Precomputed inductions and presentations may be passed in when the same
+    One spin of M and one of its induction serve every target, and so does
+    one spin of each presentation kernel; Ext^1 reuses the Hom dimensions
+    found here.  Precomputed inductions may be passed in when the same
     module appears in many pairs (the dominance tables do this).
     """
-    hom_small = len(hom_space(M, N))
     ind_m = ind_m if ind_m is not None else datum.induce(M)
-    ind_n = ind_n if ind_n is not None else datum.induce(N)
-    hom_big = len(hom_space(ind_m, ind_n))
-    out = {
-        "homSmall": hom_small, "homBig": hom_big,
-        "homEqual": hom_small == hom_big,
-    }
+    if ind_targets is None:
+        ind_targets = [datum.induce(N) for N in targets]
+    hom_small = [len(h) for h in hom_spaces(M, targets)]
+    hom_big = [len(h) for h in hom_spaces(ind_m, ind_targets)]
+    reps = [{"homSmall": hs, "homBig": hb, "homEqual": hs == hb}
+            for hs, hb in zip(hom_small, hom_big)]
     if with_ext:
-        ext_small = ext1(M, N, presentation=pres_small or free_presentation(M))
-        ext_big = ext1(ind_m, ind_n, presentation=pres_big or free_presentation(ind_m))
-        out.update({"extSmall": ext_small, "extBig": ext_big,
-                    "extEqual": ext_small == ext_big})
-    out["ok"] = out["homEqual"] and out.get("extEqual", True)
-    return out
+        ext_small = ext1_dims(M, targets, hom_small)
+        ext_big = ext1_dims(ind_m, ind_targets, hom_big)
+        for rep, es, eb in zip(reps, ext_small, ext_big):
+            rep.update({"extSmall": es, "extBig": eb, "extEqual": es == eb})
+    for rep in reps:
+        rep["ok"] = rep["homEqual"] and rep.get("extEqual", True)
+    return reps

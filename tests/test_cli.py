@@ -268,19 +268,52 @@ NONASSOCIATIVE_ALGEBRA = {
 }
 
 
-def test_replay_decides_verify_inflation_witness(tmp_path):
+def test_replay_decides_verify_inflation_witness(tmp_path, capsys):
+    # an input file that is not an algebra is refused before any check runs,
+    # and so is the replay of a witness recorded on it
     path = tmp_path / "alg.json"
     path.write_text(json.dumps(NONASSOCIATIVE_ALGEBRA))
-    report, code = run_json(["verify-inflation", "--kind", "abrauer", "--n", "3",
-                             "--input-algebra", str(path)])
-    assert code == 1 and "checks" not in report
+    argv = ["verify-inflation", "--kind", "abrauer", "--n", "3", "--input-algebra", str(path)]
+    assert main(argv) == 2
+    assert "'associative'" in capsys.readouterr().err
     witness_file = tmp_path / "witness.json"
-    witness_file.write_text(json.dumps({"argv": report["argv"]}))
-    replay_report, replay_code = run_json(["--replay", str(witness_file)])
-    assert replay_report["stillFailing"] is True
-    assert replay_code == 1
+    witness_file.write_text(json.dumps({"argv": argv}))
+    assert main(["--replay", str(witness_file)]) == 2
+    assert "'associative'" in capsys.readouterr().err
     witness_file.write_text(json.dumps({"argv": ["verify-inflation", "--kind", "abrauer",
                                                  "--n", "2"]}))
     replay_report, replay_code = run_json(["--replay", str(witness_file)])
     assert replay_report["stillFailing"] is False
     assert replay_code == 0
+
+
+# every subcommand that builds diagrams over an input-algebra file validates it
+# first: the first failing check of validate-input-algebra, with its witness
+@pytest.mark.parametrize("algebra, message", [
+    (BROKEN_ALGEBRA, "'involution is an anti-automorphism' with witness [0, 0]"),
+    (TAMPERED_CYCLIC, "'associative' with witness [1, 1, 2]"),
+], ids=["broken", "tampered-cyclic"])
+@pytest.mark.parametrize("command", [
+    ["verify-inflation", "--kind", "abrauer", "--n", "2"],
+    ["verify-split-pair", "--kind", "abrauer", "--n", "2", "--l", "1"],
+    ["dims", "--kind", "abrauer", "--n", "2"],
+    ["hom-ext", "--kind", "abrauer", "--n", "2", "--l", "1"],
+], ids=lambda argv: argv[0])
+def test_invalid_input_algebra_file_exits_2(tmp_path, capsys, algebra, message, command):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(algebra))
+    assert main(command + ["--input-algebra", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: input algebra {path} fails the check {message}" in err
+    assert "Traceback" not in err
+
+
+def test_valid_input_algebra_file_is_accepted(tmp_path):
+    # the Z/3 group algebra, untampered, passes validation and the inflation check
+    obj = dict(TAMPERED_CYCLIC, structconsts=[[i, j, (i + j) % 3, "1"]
+                                              for i in range(3) for j in range(3)])
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(obj))
+    report, code = run_json(["verify-inflation", "--kind", "abrauer", "--n", "2",
+                             "--input-algebra", str(path)])
+    assert code == 0 and report["ok"]

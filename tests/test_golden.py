@@ -1,10 +1,12 @@
 """Report bytes and benchmark trace targets, checked against benchmarks/.
 
 The digests in ``benchmarks/golden.json`` pin the canonical reports of the
-README commands and of the benchmark configurations.  The README commands
-and the one pinned configuration that takes the sampled path run here in
-process, so a change to report bytes fails the suite, not only the
-benchmark.  Every function the benchmark's tracer wraps must still exist.
+README commands and of the benchmark configurations.  The README commands,
+the one pinned configuration that takes the sampled path and the Hom/Ext^1
+configurations of the ``homext-fp`` workload run here in process, so a
+change to report bytes fails the suite, not only the benchmark.  One larger
+Hom/Ext^1 report, outside the benchmark, is pinned by its digest here.
+Every function the benchmark's tracer wraps must still exist.
 """
 
 import hashlib
@@ -33,13 +35,32 @@ def _bench_module(name):
 SAMPLED = "verify-inflation --kind abrauer --n 5 --delta 2 --seed 0"
 
 
-@pytest.mark.parametrize("command", _bench_module("workloads").README_COMMANDS + [SAMPLED])
-def test_report_bytes_match_golden_digest(command):
+WORKLOADS = _bench_module("workloads")
+# the benchmark runs each workload configuration with the seed appended
+HOMEXT = [f"{config} --seed {WORKLOADS.DEFAULT_SEED}"
+          for config in WORKLOADS.WORKLOADS["homext-fp"]["configs"]]
+
+# Hom and Ext^1 over walled(3,3) at layer 2 over F_5: one Specht pair, whose
+# inductions are 18-dimensional modules over the 720-dimensional algebra
+WALLED_33_L2 = ("hom-ext --kind walled --r 3 --t 3 --l 2 --field fp:5",
+                "c333dc5d5b7110815835d1236c56cb1922f7b20b610640e0cd8b2b6de5e32693")
+
+
+def report_digest(command):
     argv = shlex.split(command)
     report, code = run(argv)
-    payload = emit(report, build_parser().parse_args(argv).format)
     assert code == 0
-    assert hashlib.sha256(payload).hexdigest() == GOLDEN[command]
+    return hashlib.sha256(emit(report, build_parser().parse_args(argv).format)).hexdigest()
+
+
+@pytest.mark.parametrize("command", WORKLOADS.README_COMMANDS + [SAMPLED] + HOMEXT)
+def test_report_bytes_match_golden_digest(command):
+    assert report_digest(command) == GOLDEN[command]
+
+
+def test_larger_hom_ext_report_is_pinned():
+    command, digest = WALLED_33_L2
+    assert report_digest(command) == digest
 
 
 def test_layer_trace_targets_resolve():

@@ -15,6 +15,8 @@ from diagalg.algebra_kernel import (
     ext1,
     free_module,
     free_presentation,
+    hom_space,
+    module_generators,
     quotient_module,
     submodule,
 )
@@ -22,7 +24,7 @@ from diagalg.diagrams import DiagramAlgebra, DiagramKind, diagram_fin_algebra
 from diagalg.fields import PrimeField, RationalField
 from diagalg.input_algebra import trivial_input_algebra
 from diagalg.linalg import vec_times_rows
-from diagalg.split_pair import corner_split_datum, wreath_trivial_module
+from diagalg.split_pair import corner_split_datum, wreath_sign_module, wreath_trivial_module
 
 Q = RationalField()
 F5 = PrimeField(5)
@@ -106,3 +108,16 @@ def test_ext1_builds_only_the_generator_matrices_of_the_kernel():
     assert (len(support), big.dim) == (6, 105)
     assert pres.kernel.action.built_indices() == support
     assert pres.cover.action.built_indices() == support
+
+
+def test_spin_builds_only_the_generator_matrices():
+    datum = datum_for(DiagramKind.abrauer(4), 1, F5, delta="2")
+    big = datum.big
+    ind = datum.induce(wreath_trivial_module(datum.W))
+    other = datum.induce(wreath_sign_module(datum.W))
+    support = generator_support(big)
+    assert module_generators(ind) == [0]
+    assert ind.action.built_indices() == support
+    assert len(hom_space(ind, other)) == 0 and len(hom_space(ind, ind)) == 1
+    assert ind.action.built_indices() == support
+    assert other.action.built_indices() == support

@@ -259,7 +259,7 @@ def test_hom_ext_transfer_char0_simples():
     dalg, big = walled(2, 2, "1")
     datum = corner_split_datum(dalg, big, 1)
     M = wreath_trivial_module(datum.W)
-    rep = hom_ext_transfer(datum, M, M)
+    [rep] = hom_ext_transfer(datum, M, [M])
     assert rep["ok"]
     assert rep["homSmall"] == 1 and rep["extSmall"] == 0
 
@@ -269,7 +269,7 @@ def test_hom_ext_transfer_distinct_simples():
     datum = corner_split_datum(dalg, big, 1)    # wreath algebra is RS_2
     T = wreath_trivial_module(datum.W)
     S = wreath_sign_module(datum.W)
-    rep = hom_ext_transfer(datum, T, S)
+    [rep] = hom_ext_transfer(datum, T, [S])
     assert rep["ok"]
     assert rep["homBig"] == 0 and rep["extBig"] == 0
 
