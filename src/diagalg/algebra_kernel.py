@@ -79,10 +79,12 @@ class FinAlgebra:
     """Associative unital algebra with a distinguished basis.
 
     ``pair_mul(i, j)`` returns the structure-constant vector of b_i * b_j;
-    results are cached.  ``involution_rows``, if present, is the matrix of an
-    anti-automorphism squaring to the identity.  ``generators`` is an optional
-    list of element vectors that together with the unit generate the algebra;
-    intertwining solvers use it to shrink equation systems.
+    ``mul_basis`` caches its results, and a caller that reads a product only
+    once can call ``pair_mul`` directly.  ``involution_rows``, if present, is
+    the matrix of an anti-automorphism squaring to the identity.
+    ``generators`` is an optional list of element vectors that together with
+    the unit generate the algebra; intertwining solvers use it to shrink
+    equation systems.
     """
 
     def __init__(self, field, labels, unit, pair_mul, involution_rows=None,
@@ -91,7 +93,7 @@ class FinAlgebra:
         self.labels = list(labels)
         self.dim = len(self.labels)
         self.unit = dict(unit)
-        self._pair_mul = pair_mul
+        self.pair_mul = pair_mul
         self._cache = {}
         self.involution_rows = involution_rows
         self.generators = generators
@@ -104,7 +106,7 @@ class FinAlgebra:
         key = (i, j)
         got = self._cache.get(key)
         if got is None:
-            got = self._pair_mul(i, j)
+            got = self.pair_mul(i, j)
             self._cache[key] = got
         return got
 

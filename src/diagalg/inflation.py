@@ -15,7 +15,17 @@ which pushes the product into the next layer and contributes zero.
 onto pairs-of-configurations times wreath basis, (b) multiplication modulo
 the next layer agrees with the contraction-form product, (c) the diagram
 involution swaps the two configurations and stars the wreath part.
-``verify_decomposition`` runs every layer and the global dimension identity.
+``verify_decomposition`` runs every layer, the ideal chain and the global
+dimension identity.
+
+The checks share their work.  The ideal chain reads one table of lowest
+layers, shared by every l, so it computes each product once; the layer
+checks read the diagrams the roundtrip assembled, and keep wreath products
+used by one pair out of the wreath algebra's product cache.
+``diagram_fin_algebra``'s cache is not used: it is built at setup and
+caches whole product vectors, which costs memory the checks do not need.
+Which pairs are checked, and the bounds between exhaustive and sampled,
+do not depend on this sharing.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from dataclasses import dataclass, field as dc_field
 from .algebra_kernel import FinAlgebra, index_cases
 from .diagrams import DiagramAlgebra
 from .input_algebra import wreath_product
-from .linalg import Echelon, entry_iadd
+from .linalg import Echelon, entry_iadd, vec_iadd
 
 
 def small_algebra(dalg: DiagramAlgebra, l: int) -> FinAlgebra:
@@ -83,23 +93,38 @@ def layer_ideal(dalg: DiagramAlgebra, big: FinAlgebra, l: int) -> Echelon:
     return ech
 
 
-def check_layer_ideal_closed(dalg: DiagramAlgebra, l: int, seed=0):
+def check_layer_ideal_closed(dalg: DiagramAlgebra, l: int, seed=0, table=None):
     """Closure of the layer span under diagram multiplication.
 
     Uses the support of products directly: every product diagram must again
     have at least l horizontal edges.  Exhaustive up to 150 basis diagrams,
-    1000 seeded (basis, member) pairs above.  Returns a witness pair or None.
+    1000 seeded (basis, member) pairs above; each pair tests b*d, then d*b.
+    Returns a witness pair or None.
+
+    ``table`` maps i * dim + j to the fewest horizontal edges in the support
+    of b_i * b_j (n for a zero product).  Passed the same table for every l,
+    the chain computes each product once; the pairs and bounds do not change.
     """
     n = dalg.kind.n
     basis = dalg.basis()
-    members = [d for d in basis if d.horizontal_count(n) >= l]
-    pairs, _, _ = index_cases((len(basis), len(members)), 150, 1000, seed)
+    dim = len(basis)
+    if table is None:
+        table = {}
+    members = [i for i, d in enumerate(basis) if d.horizontal_count(n) >= l]
+
+    def lowest(i, j):
+        key = i * dim + j
+        got = table.get(key)
+        if got is None:
+            prod = dalg.mul_diagrams(basis[i], basis[j])
+            got = table[key] = min((d.horizontal_count(n) for d in prod), default=n)
+        return got
+
+    pairs, _, _ = index_cases((dim, len(members)), 150, 1000, seed)
     for i, t in pairs:
-        b, d = basis[i], members[t]
-        for side in (dalg.mul_diagrams(b, d), dalg.mul_diagrams(d, b)):
-            for prod in side:
-                if prod.horizontal_count(n) < l:
-                    return (b, d)
+        m = members[t]
+        if lowest(i, m) < l or lowest(m, i) < l:
+            return (basis[i], basis[m])
     return None
 
 
@@ -138,27 +163,51 @@ class LayerReport:
 def verify_layer(dalg: DiagramAlgebra, l: int, W=None, seed=0) -> LayerReport:
     """Checks (a)-(c) of the module docstring at layer l; multiplication is
     checked on every pair of layer diagrams up to 200 of them, on 600 seeded
-    pairs above."""
+    pairs above; sharing the work below changes neither the pairs nor the
+    bounds.
+
+    The roundtrip check assembles every layer diagram from its factors, and
+    the involution and multiplication checks read those assemblies back.
+    b_k1 * phi is formed once per wreath index k1 and contraction value phi;
+    its product with b_k2, which one pair reads, goes through ``W.pair_mul``,
+    so W's product cache keeps no product that is used once.
+    """
     if W is None:
         W = small_algebra(dalg, l)
     layer = dalg.layer_basis(l)
     partials = dalg.enumerate_partials(l)
     failures = []
+    F = dalg.field
+
+    assembled = {}   # (top, bottom) -> {wreath index: diagram}
+
+    def assemble(top, bottom, k):
+        row = assembled.setdefault((top, bottom), {})
+        got = row.get(k)
+        if got is None:
+            got = row[k] = dalg.layer_assemble_key(top, bottom, W.basis_keys[k])
+        return got
+
+    def assemble_vec(top, bottom, wreath_vec):
+        out = {}
+        for k, c in wreath_vec.items():
+            entry_iadd(F, out, assemble(top, bottom, k), c)
+        return out
 
     factored = [dalg.layer_factorize(d) for d in layer]
+    windex = [W.key_index[key] for _, _, key in factored]
     expected = len(partials) ** 2 * W.dim
     bijective = (len(layer) == expected and len(set(factored)) == len(layer))
-    for d, (top, bottom, key) in zip(layer, factored):
-        if dalg.layer_assemble_key(top, bottom, key) != d:
+    for d, (top, bottom, _), k in zip(layer, factored, windex):
+        if assemble(top, bottom, k) != d:
             bijective = False
             failures.append({"check": "roundtrip", "diagram": dalg.label(d)})
             break
 
     involution_ok = True
-    for d, (top, bottom, key) in zip(layer, factored):
-        lhs = dalg.involution({d: dalg.field.one})
-        starred = _to_key_vec(W, W.involve(W.basis_vec(W.key_index[key])))
-        rhs = dalg.layer_assemble(bottom, top, starred)
+    for d, (top, bottom, _), k in zip(layer, factored, windex):
+        lhs = dalg.involution({d: F.one})
+        rhs = assemble_vec(bottom, top, W.involve(W.basis_vec(k)))
         if lhs != rhs:
             involution_ok = False
             failures.append({"check": "involution", "diagram": dalg.label(d)})
@@ -166,21 +215,24 @@ def verify_layer(dalg: DiagramAlgebra, l: int, W=None, seed=0) -> LayerReport:
 
     pairs, pairs_checked, sampled = index_cases((len(layer), len(layer)), 200, 600, seed)
     phi_cache = {}
+    left_cache = {}   # (k1, bot1, top2) -> b_k1 * phi(bot1, top2)
     multiplicative = True
     for i, j in pairs:
+        top1, bot1, _ = factored[i]
+        top2, bot2, _ = factored[j]
+        k1 = windex[i]
+        left = left_cache.get((k1, bot1, top2))
+        if left is None:
+            phi = phi_cache.get((bot1, top2))
+            if phi is None:
+                phi = phi_cache[bot1, top2] = contraction_form(dalg, W, bot1, top2)
+            left = left_cache[k1, bot1, top2] = W.mul(W.basis_vec(k1), phi)
+        wprod = {}
+        for m, c in left.items():
+            vec_iadd(F, wprod, c, W.pair_mul(m, windex[j]))
         d1, d2 = layer[i], layer[j]
-        top1, bot1, key1 = factored[i]
-        top2, bot2, key2 = factored[j]
-        cache_key = (bot1, top2)
-        phi = phi_cache.get(cache_key)
-        if phi is None:
-            phi = contraction_form(dalg, W, bot1, top2)
-            phi_cache[cache_key] = phi
         lhs = dalg.truncate_above_layer(dalg.mul_diagrams(d1, d2), l)
-        wprod = W.mul(W.mul(W.basis_vec(W.key_index[key1]), phi),
-                      W.basis_vec(W.key_index[key2]))
-        rhs = dalg.layer_assemble(top1, bot2, _to_key_vec(W, wprod))
-        if lhs != rhs:
+        if lhs != assemble_vec(top1, bot2, wprod):
             multiplicative = False
             failures.append({"check": "multiplicative",
                              "pair": [dalg.label(d1), dalg.label(d2)]})
@@ -198,12 +250,13 @@ def verify_decomposition(dalg: DiagramAlgebra, seed=0) -> dict:
 
     chain_ok = True
     ideal_witnesses = []
+    lowest_layer = {}   # shared by every l: each product is computed once
     n = dalg.kind.n
     counts = [sum(1 for d in basis if d.horizontal_count(n) >= l) for l in range(bound + 2)]
     for l in range(bound + 1):
         if counts[l + 1] >= counts[l]:   # every layer is nonempty, so strictly nested
             chain_ok = False
-        w = check_layer_ideal_closed(dalg, l, seed=seed)
+        w = check_layer_ideal_closed(dalg, l, seed=seed, table=lowest_layer)
         if w is not None:
             chain_ok = False
             ideal_witnesses.append({"l": l, "pair": [dalg.label(w[0]), dalg.label(w[1])]})

@@ -1,12 +1,10 @@
 """Report bytes and benchmark trace targets, checked against benchmarks/.
 
 The digests in ``benchmarks/golden.json`` pin the canonical reports of the
-README commands and of the benchmark configurations.  The README commands,
-the one pinned configuration that takes the sampled path and the Hom/Ext^1
-configurations of the ``homext-fp`` workload run here in process, so a
-change to report bytes fails the suite, not only the benchmark.  One larger
-Hom/Ext^1 report, outside the benchmark, is pinned by its digest here.
-Every function the benchmark's tracer wraps must still exist.
+README commands and of the benchmark configurations.  Every one of them
+runs here in process, so a change to report bytes fails the suite, not only
+the benchmark.  Larger reports outside the benchmark are pinned by their
+digests here.  Every function the benchmark's tracer wraps must still exist.
 """
 
 import hashlib
@@ -30,20 +28,27 @@ def _bench_module(name):
     return module
 
 
-# verify-inflation of D_5 (dimension 945) is the only pinned configuration
-# whose layer and ideal checks draw seeded samples
-SAMPLED = "verify-inflation --kind abrauer --n 5 --delta 2 --seed 0"
-
-
 WORKLOADS = _bench_module("workloads")
-# the benchmark runs each workload configuration with the seed appended
-HOMEXT = [f"{config} --seed {WORKLOADS.DEFAULT_SEED}"
-          for config in WORKLOADS.WORKLOADS["homext-fp"]["configs"]]
+# the benchmark runs each workload configuration with the seed appended;
+# verify-inflation of D_5 (dimension 945) is the one whose layer and ideal
+# checks draw seeded samples
+WORKLOAD_COMMANDS = [f"{config} --seed {WORKLOADS.DEFAULT_SEED}"
+                     for workload in WORKLOADS.WORKLOADS.values()
+                     for config in workload["configs"]]
 
 # Hom and Ext^1 over walled(3,3) at layer 2 over F_5: one Specht pair, whose
 # inductions are 18-dimensional modules over the 720-dimensional algebra
 WALLED_33_L2 = ("hom-ext --kind walled --r 3 --t 3 --l 2 --field fp:5",
                 "c333dc5d5b7110815835d1236c56cb1922f7b20b610640e0cd8b2b6de5e32693")
+
+LARGER_INFLATION = {
+    # dimension 120: every layer and the ideal chain checked exhaustively
+    "verify-inflation --kind walled --r 3 --t 2":
+        "3487888cbd14e5bfa8e2a16ccfa6de253f1dfb81ee7c0c625fba6c325db12137",
+    # dimension 405 over the group algebra of Z/3: the ideal chain is sampled
+    "verify-inflation --kind cyclotomic --n 3 --deltas 1,1,1":
+        "90afd559234c8a5d416f2bd40998357f58178df9c0d0d02aedc2382b51f66a64",
+}
 
 
 def report_digest(command):
@@ -53,14 +58,23 @@ def report_digest(command):
     return hashlib.sha256(emit(report, build_parser().parse_args(argv).format)).hexdigest()
 
 
-@pytest.mark.parametrize("command", WORKLOADS.README_COMMANDS + [SAMPLED] + HOMEXT)
+@pytest.mark.parametrize("command", WORKLOADS.README_COMMANDS + WORKLOAD_COMMANDS)
 def test_report_bytes_match_golden_digest(command):
     assert report_digest(command) == GOLDEN[command]
+
+
+def test_every_golden_digest_is_checked():
+    assert sorted(WORKLOADS.README_COMMANDS + WORKLOAD_COMMANDS) == sorted(GOLDEN)
 
 
 def test_larger_hom_ext_report_is_pinned():
     command, digest = WALLED_33_L2
     assert report_digest(command) == digest
+
+
+@pytest.mark.parametrize("command", LARGER_INFLATION)
+def test_larger_inflation_report_is_pinned(command):
+    assert report_digest(command) == LARGER_INFLATION[command]
 
 
 def test_layer_trace_targets_resolve():
