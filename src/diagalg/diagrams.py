@@ -11,17 +11,18 @@ structural check downstream compares structure constants, not pictures, so
 nothing depends on the choice.
 
 Multiplication stacks X over Y, identifying the bottom row of X with the
-top row of Y.  Each basis diagram keeps a partner array, built on first use:
-for every vertex the other end of its edge and the label read when leaving
-it (b_k, or b_k* against the orientation).  One walk over the two partner
-arrays turns every through-path into a word of labels in traversal order and
-every closed middle loop into a word whose trace is a scalar factor.  When
-the input algebra is monomial (every b_i b_j and every b_i* is one basis
-element times a nonzero scalar, as for the base field and cyclic group
-algebras), a word reduces by integer lookups in the algebra's label table
-and a product of basis diagrams is one diagram times a scalar; field
-operations remain only for loop traces and coefficients other than 1.
-Otherwise words reduce through the structure constants and the product is a
+top row of Y.  Each basis diagram is compiled once, on first use, into flat
+per-vertex arrays: the partner of every vertex, as a middle column or a
+vertex of the product's own rows, and the letter read when leaving it (b_k,
+or b_k* against the orientation).  One walk over the two compiled diagrams
+follows every through-path and every closed middle loop and reduces its
+label as it goes, one lookup in the input algebra's label table per letter.
+When the input algebra is monomial (every b_i b_j and every b_i* is one
+basis element times a nonzero scalar, as for the base field and cyclic group
+algebras), a product of basis diagrams is one diagram times a scalar, and
+field operations remain only for loop traces and coefficients other than 1.
+Otherwise the same walk runs on a table whose labels are the words
+themselves, and the words reduce through the structure constants into a
 linear combination over the label choices.
 
 Walled diagrams (``family="walled"``, n = r + t columns, wall after column
@@ -110,6 +111,18 @@ def _expand(F, pairs, vecs, scalar=None):
             for ks, c in label_choices(F, vecs, scalar)}
 
 
+class _WordRows(dict):
+    """Rows of the word table: b_word times a letter is the longer word, coefficient 1."""
+
+    def __init__(self, codes):
+        super().__init__()
+        self.codes = codes
+
+    def __missing__(self, word):
+        row = self[word] = [(word + (code,), None) for code in self.codes]
+        return row
+
+
 class DiagramAlgebra:
     """Multiplication context for one diagram family over one input algebra."""
 
@@ -127,7 +140,13 @@ class DiagramAlgebra:
         elif kind.family != "abrauer":
             raise DiagramError(f"unknown diagram family {kind.family!r}")
         self._basis = None
-        self._partner_cache = {}
+        self._compiled = {}
+        self._words = None
+        # (walk position, seen marks) of each start: result vertices r, then
+        # middle columns c, whose loops are read from the upper factor
+        n = kind.n
+        self._starts = ([(r if r < n else 2 * n + r, 4 * n + r, 4 * n + r) for r in range(2 * n)]
+                        + [(n + c, n + c, 2 * n + c) for c in range(n)])
 
     # -- structural helpers ------------------------------------------------
 
@@ -346,94 +365,97 @@ class DiagramAlgebra:
 
     # -- multiplication ------------------------------------------------------
 
-    def _partners(self, d: Diagram):
-        """Partner array of d: (other end, letter code) of each vertex.
+    def _compile(self, d: Diagram):
+        """Flat arrays of d for the walk: (as upper factor, as lower factor, letter codes).
 
-        The letter code of vertex w is the edge label k when the edge is
-        left from its canonical end u, and dim A + k (the starred label) when
-        left from v.
+        Walk positions: vertex w of the upper factor is w, vertex w of the
+        lower factor is 2n + w.  A partner p is stored as the position the
+        walk continues from, n + p, when the edge ends in the middle row, and
+        as 4n + p when it ends at vertex p of the product's own rows.  The
+        letter code of a vertex is k when its edge is left from the canonical
+        end u, and dim A + k (the starred label) when left from v.
         """
-        got = self._partner_cache.get(d)
-        if got is None:
-            dim = self.A.dim
-            other = [0] * (2 * self.kind.n)
-            code = [0] * (2 * self.kind.n)
-            for (u, v, k) in d.edges:
-                other[u], other[v] = v, u
-                code[u], code[v] = k, dim + k
-            got = self._partner_cache[d] = (other, code)
+        n, dim = self.kind.n, self.A.dim
+        upper, lower, code = [0] * (2 * n), [0] * (2 * n), [0] * (2 * n)
+        for (u, v, k) in d.edges:
+            code[u], code[v] = k, dim + k
+            for w, p in ((u, v), (v, u)):
+                upper[w] = 4 * n + p if p < n else n + p
+                lower[w] = 4 * n + p if p >= n else n + p
+        got = self._compiled[d] = (tuple(upper), tuple(lower), tuple(code))
         return got
 
-    def _walk(self, d1: Diagram, d2: Diagram):
-        """Words of the stacked pair d1 over d2: (ends, paths, loops).
+    def _words_table(self):
+        """Label table of a non-monomial input algebra, built on first use.
 
-        ends[i] = (u, v) are the result vertices of through-path i, in
-        increasing order of its canonical end u, and paths[i] is its word
-        read from u to v; loops holds one word per closed middle loop, read
-        from its leftmost column into d1.
+        The label of a word is the word itself and every coefficient is 1,
+        so the walk hands its words to ``_expand_words``.
         """
-        n = self.kind.n
-        sides = (self._partners(d1), self._partners(d2))
-        done = [False] * (2 * n)      # result vertices already reached
-        crossed = [False] * n         # middle columns already passed
-        ends, paths, loops = [], [], []
-        for start in range(3 * n):    # result vertices, then middle columns
-            if start < 2 * n:
-                if done[start]:
-                    continue
-                side, w, stop = (0 if start < n else 1), start, -1
-            else:
-                stop = start - 2 * n
-                if crossed[stop]:
-                    continue
-                side, w = 0, n + stop
-            word = []
-            while True:
-                other, code = sides[side]
-                word.append(code[w])
-                w = other[w]
-                if (w < n) == (side == 0):     # out through the top or bottom row
-                    done[w] = True
-                    ends.append((start, w))
-                    paths.append(word)
-                    break
-                col = w - n if side == 0 else w
-                crossed[col] = True
-                if col == stop:
-                    loops.append(word)
-                    break
-                side, w = 1 - side, (col if side == 0 else n + col)
-        return ends, paths, loops
+        if self._words is None:
+            codes = range(2 * self.A.dim)
+            self._words = ([((code,), None) for code in codes], _WordRows(codes))
+        return self._words
 
-    def _reduce_generic(self, ends, paths, loops):
-        """Reduce the words through the structure constants and expand label choices."""
+    def _expand_words(self, edges, loops):
+        """Product from words: loop traces and label choices through the structure constants."""
         F, A = self.field, self.A
         scalar = F.one
         for word in loops:
             scalar = F.mul(scalar, A.trace_vec(A.word_vec(word)))
             if F.is_zero(scalar):
                 return {}
-        return _expand(F, ends, [A.word_vec(word) for word in paths], scalar)
+        return _expand(F, [(u, v) for u, v, _ in edges],
+                       [A.word_vec(word) for _, _, word in edges], scalar)
 
-    def _reduce(self, ends, paths, loops):
-        """Product from the words; integer table lookups for monomial labels."""
-        A = self.A
-        if A.label_table is None:
-            return self._reduce_generic(ends, paths, loops)
-        F = self.field
-        labels, c = A.reduce_words(loops + paths)
-        for k in labels[:len(loops)]:
-            c = A.trace[k] if c is None else F.mul(c, A.trace[k])
+    def mul_diagrams(self, d1: Diagram, d2: Diagram):
+        """Product of two basis diagrams as an element dict.
+
+        One walk over the compiled pair: every through-path from its smaller
+        result vertex, then every closed middle loop from its leftmost column
+        into d1.  Each step reduces the path's label by one table lookup,
+        b_k times the next letter; coefficients other than 1 are multiplied
+        as they appear, and loop traces at the end.
+        """
+        n = self.kind.n
+        compiled = self._compiled
+        upper, _, code1 = compiled.get(d1) or self._compile(d1)
+        _, lower, code2 = compiled.get(d2) or self._compile(d2)
+        part, code = upper + lower, code1 + code2
+        letters, products = self.A.label_table or self._words_table()
+        mul = self.field.mul
+        out = 4 * n                   # partners from here on are result vertices
+        seen = [False] * (6 * n)      # middle positions crossed, result vertices reached
+        edges, loops = [], []
+        c = None
+        for w0, mark, mark2 in self._starts:
+            if seen[mark] or seen[mark2]:
+                continue
+            w = w0
+            k, y = letters[code[w]]
+            while True:
+                if y is not None:
+                    c = y if c is None else mul(c, y)
+                x = part[w]
+                if x >= out or x == w0:
+                    break
+                seen[x] = True
+                w = x
+                k, y = products[k][code[w]]
+            if x == w0:
+                loops.append(k)
+            else:
+                seen[x] = True
+                edges.append((mark - out, x - out, k))
+        if self.A.label_table is None:
+            return self._expand_words(edges, loops)
+        F, trace = self.field, self.A.trace
+        for k in loops:
+            c = trace[k] if c is None else mul(c, trace[k])
         if c is None:
             c = F.one
         elif F.is_zero(c):
             return {}
-        edges = zip(ends, labels[len(loops):])
-        return {Diagram(tuple([(u, v, k) for (u, v), k in edges])): c}
-
-    def mul_diagrams(self, d1: Diagram, d2: Diagram):
-        """Product of two basis diagrams as an element dict."""
-        return self._reduce(*self._walk(d1, d2))
+        return {Diagram(tuple(edges)): c}
 
     def mul(self, x, y):
         F = self.field
@@ -453,10 +475,18 @@ class DiagramAlgebra:
         def flip(w):
             return w + n if w < n else w - n
 
-        flipped = sorted((flip(u), flip(v), k) if flip(u) < flip(v)
-                         else (flip(v), flip(u), dim + k) for (u, v, k) in d.edges)
-        return self._reduce([(u, v) for u, v, _ in flipped],
-                            [[code] for _, _, code in flipped], [])
+        letters, _ = self.A.label_table or self._words_table()
+        F = self.field
+        edges, c = [], None
+        for u, v, code in sorted((flip(u), flip(v), k) if flip(u) < flip(v)
+                                 else (flip(v), flip(u), dim + k) for (u, v, k) in d.edges):
+            k, y = letters[code]
+            if y is not None:
+                c = y if c is None else F.mul(c, y)
+            edges.append((u, v, k))
+        if self.A.label_table is None:
+            return self._expand_words(edges, [])
+        return {Diagram(tuple(edges)): F.one if c is None else c}
 
     def involution(self, x):
         F = self.field

@@ -104,7 +104,13 @@ def check_layer_ideal_closed(dalg: DiagramAlgebra, l: int, seed=0, table=None):
     ``table`` maps i * dim + j to the fewest horizontal edges in the support
     of b_i * b_j (n for a zero product).  Passed the same table for every l,
     the chain computes each product once; the pairs and bounds do not change.
+
+    At l = 0 the span is the whole algebra and no diagram has fewer than 0
+    horizontal edges, so no pair could be a witness: None, with no pair
+    drawn and no product computed.
     """
+    if l == 0:
+        return None
     n = dalg.kind.n
     basis = dalg.basis()
     dim = len(basis)

@@ -285,7 +285,13 @@ def _side_preserving_perms(m, wall):
 
 class _WreathContext:
     """Multiplication context whose basis keys (labels, perm) are decorated
-    permutation diagrams."""
+    permutation diagrams.
+
+    For a monomial input algebra a product is one pass over the slots: slot
+    i of (a, s)(b, t) is one label-table lookup, b_{a[i]} times b_{b[s[i]]},
+    and the permutation is composed in the same pass.  Otherwise, and for
+    the involution, ``_slot_words`` reduces one word per slot.
+    """
 
     def __init__(self, A, m, wall):
         self.A = A
@@ -316,8 +322,19 @@ class _WreathContext:
 
     def mul_diagrams(self, x, y):
         (a, s), (b, t) = x, y
-        return self._slot_words([(a[i], b[s[i]]) for i in range(self.m)],
-                                compose_perms(s, t))
+        table = self.A.label_table
+        if table is None:
+            return self._slot_words([(a[i], b[s[i]]) for i in range(self.m)],
+                                    compose_perms(s, t))
+        products, mul = table[1], self.field.mul
+        labels, perm, c = [], [], None
+        for i, j in enumerate(s):
+            k, z = products[a[i]][b[j]]
+            labels.append(k)
+            perm.append(t[j])
+            if z is not None:
+                c = z if c is None else mul(c, z)
+        return {(tuple(labels), tuple(perm)): self.field.one if c is None else c}
 
     def identity(self):
         return self._expand([self.A.unit] * self.m, identity_perm(self.m))

@@ -1,15 +1,18 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diagalg.diagrams import (Diagram, DiagramAlgebra, DiagramError, DiagramKind,
                               diagram_fin_algebra)
-from diagalg.fields import PrimeField, RationalField
+from diagalg.fields import PrimeField, RationalField, make_field
 from diagalg.input_algebra import (cyclic_group_algebra, input_algebra_from_json,
                                    trivial_input_algebra)
 from diagalg.linalg import vec_scale
 
+from diagram_oracle import oracle_product
 from test_input_algebra import SIGNED
 
 Q = RationalField()
@@ -185,14 +188,20 @@ F5 = PrimeField(5)
 ], ids=["D3-Z2-Q", "D3-Z2-F5", "D3-Z3-Q", "D3-Z3-F5", "D4-delta2", "D4-delta0", "walled22",
         "D3-signed"])
 def test_label_table_matches_generic_reduction(make):
-    """Every product by table lookups equals the reduction of its words through
-    the structure constants."""
+    """Every product by table lookups equals the independent oracle, which
+    reduces labels through the structure constants."""
     dalg = make()
     assert dalg.A.label_table is not None
+    assert_products_match_oracle(dalg)
+
+
+def assert_products_match_oracle(dalg, pairs=None):
     basis = dalg.basis()
-    for d1 in basis:
-        for d2 in basis:
-            assert dalg.mul_diagrams(d1, d2) == dalg._reduce_generic(*dalg._walk(d1, d2))
+    if pairs is None:
+        pairs = itertools.product(range(len(basis)), repeat=2)
+    for i, j in pairs:
+        d1, d2 = basis[i], basis[j]
+        assert dalg.mul_diagrams(d1, d2) == oracle_product(dalg, d1, d2), (d1, d2)
 
 
 DUAL_NUMBERS = {
@@ -204,6 +213,40 @@ DUAL_NUMBERS = {
     "involution": [["1", "0"], ["0", "1"]],
     "trace": ["3", "0"],
 }
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DiagramAlgebra(DiagramKind.abrauer(0), input_algebra_from_json(DUAL_NUMBERS, Q)),
+    lambda: DiagramAlgebra(DiagramKind.abrauer(1), input_algebra_from_json(DUAL_NUMBERS, Q)),
+    lambda: DiagramAlgebra(DiagramKind.abrauer(2), input_algebra_from_json(DUAL_NUMBERS, Q)),
+    lambda: walled(3, 0, delta="2"),
+    lambda: brauer(0, delta="2"),
+], ids=["dual-n0", "dual-n1", "dual-n2", "walled30", "D0"])
+def test_products_match_oracle_on_edge_cases(make):
+    """The non-monomial dual numbers, walled(3,0) (no horizontal edges) and
+    n = 0 (no vertices) go through the same walk."""
+    assert_products_match_oracle(make())
+
+
+FIELDS = {"q": Q, "fp:5": F5, "cyc:3": make_field("cyc:3")}
+
+
+def trace_value(spec, a, b):
+    return FIELDS[spec].parse(f"[{a},{b}]" if spec == "cyc:3" else str(a))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(spec=st.sampled_from(sorted(FIELDS)), n=st.integers(0, 3), r=st.integers(1, 3),
+       values=st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=2, max_size=2),
+       data=st.data())
+def test_products_match_oracle_for_random_cyclic_traces(spec, n, r, values, data):
+    """D_n over Z/r with *-invariant trace values, zero among the choices."""
+    deltas = [trace_value(spec, *values[min(m, r - m)]) for m in range(r)]
+    dalg = DiagramAlgebra(DiagramKind.abrauer(n),
+                          cyclic_group_algebra(FIELDS[spec], r, deltas))
+    indices = st.integers(0, dalg.dimension() - 1)
+    pairs = data.draw(st.lists(st.tuples(indices, indices), min_size=1, max_size=25))
+    assert_products_match_oracle(dalg, pairs)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])

@@ -107,31 +107,42 @@ def test_untampered_algebra_matches_oracle():
 
 
 def test_ideal_chain_multiplies_each_ordered_pair_once(monkeypatch):
+    """The chain multiplies exactly the ordered pairs its l >= 1 checks visit,
+    each once, and none at l = 0, where no pair can be a witness."""
     dalg = _build("D3_Z2")
     products = Counter()
-    in_chain = []
+    layers, multiplied_at = [], set()
     mul_diagrams = dalg.mul_diagrams
     check = inflation.check_layer_ideal_closed
 
     def counting_mul(d1, d2):
-        if in_chain:
+        if layers:
             products[d1, d2] += 1
+            multiplied_at.add(layers[-1])
         return mul_diagrams(d1, d2)
 
-    def chain_check(*args, **kwargs):
-        in_chain.append(True)
+    def chain_check(dalg, l, **kwargs):
+        layers.append(l)
         try:
-            return check(*args, **kwargs)
+            return check(dalg, l, **kwargs)
         finally:
-            in_chain.pop()
+            layers.pop()
 
     monkeypatch.setattr(dalg, "mul_diagrams", counting_mul)
     monkeypatch.setattr(inflation, "check_layer_ideal_closed", chain_check)
     assert verify_decomposition(dalg)["ok"]
-    dim = len(dalg.basis())
-    assert dim == 120   # at most 150: the chain is exhaustive
-    assert len(products) == dim * dim
+    n, basis = dalg.kind.n, dalg.basis()
+    assert len(basis) == 120   # at most 150: the chain is exhaustive
+    visited = set()
+    for l in range(1, dalg.layer_bound() + 1):
+        members = [d for d in basis if d.horizontal_count(n) >= l]
+        pairs, _, _ = index_cases((len(basis), len(members)), 150, 1000, 0)
+        visited |= {p for i, t in pairs
+                    for p in ((basis[i], members[t]), (members[t], basis[i]))}
+    assert 0 not in multiplied_at
+    assert set(products) == visited
     assert max(products.values()) == 1
+    assert len(visited) < len(basis) ** 2
 
 
 def test_verify_layer_keeps_used_once_wreath_products_out_of_the_cache():
