@@ -32,16 +32,12 @@ from .algebra_kernel import (
     free_presentation,
     hom_space,
     hom_spaces,
-    ideal_span,
-    pullback_module,
-    quotient_algebra,
     regular_module,
     submodule,
     quotient_module,
 )
 from .inflation import (
     contraction_form,
-    layer_ideal,
     rank_v,
     small_algebra,
     verify_decomposition,
@@ -53,7 +49,6 @@ from .split_pair import (
     SplitPairError,
     corner_split_datum,
     hom_ext_transfer,
-    split_quotient,
     verify_exact_split_pair,
 )
 from .specht import (

@@ -169,8 +169,8 @@ def algebra_from_mult_context(ctx, cap=2000, name=""):
     """FinAlgebra over the basis of a multiplication context.
 
     ``ctx`` provides ``field``, ``basis()`` (canonical list of hashable keys),
-    ``mul_diagrams(x, y) -> {key: scalar}``, ``identity() -> {key: scalar}``
-    and optionally ``involution_key(x)``, ``generator_elements()``.
+    ``label(key)``, ``mul_diagrams(x, y)``, ``identity()``, ``involution_key(x)``
+    (each element a dict {key: scalar}) and ``generator_elements()``.
     """
     basis = ctx.basis()
     if len(basis) > cap:
@@ -183,13 +183,9 @@ def algebra_from_mult_context(ctx, cap=2000, name=""):
     def pair_mul(i, j):
         return to_vec(ctx.mul_diagrams(basis[i], basis[j]))
 
-    invo = None
-    if hasattr(ctx, "involution_key"):
-        invo = [to_vec(ctx.involution_key(k)) for k in basis]
-    gens = None
-    if hasattr(ctx, "generator_elements"):
-        gens = [to_vec(g) for g in ctx.generator_elements()]
-    labels = [ctx.label(k) for k in basis] if hasattr(ctx, "label") else [str(k) for k in basis]
+    invo = [to_vec(ctx.involution_key(k)) for k in basis]
+    gens = [to_vec(g) for g in ctx.generator_elements()]
+    labels = [ctx.label(k) for k in basis]
     alg = FinAlgebra(ctx.field, labels, to_vec(ctx.identity()), pair_mul, invo, gens, name)
     alg.basis_keys = basis
     alg.key_index = index
@@ -303,12 +299,6 @@ class ModuleMap:
     def apply(self, v):
         return vec_times_rows(self.source.algebra.field, v, self.rows)
 
-    def compose(self, other):
-        """self then other (source -> self.target == other.source -> other.target)."""
-        F = self.source.algebra.field
-        return ModuleMap(self.source, other.target,
-                         [vec_times_rows(F, r, other.rows) for r in self.rows])
-
     def is_module_map(self):
         F = self.source.algebra.field
         alg = self.source.algebra
@@ -322,20 +312,11 @@ class ModuleMap:
         return True
 
     def image_rank(self):
-        ech = Echelon(self.source.algebra.field)
-        for r in self.rows:
-            ech.insert(r)
-        return ech.dim
+        return Echelon(self.source.algebra.field).insert_all(self.rows).dim
 
     def is_iso(self):
         return (self.source.dim == self.target.dim
                 and invert_rows(self.source.algebra.field, self.rows) is not None)
-
-    def inverse(self):
-        inv = invert_rows(self.source.algebra.field, self.rows)
-        if inv is None:
-            raise AlgebraError("map is not invertible")
-        return ModuleMap(self.target, self.source, inv)
 
 
 def _generating_vectors(alg):
@@ -609,73 +590,6 @@ def quotient_module(M, vectors, name="quot"):
     return quot, proj
 
 
-def ideal_span(alg, gen_vectors):
-    """Echelon basis of the two-sided ideal generated by the given elements."""
-    F = alg.field
-    ech = Echelon(F)
-    frontier = []
-    for g in gen_vectors:
-        if ech.insert(dict(g)) is not None:
-            frontier.append(dict(g))
-    while frontier:
-        new = []
-        for v in frontier:
-            for i in range(alg.dim):
-                b = alg.basis_vec(i)
-                for prod in (alg.mul(b, v), alg.mul(v, b)):
-                    if ech.reduce(prod):
-                        ech.insert(prod)
-                        new.append(prod)
-        frontier = new
-    return ech
-
-
-def is_two_sided_ideal(alg, ech, seed=0):
-    """Check closure of the echelon span under basis multiplication.
-
-    Exhaustive up to dimension 200, 1000 seeded (basis, row) pairs above.
-    Returns a witness (side, i, pivot) or None.
-    """
-    rows = ech.basis_rows()
-    pivs = ech.pivots()
-    pairs, _, _ = index_cases((alg.dim, len(rows)), 200, 1000, seed)
-    for i, t in pairs:
-        b = alg.basis_vec(i)
-        if not ech.contains(alg.mul(b, rows[t])):
-            return ("left", i, pivs[t])
-        if not ech.contains(alg.mul(rows[t], b)):
-            return ("right", i, pivs[t])
-    return None
-
-
-def quotient_algebra(alg, ideal_ech, name=""):
-    """Quotient by a two-sided ideal; returns (algebra, projection rows).
-
-    The quotient basis is indexed by the non-pivot coordinates of the ideal.
-    """
-    F = alg.field
-    keep = [j for j in range(alg.dim) if j not in ideal_ech.rows]
-    pos = {j: t for t, j in enumerate(keep)}
-
-    def project(v):
-        red = ideal_ech.reduce(v)
-        return {pos[j]: c for j, c in red.items()}
-
-    witness = is_two_sided_ideal(alg, ideal_ech)
-    if witness is not None:
-        raise AlgebraError(f"not a two-sided ideal: witness {witness}")
-
-    def pair_mul(i, j):
-        return project(alg.mul_basis(keep[i], keep[j]))
-
-    labels = [alg.labels[j] for j in keep]
-    quot = FinAlgebra(F, labels, project(alg.unit), pair_mul, name=name or f"{alg.name}/I")
-    if alg.generators is not None:
-        quot.generators = [project(g) for g in alg.generators]
-    proj_rows = [project({i: F.one}) for i in range(alg.dim)]
-    return quot, proj_rows
-
-
 @dataclass
 class Corner:
     """Corner algebra e*A*e of an idempotent, with its basis inside A."""
@@ -774,13 +688,3 @@ def check_algebra_map(source, target, rows, seed=0):
         if lhs != rhs:
             return ("mult", i, j)
     return None
-
-
-def pullback_module(M, q_rows, C, check=True):
-    """View a right module over B as a module over C along a surjection q: C -> B."""
-    if check:
-        witness = check_algebra_map(C, M.algebra, q_rows)
-        if witness is not None:
-            raise AlgebraError(f"q is not an algebra map: witness {witness}")
-    action = [M.action_rows(q_rows[i]) for i in range(C.dim)]
-    return RightModule(C, M.dim, action, name=f"{M.name}|q")

@@ -241,7 +241,7 @@ def cmd_verify_split_pair(args, field):
     if args.delta_zero_mode and not field.is_zero(field.parse(args.delta)):
         raise CliError("--delta-zero-mode requires --delta 0")
     big = diagram_fin_algebra(dalg, cap=args.cap)
-    datum = corner_split_datum(dalg, big, args.l, cap=args.cap)
+    datum = corner_split_datum(dalg, big, args.l)
     samples = default_sample_modules(datum.W)
     small_seqs = [presentation_sequence(wreath_trivial_module(datum.W)),
                   split_control_sequence(wreath_trivial_module(datum.W),
@@ -260,7 +260,7 @@ def cmd_verify_split_pair(args, field):
 def cmd_hom_ext(args, field):
     dalg, params = make_context(args, field)
     big = diagram_fin_algebra(dalg, cap=args.cap)
-    datum = corner_split_datum(dalg, big, args.l, cap=args.cap)
+    datum = corner_split_datum(dalg, big, args.l)
     if dalg.kind.family == "walled":
         rows = dominance_vanishing_experiment(datum)
         pairs = [{k: row[k] for k in ("lambda", "mu", "lambda'", "mu'",
@@ -285,7 +285,7 @@ def cmd_dominance_table(args, field):
     A = trivial_input_algebra(field, field.parse(args.delta))
     dalg = DiagramAlgebra(DiagramKind.walled(args.r, args.t), A)
     big = diagram_fin_algebra(dalg, cap=args.cap)
-    datum = corner_split_datum(dalg, big, args.l, cap=args.cap)
+    datum = corner_split_datum(dalg, big, args.l)
     rows = dominance_vanishing_experiment(datum)
     ok = all(row["transferOK"] and not row["violation"] for row in rows)
     return {
@@ -309,17 +309,18 @@ def cmd_validate_input_algebra(args, field):
 
 
 def emit(report, fmt: str) -> bytes:
-    """Deterministic serialization; identical reports give identical bytes."""
+    """Deterministic serialization; identical reports give identical bytes.
+
+    CSV writes the rows of a dominance table, the one report ``run`` allows
+    it for.
+    """
     if fmt == "json":
         return (json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n").encode()
     buf = io.StringIO()
-    rows = report.get("rows")
-    if rows is None:
-        raise CliError("csv format is only available for table reports")
     writer = csv.DictWriter(buf, fieldnames=DOMINANCE_HEADER, extrasaction="ignore",
                             lineterminator="\n")
     writer.writeheader()
-    for row in rows:
+    for row in report["rows"]:
         writer.writerow(row)
     return buf.getvalue().encode()
 
@@ -360,6 +361,8 @@ COMMANDS = {
 def run(argv):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.format == "csv" and (args.replay or args.command != "dominance-table"):
+        raise CliError("csv format is only available for table reports")
     if args.replay:
         return run_replay(args.replay)
     if not args.command:
@@ -379,15 +382,15 @@ def main(argv=None) -> int:
             print(f"warning: raising the dimension cap to {probe.cap} "
                   "leaves the desk-scale envelope", file=sys.stderr)
         report, code = run(argv)
+        payload = emit(report, probe.format)
+        if probe.out:
+            with open(probe.out, "wb") as fh:
+                fh.write(payload)
     except (FieldError, DiagramError, AlgebraError, InputAlgebraError,
             SplitPairError, SpechtError, CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    payload = emit(report, probe.format)
-    if probe.out:
-        with open(probe.out, "wb") as fh:
-            fh.write(payload)
-    else:
+    if not probe.out:
         sys.stdout.buffer.write(payload)
     print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
     return code

@@ -16,14 +16,13 @@ per-vertex arrays: the partner of every vertex, as a middle column or a
 vertex of the product's own rows, and the letter read when leaving it (b_k,
 or b_k* against the orientation).  One walk over the two compiled diagrams
 follows every through-path and every closed middle loop and reduces its
-label as it goes, one lookup in the input algebra's label table per letter.
-When the input algebra is monomial (every b_i b_j and every b_i* is one
-basis element times a nonzero scalar, as for the base field and cyclic group
-algebras), a product of basis diagrams is one diagram times a scalar, and
-field operations remain only for loop traces and coefficients other than 1.
-Otherwise the same walk runs on a table whose labels are the words
-themselves, and the words reduce through the structure constants into a
-linear combination over the label choices.
+label as it goes, one lookup in the input algebra's ``walk_table`` per
+letter.  When the input algebra is monomial (every b_i b_j and every b_i* is
+one basis element times a nonzero scalar, as for the base field and cyclic
+group algebras), a product of basis diagrams is one diagram times a scalar,
+and field operations remain only for loop traces and coefficients other
+than 1.  Otherwise the walk collects words, and ``InputAlgebra.expand_words``
+reduces them into a linear combination over the label choices.
 
 Walled diagrams (``family="walled"``, n = r + t columns, wall after column
 r): horizontal edges must cross the wall, vertical edges must not, and the
@@ -105,22 +104,10 @@ def _inv_power(F, delta, l):
     return scale
 
 
-def _expand(F, pairs, vecs, scalar=None):
-    """Sum over label choices: edge pairs[i] takes each basis label of vecs[i]."""
+def _expand(pairs, choices):
+    """Element of label choices (labels, c): edge pairs[i] takes labels[i]."""
     return {Diagram(tuple(sorted((u, v, k) for (u, v), k in zip(pairs, ks)))): c
-            for ks, c in label_choices(F, vecs, scalar)}
-
-
-class _WordRows(dict):
-    """Rows of the word table: b_word times a letter is the longer word, coefficient 1."""
-
-    def __init__(self, codes):
-        super().__init__()
-        self.codes = codes
-
-    def __missing__(self, word):
-        row = self[word] = [(word + (code,), None) for code in self.codes]
-        return row
+            for ks, c in choices}
 
 
 class DiagramAlgebra:
@@ -141,7 +128,6 @@ class DiagramAlgebra:
             raise DiagramError(f"unknown diagram family {kind.family!r}")
         self._basis = None
         self._compiled = {}
-        self._words = None
         # (walk position, seen marks) of each start: result vertices r, then
         # middle columns c, whose loops are read from the upper factor
         n = kind.n
@@ -232,7 +218,8 @@ class DiagramAlgebra:
     def decorated_perm_diagram(self, perm, label_vecs):
         """Element with strand i -> perm(i), slot i labeled by label_vecs[i]."""
         n = self.kind.n
-        return _expand(self.field, [(i, n + perm[i]) for i in range(n)], label_vecs)
+        return _expand([(i, n + perm[i]) for i in range(n)],
+                       label_choices(self.field, label_vecs))
 
     def swap(self, i):
         """Generator crossing columns i, i+1 (1-based i, 1 <= i <= n-1)."""
@@ -292,7 +279,7 @@ class DiagramAlgebra:
             parts.append((n + u, n + v))
         for u, v in zip(top_free, bot_free):
             parts.append((u, n + v))
-        out = _expand(self.field, parts, [self.A.unit] * len(parts))
+        out = _expand(parts, label_choices(self.field, [self.A.unit] * len(parts)))
         for d in out:
             self.check_diagram(d)
         return out
@@ -385,27 +372,10 @@ class DiagramAlgebra:
         got = self._compiled[d] = (tuple(upper), tuple(lower), tuple(code))
         return got
 
-    def _words_table(self):
-        """Label table of a non-monomial input algebra, built on first use.
-
-        The label of a word is the word itself and every coefficient is 1,
-        so the walk hands its words to ``_expand_words``.
-        """
-        if self._words is None:
-            codes = range(2 * self.A.dim)
-            self._words = ([((code,), None) for code in codes], _WordRows(codes))
-        return self._words
-
-    def _expand_words(self, edges, loops):
-        """Product from words: loop traces and label choices through the structure constants."""
-        F, A = self.field, self.A
-        scalar = F.one
-        for word in loops:
-            scalar = F.mul(scalar, A.trace_vec(A.word_vec(word)))
-            if F.is_zero(scalar):
-                return {}
-        return _expand(F, [(u, v) for u, v, _ in edges],
-                       [A.word_vec(word) for _, _, word in edges], scalar)
+    def _from_words(self, edges, loops=()):
+        """Element of edges (u, v, word) and loop words of the walk table."""
+        return _expand([(u, v) for u, v, _ in edges],
+                       self.A.expand_words([w for _, _, w in edges], loops))
 
     def mul_diagrams(self, d1: Diagram, d2: Diagram):
         """Product of two basis diagrams as an element dict.
@@ -421,7 +391,7 @@ class DiagramAlgebra:
         upper, _, code1 = compiled.get(d1) or self._compile(d1)
         _, lower, code2 = compiled.get(d2) or self._compile(d2)
         part, code = upper + lower, code1 + code2
-        letters, products = self.A.label_table or self._words_table()
+        letters, products = self.A.walk_table
         mul = self.field.mul
         out = 4 * n                   # partners from here on are result vertices
         seen = [False] * (6 * n)      # middle positions crossed, result vertices reached
@@ -447,7 +417,7 @@ class DiagramAlgebra:
                 seen[x] = True
                 edges.append((mark - out, x - out, k))
         if self.A.label_table is None:
-            return self._expand_words(edges, loops)
+            return self._from_words(edges, loops)
         F, trace = self.field, self.A.trace
         for k in loops:
             c = trace[k] if c is None else mul(c, trace[k])
@@ -475,7 +445,7 @@ class DiagramAlgebra:
         def flip(w):
             return w + n if w < n else w - n
 
-        letters, _ = self.A.label_table or self._words_table()
+        letters = self.A.walk_table[0]
         F = self.field
         edges, c = [], None
         for u, v, code in sorted((flip(u), flip(v), k) if flip(u) < flip(v)
@@ -485,7 +455,7 @@ class DiagramAlgebra:
                 c = y if c is None else F.mul(c, y)
             edges.append((u, v, k))
         if self.A.label_table is None:
-            return self._expand_words(edges, [])
+            return self._from_words(edges)
         return {Diagram(tuple(edges)): F.one if c is None else c}
 
     def involution(self, x):

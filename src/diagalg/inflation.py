@@ -35,7 +35,7 @@ from dataclasses import dataclass, field as dc_field
 from .algebra_kernel import FinAlgebra, index_cases
 from .diagrams import DiagramAlgebra
 from .input_algebra import wreath_product
-from .linalg import Echelon, entry_iadd, vec_iadd
+from .linalg import entry_iadd, vec_iadd
 
 
 def small_algebra(dalg: DiagramAlgebra, l: int) -> FinAlgebra:
@@ -82,15 +82,6 @@ def layer_ideal_indices(dalg: DiagramAlgebra, big: FinAlgebra, l: int):
     """Coordinates of the basis diagrams with at least l horizontal edges."""
     n = dalg.kind.n
     return [i for i, d in enumerate(big.basis_keys) if d.horizontal_count(n) >= l]
-
-
-def layer_ideal(dalg: DiagramAlgebra, big: FinAlgebra, l: int) -> Echelon:
-    if not 0 <= l <= dalg.layer_bound():
-        raise ValueError(f"layer {l} out of range")
-    ech = Echelon(big.field)
-    for i in layer_ideal_indices(dalg, big, l):
-        ech.insert(big.basis_vec(i))
-    return ech
 
 
 def check_layer_ideal_closed(dalg: DiagramAlgebra, l: int, seed=0, table=None):

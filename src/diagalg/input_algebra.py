@@ -28,11 +28,31 @@ class InputAlgebraError(ValueError):
     pass
 
 
+class _WordRows(dict):
+    """Rows of the word table: a word times a letter is the longer word, with
+    coefficient 1.  A basis index i, as a wreath slot label, is the word (i,)."""
+
+    def __init__(self, codes):
+        super().__init__()
+        self.codes = codes
+
+    def __missing__(self, key):
+        word = key if isinstance(key, tuple) else (key,)
+        row = self[key] = [(word + (code,), None) for code in self.codes]
+        return row
+
+
 class InputAlgebra(FinAlgebra):
     """FinAlgebra with a trace, given by structure constants.
 
     ``mul_basis`` reads ``structconsts`` on every call, bypassing the
     kernel's product cache.
+
+    Diagram and wreath products reduce their labels by walking
+    ``walk_table``, laid out as ``label_table`` is.  For a monomial basis it
+    is ``label_table``.  Otherwise ``label_table`` is None and the walk table
+    keeps every word as its own label, with coefficient 1, and
+    ``expand_words`` reduces the words through the structure constants.
     """
 
     def __init__(self, field, basis_labels, unit, structconsts, involution_rows, trace):
@@ -41,6 +61,9 @@ class InputAlgebra(FinAlgebra):
         self.structconsts = structconsts  # (i, j) -> sparse coefficient dict
         self.trace = list(trace)
         self.label_table = self._monomial_label_table()
+        codes = range(2 * self.dim)
+        self.walk_table = self.label_table or ([((code,), None) for code in codes],
+                                               _WordRows(codes))
 
     def _monomial_label_table(self):
         """Integer tables for a monomial basis, or None.
@@ -67,36 +90,26 @@ class InputAlgebra(FinAlgebra):
             return None
         return letters, products
 
-    def reduce_words(self, words):
-        """Monomial table path: (labels, c) for a list of words.
-
-        Each word (letter codes, read left to right) reduces to one basis
-        label; c is the product of the word coefficients, None when it is 1.
-        """
-        letters, products = self.label_table
-        mul = self.field.mul
-        labels = []
-        c = None
-        for word in words:
-            it = iter(word)
-            k, x = letters[next(it)]
-            for code in it:
-                k, y = products[k][code]
-                if y is not None:
-                    x = y if x is None else mul(x, y)
-            if x is not None:
-                c = x if c is None else mul(c, x)
-            labels.append(k)
-        return labels, c
-
     def word_vec(self, word):
-        """Generic path: the product of a word of letter codes as a vector."""
+        """The product of a word of letter codes as a vector."""
         acc = None
         for code in word:
             lab = (self.basis_vec(code) if code < self.dim
                    else self.involution_rows[code - self.dim])
             acc = lab if acc is None else self.mul(acc, lab)
         return acc
+
+    def expand_words(self, words, loops=()):
+        """(labels, c) for each choice of one basis label from the product of
+        every word, c the product of the chosen coefficients and of the
+        traces of the loop words; zero terms are dropped."""
+        F = self.field
+        scalar = F.one
+        for word in loops:
+            scalar = F.mul(scalar, self.trace_vec(self.word_vec(word)))
+            if F.is_zero(scalar):
+                return []
+        return label_choices(F, [self.word_vec(w) for w in words], scalar)
 
     def mul_basis(self, i, j):
         return self.structconsts.get((i, j), {})
@@ -244,10 +257,6 @@ def label_choices(F, vecs, scalar=None):
 
 # -- permutations, composed left to right: (s t)(i) = t(s(i)) --
 
-def compose_perms(s, t):
-    return tuple(t[s[i]] for i in range(len(s)))
-
-
 def invert_perm(s):
     out = [0] * len(s)
     for i, v in enumerate(s):
@@ -287,10 +296,10 @@ class _WreathContext:
     """Multiplication context whose basis keys (labels, perm) are decorated
     permutation diagrams.
 
-    For a monomial input algebra a product is one pass over the slots: slot
-    i of (a, s)(b, t) is one label-table lookup, b_{a[i]} times b_{b[s[i]]},
-    and the permutation is composed in the same pass.  Otherwise, and for
-    the involution, ``_slot_words`` reduces one word per slot.
+    A product is one pass over the slots: slot i of (a, s)(b, t) is one
+    lookup in the input algebra's walk table, b_{a[i]} times b_{b[s[i]]},
+    and the permutation is composed in the same pass.  The involution reads
+    the starred letter of each slot from the same table.
     """
 
     def __init__(self, A, m, wall):
@@ -312,21 +321,15 @@ class _WreathContext:
     def _expand(self, slot_vectors, perm):
         return {(lab, perm): c for lab, c in label_choices(self.field, slot_vectors)}
 
-    def _slot_words(self, words, perm):
-        """Element whose slot i carries the product of the letter codes words[i]."""
-        A = self.A
-        if A.label_table is None:
-            return self._expand([A.word_vec(w) for w in words], perm)
-        labels, c = A.reduce_words(words)
+    def _element(self, labels, perm, c):
+        """The element of slot labels read from the walk table, coefficient c."""
+        if self.A.label_table is None:
+            return {(lab, perm): x for lab, x in self.A.expand_words(labels)}
         return {(tuple(labels), perm): self.field.one if c is None else c}
 
     def mul_diagrams(self, x, y):
         (a, s), (b, t) = x, y
-        table = self.A.label_table
-        if table is None:
-            return self._slot_words([(a[i], b[s[i]]) for i in range(self.m)],
-                                    compose_perms(s, t))
-        products, mul = table[1], self.field.mul
+        products, mul = self.A.walk_table[1], self.field.mul
         labels, perm, c = [], [], None
         for i, j in enumerate(s):
             k, z = products[a[i]][b[j]]
@@ -334,7 +337,7 @@ class _WreathContext:
             perm.append(t[j])
             if z is not None:
                 c = z if c is None else mul(c, z)
-        return {(tuple(labels), tuple(perm)): self.field.one if c is None else c}
+        return self._element(labels, tuple(perm), c)
 
     def identity(self):
         return self._expand([self.A.unit] * self.m, identity_perm(self.m))
@@ -342,7 +345,14 @@ class _WreathContext:
     def involution_key(self, key):
         a, s = key
         sinv = invert_perm(s)
-        return self._slot_words([(self.A.dim + a[sinv[j]],) for j in range(self.m)], sinv)
+        letters, mul, dim = self.A.walk_table[0], self.field.mul, self.A.dim
+        labels, c = [], None
+        for j in sinv:
+            k, y = letters[dim + a[j]]
+            labels.append(k)
+            if y is not None:
+                c = y if c is None else mul(c, y)
+        return self._element(labels, sinv, c)
 
     def decorated_perm_element(self, perm, label_vecs=None):
         vecs = label_vecs if label_vecs is not None else [self.A.unit] * self.m

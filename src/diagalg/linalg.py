@@ -273,9 +273,3 @@ def invert_rows(F, rows):
         inv.append({j - n: c for j, c in row.items() if j >= n})
     return inv
 
-
-def rank(F, rows):
-    ech = Echelon(F)
-    for r in rows:
-        ech.insert(r)
-    return ech.dim

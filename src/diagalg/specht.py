@@ -250,7 +250,7 @@ def walled_cell_labels(r, t, l):
     return [(lam, mu) for lam in partitions(r - l) for mu in partitions(t - l)]
 
 
-def dominance_vanishing_experiment(datum, with_ext=True, max_size=5):
+def dominance_vanishing_experiment(datum):
     """Hom and first-extension dimensions between all induced Specht pairs of
     one layer, against the componentwise dominance prediction.
 
@@ -264,8 +264,7 @@ def dominance_vanishing_experiment(datum, with_ext=True, max_size=5):
     p = F.characteristic()
     if p == 2:
         raise SpechtError("dominance tables exclude characteristic 2")
-    if p == 3:
-        with_ext = False
+    with_ext = p != 3
     kind = datum.dalg.kind
     if kind.family != "walled":
         raise SpechtError("the dominance experiment is a walled-family computation")
@@ -274,8 +273,7 @@ def dominance_vanishing_experiment(datum, with_ext=True, max_size=5):
     Wa = wreath_product(trivial_input_algebra(F, F.one), r - l)
     Wb = wreath_product(trivial_input_algebra(F, F.one), t - l)
     labels = walled_cell_labels(r, t, l)
-    modules = [outer_product(specht_module(lam, W=Wa, max_size=max_size),
-                             specht_module(mu, W=Wb, max_size=max_size), datum.W)
+    modules = [outer_product(specht_module(lam, W=Wa), specht_module(mu, W=Wb), datum.W)
                for lam, mu in labels]
     inductions = [datum.induce(M) for M in modules]
 

@@ -7,7 +7,9 @@ For a diagram algebra D with layer idempotent e at depth l:
   strands through the cup block);
 * reading the exactly-l part of a corner element as a decorated permutation
   of the free strands gives a surjection ``alpha`` onto the wreath algebra W
-  of the layer, split by the embedding of W through the corner isomorphism;
+  of the layer, split by the embedding of W through the corner isomorphism.
+  At l = 0 the idempotent is the identity, so alpha is the split quotient of
+  D itself onto W, and its kernel is the first layer ideal J_1;
 * the transfer bimodule is S = W (x)_{corner} e*D, realized here as the
   quotient of e*D by ker(alpha)*e*D; it is left-free over W with one basis
   class for every bottom configuration, and S*e is isomorphic to W as a
@@ -38,17 +40,17 @@ from .algebra_kernel import (
     free_presentation,
     hom_space,
     hom_spaces,
-    index_cases,
     quotient_module,
     regular_module,
     stable_action,
 )
-from .diagrams import Diagram, DiagramAlgebra
+from .diagrams import Diagram, DiagramAlgebra, DiagramKind, diagram_fin_algebra
 from .inflation import layer_ideal_indices, rank_v, small_algebra
 from .linalg import (
     CoordSolver,
     Echelon,
     entry_iadd,
+    identity_rows,
     invert_rows,
     kernel_basis,
     mat_mul,
@@ -63,85 +65,11 @@ class SplitPairError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# split quotient onto the wreath algebra (kill every diagram with a cup)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SplitQuotientDatum:
-    dalg: DiagramAlgebra
-    big: FinAlgebra
-    small: FinAlgebra
-    proj_rows: list
-    embed_rows: list
-    kernel_indices: list
-
-    def verify(self, seed=0) -> dict:
-        big, W = self.big, self.small
-        F = big.field
-        failures = []
-
-        for w in range(W.dim):
-            if vec_times_rows(F, self.embed_rows[w], self.proj_rows) != W.basis_vec(w):
-                failures.append({"check": "proj_after_embed", "basis": w})
-                break
-
-        if check_algebra_map(W, big, self.embed_rows) is not None:
-            failures.append({"check": "embed_is_algebra_map"})
-
-        pairs, pairs_checked, _ = index_cases((big.dim, big.dim), 200, 1000, seed)
-        for i, j in pairs:
-            lhs = vec_times_rows(F, big.mul_basis(i, j), self.proj_rows)
-            rhs = W.mul(vec_times_rows(F, big.basis_vec(i), self.proj_rows),
-                        vec_times_rows(F, big.basis_vec(j), self.proj_rows))
-            if lhs != rhs:
-                failures.append({"check": "proj_multiplicative", "pair": [i, j]})
-                break
-        if vec_times_rows(F, big.unit, self.proj_rows) != W.unit:
-            failures.append({"check": "proj_unital"})
-
-        ker_ok = all(not vec_times_rows(F, big.basis_vec(i), self.proj_rows)
-                     for i in self.kernel_indices)
-        rank = Echelon(F).insert_all(self.proj_rows).dim
-        if not (ker_ok and rank == W.dim
-                and big.dim - W.dim == len(self.kernel_indices)):
-            failures.append({"check": "kernel_is_first_layer",
-                             "rank": rank, "kernel": len(self.kernel_indices)})
-
-        return {"smallDim": W.dim, "bigDim": big.dim,
-                "kernelDim": len(self.kernel_indices),
-                "pairsChecked": pairs_checked, "failures": failures,
-                "ok": not failures}
-
-
-def split_quotient(dalg: DiagramAlgebra, big: FinAlgebra, W=None) -> SplitQuotientDatum:
-    if W is None:
-        W = small_algebra(dalg, 0)
-    n = dalg.kind.n
-    F = big.field
-    proj_rows = []
-    for d in big.basis_keys:
-        if d.horizontal_count(n) > 0:
-            proj_rows.append({})
-        else:
-            _, _, key = dalg.layer_factorize(d)
-            proj_rows.append({W.key_index[key]: F.one})
-    embed_rows = []
-    empty = dalg.enumerate_partials(0)[0]
-    for key in W.basis_keys:
-        d = dalg.layer_assemble_key(empty, empty, key)
-        embed_rows.append({big.key_index[d]: F.one})
-    kernel = layer_ideal_indices(dalg, big, 1)
-    return SplitQuotientDatum(dalg, big, W, proj_rows, embed_rows, kernel)
-
-
-# ---------------------------------------------------------------------------
 # corner split quotient at depth l
 # ---------------------------------------------------------------------------
 
 class CornerSplitDatum:
-    def __init__(self, dalg: DiagramAlgebra, big: FinAlgebra, l: int, cap=2000):
-        from .diagrams import diagram_fin_algebra  # local: avoids import cycle at module load
-
+    def __init__(self, dalg: DiagramAlgebra, big: FinAlgebra, l: int):
         self.dalg = dalg
         self.big = big
         self.layer = l
@@ -161,7 +89,8 @@ class CornerSplitDatum:
         # corner and the smaller diagram algebra
         self.corner = corner_algebra(big, self.idem_vec, name=f"corner(l={l})")
         self.small_dalg = self._small_diagram_algebra()
-        self.small_big = diagram_fin_algebra(self.small_dalg, cap=cap)
+        # never larger than big, which the caller has already capped
+        self.small_big = diagram_fin_algebra(self.small_dalg, cap=big.dim)
         self.W = small_algebra(dalg, l)
         self.n_l = rank_v(dalg, l)
 
@@ -179,9 +108,7 @@ class CornerSplitDatum:
     def _small_diagram_algebra(self):
         kind = self.dalg.kind
         if kind.family == "abrauer":
-            from .diagrams import DiagramKind
             return DiagramAlgebra(DiagramKind.abrauer(kind.n - 2 * self.layer), self.dalg.A)
-        from .diagrams import DiagramKind
         r = kind.wall
         t = kind.n - r
         return DiagramAlgebra(DiagramKind.walled(r - self.layer, t - self.layer), self.dalg.A)
@@ -275,14 +202,13 @@ class CornerSplitDatum:
         self.section_rows = []
         for key in self.W.basis_keys:
             d = self.small_dalg.layer_assemble_key(empty, empty, key)
-            mu = self.mu_rows[small_index[d]]
-            coords = self.corner.ech.coords(mu)
-            assert coords is not None
-            self.section_rows.append(coords)
+            self.section_rows.append(self._corner_coords(self.mu_rows[small_index[d]]))
         self.section_big = [vec_times_rows(F, row, self.corner.rows)
                             for row in self.section_rows]
 
     def verify_alpha(self) -> dict:
+        """alpha is a split surjective algebra map; at l = 0 its kernel is
+        also the first layer ideal J_1, which the transfer bimodule assumes."""
         F = self.field
         failures = []
         witness = check_algebra_map(self.corner.algebra, self.W, self.alpha_rows)
@@ -297,6 +223,14 @@ class CornerSplitDatum:
                 break
         if check_algebra_map(self.W, self.corner.algebra, self.section_rows) is not None:
             failures.append({"check": "section_algebra_map"})
+        if self.layer == 0:
+            ideal = layer_ideal_indices(self.dalg, self.big, 1)
+            killed = all(not vec_times_rows(F, self._corner_coords(self.big.basis_vec(i)),
+                                            self.alpha_rows)
+                         for i in ideal)
+            if not (killed and self.corner.algebra.dim - self.W.dim == len(ideal)):
+                failures.append({"check": "kernel_is_first_layer",
+                                 "rank": rank, "kernel": len(ideal)})
         return {"ok": not failures, "failures": failures,
                 "kernelDim": self.corner.algebra.dim - self.W.dim}
 
@@ -413,31 +347,36 @@ class CornerSplitDatum:
             img.insert(self._to_S(self.big.mul(self.eD_rows[self.S_keep[s]], self.idem_vec)))
         self.Se_ech = img
         self.Se_rows = img.basis_rows()
+        self.theta_rows = [self.theta(r) for r in self.Se_rows]
+        # None when S*e is not isomorphic to W through theta
+        self.theta_inv = (invert_rows(F, self.theta_rows)
+                          if len(self.Se_rows) == self.W.dim else None)
+
+    def _corner_coords(self, big_vec):
+        coords = self.corner.ech.coords(big_vec)
+        assert coords is not None, "vector outside the corner"
+        return coords
 
     def theta(self, s_vec):
         """alpha(lift(s) * e): the right-module map S -> W, bijective on S*e."""
         lifted = self.big.mul(self._lift_S(s_vec), self.idem_vec)
-        coords = self.corner.ech.coords(lifted)
-        assert coords is not None
-        return vec_times_rows(self.field, coords, self.alpha_rows)
+        return vec_times_rows(self.field, self._corner_coords(lifted), self.alpha_rows)
 
     def verify_transfer_bimodule(self) -> dict:
         """Left-freeness of rank rank(V) and S*e = W (explicit isomorphisms)."""
-        F = self.field
         failures = []
         expected = self.n_l * self.W.dim
         if self.S_dim != expected:
             failures.append({"check": "S_dim", "got": self.S_dim, "expected": expected})
         if not self.left_free:
             failures.append({"check": "left_free"})
-        theta_rows = [self.theta(r) for r in self.Se_rows]
-        if len(self.Se_rows) != self.W.dim or invert_rows(F, theta_rows) is None:
+        if self.theta_inv is None:
             failures.append({"check": "Se_iso_rank", "dim": len(self.Se_rows)})
         else:
             for t, row in enumerate(self.Se_rows):
                 for w in range(self.W.dim):
                     lhs = self.theta(self._S_right_act_elt(row, self.section_big[w]))
-                    rhs = self.W.mul(theta_rows[t], self.W.basis_vec(w))
+                    rhs = self.W.mul(self.theta_rows[t], self.W.basis_vec(w))
                     if lhs != rhs:
                         failures.append({"check": "Se_iso_module_map", "at": [t, w]})
                         break
@@ -532,11 +471,9 @@ class CornerSplitDatum:
         F = self.field
         ind = ind or self.induce(M)
         res = res or self.restrict(ind)
-        theta_rows = [self.theta(r) for r in self.Se_rows]
-        inv = invert_rows(F, theta_rows)
-        if inv is None:
+        if self.theta_inv is None:
             raise SplitPairError("S*e is not isomorphic to the wreath algebra")
-        unit_coords = vec_times_rows(F, self.W.unit, inv)
+        unit_coords = vec_times_rows(F, self.W.unit, self.theta_inv)
         s0 = vec_times_rows(F, unit_coords, self.Se_rows)
         slots = self._left_coords(s0)
         rows = [res.subspace_coords(ind.act(self._ind_row(M, i, slots), self.idem_vec))
@@ -544,8 +481,8 @@ class CornerSplitDatum:
         return ModuleMap(M, res, rows), ind, res
 
 
-def corner_split_datum(dalg: DiagramAlgebra, big: FinAlgebra, l: int, cap=2000):
-    return CornerSplitDatum(dalg, big, l, cap=cap)
+def corner_split_datum(dalg: DiagramAlgebra, big: FinAlgebra, l: int):
+    return CornerSplitDatum(dalg, big, l)
 
 
 # ---------------------------------------------------------------------------
@@ -586,21 +523,11 @@ class ShortExactSequence:
         F = self.mid.algebra.field
         if self.quot.dim == 0:
             return True
-        homs = hom_space(self.quot, self.mid)
+        q = self.quot.dim
         ech = Echelon(F)
-        target = {}
-        for i in range(self.quot.dim):
-            for j in range(self.quot.dim):
-                if i == j:
-                    target[i * self.quot.dim + j] = F.one
-        for h in homs:
-            comp = mat_mul(F, h.rows, self.proj.rows)
-            flat = {}
-            for i, r in enumerate(comp):
-                for j, c in r.items():
-                    flat[i * self.quot.dim + j] = c
-            ech.insert(flat)
-        return ech.contains(target)
+        for h in hom_space(self.quot, self.mid):
+            ech.insert(_flatten_rows(mat_mul(F, h.rows, self.proj.rows), q))
+        return ech.contains(_flatten_rows(identity_rows(F, q), q))
 
 
 def presentation_sequence(M) -> ShortExactSequence:
@@ -735,21 +662,23 @@ def wreath_sign_module(W):
                             name="sign")
 
 
-def default_sample_modules(W, minimum=4):
-    """Regular module plus small distinguished modules, padded with sums."""
-    mods = [regular_module(W), wreath_trivial_module(W), wreath_sign_module(W)]
-    mods.append(direct_sum(mods[1], mods[2]))
-    while len(mods) < minimum + 1:
-        mods.append(direct_sum(mods[-1], mods[1]))
-    return mods
+def default_sample_modules(W):
+    """Regular, trivial and sign modules, trivial+sign and trivial+sign+trivial."""
+    triv, sign = wreath_trivial_module(W), wreath_sign_module(W)
+    both = direct_sum(triv, sign)
+    return [regular_module(W), triv, sign, both, direct_sum(both, triv)]
 
 
 # ---------------------------------------------------------------------------
 # full verification reports
 # ---------------------------------------------------------------------------
 
+# largest dim(quotient) * dim(middle) whose splitting a report certifies
+SPLIT_LIMIT = 4000
+
+
 def verify_exact_split_pair(datum, samples=None, small_sequences=None,
-                            big_sequences=None, seed=0, split_limit=4000) -> dict:
+                            big_sequences=None, seed=0) -> dict:
     """Everything the split pair promises, on explicit witnesses.
 
     Checks the corner isomorphism, the split surjection alpha, freeness of
@@ -796,7 +725,7 @@ def verify_exact_split_pair(datum, samples=None, small_sequences=None,
     report["naturality"] = _check_naturality(datum, etas)
 
     def split_status(seq):
-        if seq.quot.dim * seq.mid.dim > split_limit:
+        if seq.quot.dim * seq.mid.dim > SPLIT_LIMIT:
             return None   # too large to certify; exactness is still checked
         return seq.is_split()
 

@@ -12,7 +12,6 @@ from diagalg.split_pair import (
     default_sample_modules,
     presentation_sequence,
     split_control_sequence,
-    split_quotient,
     verify_exact_split_pair,
     wreath_sign_module,
     wreath_trivial_module,
@@ -112,9 +111,7 @@ def test_criterion_03_split_quotient(cache):
     ok = True
     for family, params, delta, deltas in SPLIT_QUOTIENT_CONFIGS:
         fam = "abrauer" if family == "cyclotomic" else family
-        dalg = cache.dalg(fam, params, delta=delta or "1", deltas=deltas)
-        big = cache.big(fam, params, delta=delta or "1", deltas=deltas)
-        rep = split_quotient(dalg, big).verify()
+        rep = cache.datum(fam, params, 0, delta=delta or "1", deltas=deltas).verify_alpha()
         ok = ok and rep["ok"]
     report(3, "split quotient onto the wreath algebra (pi o eps = id, ker pi = J1)", ok)
 
@@ -249,14 +246,13 @@ def test_criterion_09_delta_zero(cache):
     for family, params, layers in (("abrauer", 3, (0, 1)), ("walled", (2, 1), (0, 1))):
         dalg = cache.dalg(family, params, delta="0", field="fp:5")
         big = cache.big(family, params, delta="0", field="fp:5")
-        ok = ok and split_quotient(dalg, big).verify()["ok"]            # criterion 3
         for l in layers:
             datum = cache.datum(family, params, l, delta="0", field="fp:5")
             if l == 0:
                 ok = ok and datum.corner.algebra.dim == datum.big.dim   # criterion 4
             else:
                 ok = ok and datum.verify_corner_iso()["ok"]
-            ok = ok and datum.verify_alpha()["ok"]                       # criterion 5
+            ok = ok and datum.verify_alpha()["ok"]                       # criteria 3, 5
             ok = ok and datum.verify_transfer_bimodule()["ok"]
             W = datum.W
             rep = verify_exact_split_pair(                               # criterion 6

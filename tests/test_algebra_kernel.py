@@ -12,10 +12,6 @@ from diagalg.algebra_kernel import (
     free_presentation,
     generated_subalgebra_dim,
     hom_space,
-    ideal_span,
-    is_two_sided_ideal,
-    pullback_module,
-    quotient_algebra,
     regular_module,
     RightModule,
     submodule,
@@ -29,7 +25,9 @@ from diagalg.input_algebra import (
     trivial_input_algebra,
     wreath_product,
 )
+from diagalg.inflation import layer_ideal_indices
 from diagalg.linalg import vec_scale
+from ideal_oracle import ideal_span, is_two_sided_ideal, pullback_module, quotient_algebra
 from isomorphism import find_isomorphism
 from tensor_route import regular_bimodule, tensor_over
 
@@ -141,6 +139,10 @@ def test_ideal_generated_by_cup_in_d3():
     e_vec = {alg.key_index[d]: c for d, c in e.items()}
     ech = ideal_span(alg, [e_vec])
     assert ech.dim == 9    # 15 - dim RS_3
+    # the cup generates the first layer ideal: the span of the diagrams with a cup
+    ideal = layer_ideal_indices(dalg, alg, 1)
+    assert ech.dim == len(ideal)
+    assert all(ech.contains(alg.basis_vec(i)) for i in ideal)
 
 
 def test_quotient_dimensions():

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from diagalg import cli
 from diagalg.cli import emit, main, run
 
 
@@ -81,6 +82,31 @@ def test_dominance_table_csv_header(capsys):
     assert code == 0
     header = out.splitlines()[0]
     assert header == "l,lambda,mu,lambda',mu',dimHom_big,dimHom_small,dimExt_big,dimExt_small,dominanceOK,violation"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-inflation", "--kind", "abrauer", "--n", "2"],
+    ["hom-ext", "--kind", "walled", "--r", "2", "--t", "1", "--l", "0"],
+    ["--replay", "witness.json"],
+], ids=["verify-inflation", "hom-ext", "replay"])
+def test_csv_refused_before_any_computation(capsys, monkeypatch, argv):
+    """Only the dominance table has a CSV form; anything else is refused with
+    exit 2 before a command runs or a witness file is read."""
+    def never(*args):
+        raise AssertionError("computation started")
+
+    monkeypatch.setattr(cli, "run_replay", never)
+    for name in ("verify-inflation", "hom-ext"):
+        monkeypatch.setitem(cli.COMMANDS, name, never)
+    assert main(["--format", "csv", *argv]) == 2
+    assert "csv format is only available for table reports" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["--out", str(out), "dims", "--kind", "abrauer", "--n", "2"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_input_algebra_cyclic():

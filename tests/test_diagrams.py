@@ -13,7 +13,7 @@ from diagalg.input_algebra import (cyclic_group_algebra, input_algebra_from_json
 from diagalg.linalg import vec_scale
 
 from diagram_oracle import oracle_product
-from test_input_algebra import SIGNED
+from test_input_algebra import DUAL_NUMBERS, SIGNED
 
 Q = RationalField()
 
@@ -202,17 +202,6 @@ def assert_products_match_oracle(dalg, pairs=None):
     for i, j in pairs:
         d1, d2 = basis[i], basis[j]
         assert dalg.mul_diagrams(d1, d2) == oracle_product(dalg, d1, d2), (d1, d2)
-
-
-DUAL_NUMBERS = {
-    # k[x]/(x^2) with x* = x, tr(1) = 3, tr(x) = 0: x^2 = 0 is not monomial
-    "dim": 2,
-    "basis": ["1", "x"],
-    "unit": ["1", "0"],
-    "structconsts": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]],
-    "involution": [["1", "0"], ["0", "1"]],
-    "trace": ["3", "0"],
-}
 
 
 @pytest.mark.parametrize("make", [

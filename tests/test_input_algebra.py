@@ -1,4 +1,3 @@
-import copy
 from fractions import Fraction
 
 import pytest
@@ -10,7 +9,6 @@ from diagalg.inflation import small_algebra
 from diagalg.input_algebra import (
     InputAlgebra,
     InputAlgebraError,
-    compose_perms,
     cyclic_group_algebra,
     input_algebra_from_json,
     invert_perm,
@@ -18,6 +16,8 @@ from diagalg.input_algebra import (
     validate_input_algebra,
     wreath_product,
 )
+
+from wreath_oracle import compose_perms, oracle_wreath_involution, oracle_wreath_product
 
 Q = RationalField()
 
@@ -177,15 +177,31 @@ SIGNED = {
 }
 
 
+DUAL_NUMBERS = {
+    # k[x]/(x^2) with x* = x, tr(1) = 3, tr(x) = 0: x^2 = 0 is not monomial
+    "dim": 2,
+    "basis": ["1", "x"],
+    "unit": ["1", "0"],
+    "structconsts": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]],
+    "involution": [["1", "0"], ["0", "1"]],
+    "trace": ["3", "0"],
+}
+
+
 def test_wreath_label_table_matches_generic_reduction():
-    A = input_algebra_from_json(SIGNED, Q)
-    assert A.label_table is not None
-    assert all(c.ok for c in validate_input_algebra(A))
-    generic = copy.copy(A)
-    generic.label_table = None
-    for m in (2, 3):
-        W, G = wreath_product(A, m), wreath_product(generic, m)
-        assert W.involution_rows == G.involution_rows
-        for i in range(W.dim):
-            for j in range(W.dim):
-                assert W.mul_basis(i, j) == G.mul_basis(i, j)
+    """Wreath products and involutions, on the monomial table and on the
+    word table, equal the oracle that multiplies slot labels through A.mul."""
+    for algebra, monomial in ((SIGNED, True), (DUAL_NUMBERS, False)):
+        A = input_algebra_from_json(algebra, Q)
+        assert (A.label_table is not None) == monomial
+        assert all(c.ok for c in validate_input_algebra(A))
+        for m in range(4):
+            W = wreath_product(A, m)
+
+            def vec(element):
+                return {W.key_index[k]: c for k, c in element.items()}
+
+            for i, x in enumerate(W.basis_keys):
+                assert W.involution_rows[i] == vec(oracle_wreath_involution(A, x)), x
+                for j, y in enumerate(W.basis_keys):
+                    assert W.mul_basis(i, j) == vec(oracle_wreath_product(A, x, y)), (x, y)

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 from diagalg.algebra_kernel import (
     hom_space,
-    pullback_module,
     regular_module,
     direct_sum,
     ext1,
@@ -17,7 +16,8 @@ from diagalg.diagrams import (
 )
 from diagalg.fields import CyclotomicField, RationalField
 from diagalg.input_algebra import cyclic_group_algebra, trivial_input_algebra, wreath_product
-from diagalg.split_pair import split_quotient, wreath_sign_module, wreath_trivial_module
+from diagalg.split_pair import corner_split_datum, wreath_sign_module, wreath_trivial_module
+from ideal_oracle import pullback_module
 
 Q = RationalField()
 
@@ -42,9 +42,9 @@ def test_pullback_along_split_quotient_kills_cup():
     A = trivial_input_algebra(Q, Fraction(3))
     dalg = DiagramAlgebra(DiagramKind.abrauer(2), A)
     big = diagram_fin_algebra(dalg)
-    sq = split_quotient(dalg, big)
-    M = wreath_trivial_module(sq.small)
-    P = pullback_module(M, sq.proj_rows, big)
+    sq = corner_split_datum(dalg, big, 0)
+    M = wreath_trivial_module(sq.W)
+    P = pullback_module(M, sq.alpha_rows, big)
     e_vec = {big.key_index[d]: c for d, c in dalg.cup_generator(1).items()}
     assert P.action_rows(e_vec) == [{}]      # the cup acts by zero
 
@@ -53,13 +53,13 @@ def test_pullback_preserves_hom_dimensions():
     A = trivial_input_algebra(Q, Fraction(3))
     dalg = DiagramAlgebra(DiagramKind.abrauer(2), A)
     big = diagram_fin_algebra(dalg)
-    sq = split_quotient(dalg, big)
-    W = sq.small
+    sq = corner_split_datum(dalg, big, 0)
+    W = sq.W
     mods = [regular_module(W), wreath_trivial_module(W), wreath_sign_module(W)]
     for M in mods:
         for N in mods:
-            pulled = len(hom_space(pullback_module(M, sq.proj_rows, big, check=False),
-                                   pullback_module(N, sq.proj_rows, big, check=False)))
+            pulled = len(hom_space(pullback_module(M, sq.alpha_rows, big, check=False),
+                                   pullback_module(N, sq.alpha_rows, big, check=False)))
             assert pulled == len(hom_space(M, N))
 
 

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from diagalg.algebra_kernel import pullback_module
 from diagalg.diagrams import DiagramAlgebra, DiagramKind, diagram_fin_algebra
 from diagalg.fields import PrimeField, RationalField
 from diagalg.input_algebra import cyclic_group_algebra, trivial_input_algebra
@@ -17,11 +16,11 @@ from diagalg.split_pair import (
     presentation_sequence,
     restrict_sequence,
     split_control_sequence,
-    split_quotient,
     verify_exact_split_pair,
     wreath_sign_module,
     wreath_trivial_module,
 )
+from ideal_oracle import pullback_module
 from isomorphism import find_isomorphism
 from tensor_route import induce_via_tensor, transfer_bimodule
 
@@ -50,29 +49,29 @@ def walled(r, t, delta="1", field=Q):
 
 def test_split_quotient_kills_cups_keeps_swaps():
     dalg, big = brauer(2, "3")
-    datum = split_quotient(dalg, big)
+    datum = corner_split_datum(dalg, big, 0)
     e = dalg.cup_generator(1)
     s = dalg.swap(1)
     F = Q
     from diagalg.linalg import vec_times_rows
     e_vec = {big.key_index[d]: c for d, c in e.items()}
     s_vec = {big.key_index[d]: c for d, c in s.items()}
-    assert vec_times_rows(F, e_vec, datum.proj_rows) == {}
-    img = vec_times_rows(F, s_vec, datum.proj_rows)
+    assert vec_times_rows(F, e_vec, datum.alpha_rows) == {}
+    img = vec_times_rows(F, s_vec, datum.alpha_rows)
     assert len(img) == 1
 
 
 def test_split_quotient_verifies():
     for dalg, big in (brauer(2, "3"), brauer(3, "1"), cyclo(2, 2, ["1", "1"]),
                       walled(2, 1, "2"), brauer(3, "0")):
-        rep = split_quotient(dalg, big).verify()
+        rep = corner_split_datum(dalg, big, 0).verify_alpha()
         assert rep["ok"], rep["failures"]
 
 
 def test_split_quotient_kernel_dim():
     dalg, big = brauer(3, "1")
-    datum = split_quotient(dalg, big)
-    assert len(datum.kernel_indices) == 15 - 6
+    datum = corner_split_datum(dalg, big, 0)
+    assert datum.verify_alpha()["kernelDim"] == 15 - 6
 
 
 # -- corner split datum ---------------------------------------------------------
@@ -157,10 +156,9 @@ def test_induce_matches_tensor_oracle_walled():
 def test_induce_layer_zero_is_pullback():
     dalg, big = brauer(2, "3")
     datum = corner_split_datum(dalg, big, 0)
-    sq = split_quotient(dalg, big, W=datum.W)
     M = wreath_trivial_module(datum.W)
     ind = datum.induce(M)
-    pulled = pullback_module(M, sq.proj_rows, big)
+    pulled = pullback_module(M, datum.alpha_rows, big)
     assert ind.dim == pulled.dim == M.dim
     assert find_isomorphism(ind, pulled) is not None
 
