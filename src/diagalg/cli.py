@@ -252,7 +252,7 @@ def cmd_verify_split_pair(args, field):
         big_seqs.append(cell_head_sequence(datum, wreath_trivial_module(datum.W)))
     report = verify_exact_split_pair(datum, samples=samples,
                                      small_sequences=small_seqs,
-                                     big_sequences=big_seqs, seed=args.seed)
+                                     big_sequences=big_seqs)
     report["config"] = config_echo(args, field, params)
     return report
 

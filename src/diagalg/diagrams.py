@@ -82,10 +82,6 @@ class DiagramKind(NamedTuple):
 class Diagram(NamedTuple):
     edges: tuple  # sorted triples (u, v, label), u < v
 
-    def horizontal_count(self, n):
-        """Horizontal edges per row (equal for top and bottom)."""
-        return sum(1 for e in self.edges if e[1] < n)
-
 
 class PartialDiagram(NamedTuple):
     n: int
@@ -128,6 +124,7 @@ class DiagramAlgebra:
             raise DiagramError(f"unknown diagram family {kind.family!r}")
         self._basis = None
         self._compiled = {}
+        self._layers = {}
         # (walk position, seen marks) of each start: result vertices r, then
         # middle columns c, whose loops are read from the upper factor
         n = kind.n
@@ -472,14 +469,21 @@ class DiagramAlgebra:
             return self.kind.n // 2
         return min(self.kind.wall, self.kind.n - self.kind.wall)
 
+    def layer(self, d: Diagram):
+        """Horizontal edges per row of d (equal for top and bottom), counted
+        once per diagram."""
+        got = self._layers.get(d)
+        if got is None:
+            n = self.kind.n
+            got = self._layers[d] = sum(1 for e in d.edges if e[1] < n)
+        return got
+
     def truncate_above_layer(self, x, l):
         """Kill every diagram with more than l horizontal edges (mod J_{l+1})."""
-        n = self.kind.n
-        return {d: c for d, c in x.items() if d.horizontal_count(n) <= l}
+        return {d: c for d, c in x.items() if self.layer(d) <= l}
 
     def layer_basis(self, l):
-        n = self.kind.n
-        return [d for d in self.basis() if d.horizontal_count(n) == l]
+        return [d for d in self.basis() if self.layer(d) == l]
 
     def layer_factorize(self, d: Diagram):
         """Split an exactly-l-edge diagram into (top, bottom, wreath key).

@@ -80,8 +80,7 @@ def contraction_form(dalg: DiagramAlgebra, W, f_pd, e_pd):
 
 def layer_ideal_indices(dalg: DiagramAlgebra, big: FinAlgebra, l: int):
     """Coordinates of the basis diagrams with at least l horizontal edges."""
-    n = dalg.kind.n
-    return [i for i, d in enumerate(big.basis_keys) if d.horizontal_count(n) >= l]
+    return [i for i, d in enumerate(big.basis_keys) if dalg.layer(d) >= l]
 
 
 def check_layer_ideal_closed(dalg: DiagramAlgebra, l: int, seed=0, table=None):
@@ -107,14 +106,14 @@ def check_layer_ideal_closed(dalg: DiagramAlgebra, l: int, seed=0, table=None):
     dim = len(basis)
     if table is None:
         table = {}
-    members = [i for i, d in enumerate(basis) if d.horizontal_count(n) >= l]
+    members = [i for i, d in enumerate(basis) if dalg.layer(d) >= l]
 
     def lowest(i, j):
         key = i * dim + j
         got = table.get(key)
         if got is None:
             prod = dalg.mul_diagrams(basis[i], basis[j])
-            got = table[key] = min((d.horizontal_count(n) for d in prod), default=n)
+            got = table[key] = min(map(dalg.layer, prod), default=n)
         return got
 
     pairs, _, _ = index_cases((dim, len(members)), 150, 1000, seed)
@@ -248,8 +247,7 @@ def verify_decomposition(dalg: DiagramAlgebra, seed=0) -> dict:
     chain_ok = True
     ideal_witnesses = []
     lowest_layer = {}   # shared by every l: each product is computed once
-    n = dalg.kind.n
-    counts = [sum(1 for d in basis if d.horizontal_count(n) >= l) for l in range(bound + 2)]
+    counts = [sum(1 for d in basis if dalg.layer(d) >= l) for l in range(bound + 2)]
     for l in range(bound + 1):
         if counts[l + 1] >= counts[l]:   # every layer is nonempty, so strictly nested
             chain_ok = False

@@ -228,37 +228,6 @@ def kernel_basis(F, rows, ncols):
     return Echelon(F).insert_all(rows).null_space(ncols)
 
 
-class CoordSolver:
-    """Express vectors in terms of a fixed independent spanning list.
-
-    Rows are inserted with an augmented tracking block; coords(v) returns
-    {row index: coefficient} with v = sum_k coeff_k * rows[k], or None.
-    """
-
-    def __init__(self, field, rows, width=None):
-        self.F = field
-        self.n = width if width is not None else (max((max(r, default=-1) for r in rows), default=-1) + 1)
-        self.ech = Echelon(field)
-        self.count = 0
-        for r in rows:
-            self.append(r)
-
-    def append(self, row):
-        aug = dict(row)
-        aug[self.n + self.count] = self.F.one
-        # pivots on real columns stay smallest because tracking columns sit past n
-        p = self.ech.insert(aug)
-        if p is None or p >= self.n:
-            raise ValueError("rows are linearly dependent")
-        self.count += 1
-
-    def coords(self, v):
-        red = self.ech.reduce(v)
-        if any(j < self.n for j in red):
-            return None
-        return {j - self.n: self.F.neg(c) for j, c in red.items()}
-
-
 def invert_rows(F, rows):
     """Inverse of a square matrix given as rows; None if singular."""
     n = len(rows)

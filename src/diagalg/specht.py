@@ -1,10 +1,11 @@
 """Partitions, dominance, Specht modules, and the dominance-vanishing tables.
 
 Specht modules are built inside the tabloid permutation module: the basis is
-the set of polytabloids of standard tableaux, and action matrices come from
-expressing permuted polytabloids in that basis by linear solving.  No
-straightening is implemented; at the desk-scale size cap this is the
-simplest construction that is exact over any field.
+the reduced echelon basis of the span of the polytabloids of standard
+tableaux, and the action matrices are the coordinates of permuted basis
+vectors, read from their pivot entries.  No straightening is implemented; at
+the desk-scale size cap this is the simplest construction that is exact over
+any field.
 
 The layered order on cell labels follows the published convention: labels
 with more horizontal edges sit lower, and within a layer the label that
@@ -22,7 +23,7 @@ from .algebra_kernel import RightModule
 # restores this module's binding (benchmarks/test_harness.py)
 from .algebra_kernel import free_presentation  # noqa: F401
 from .input_algebra import invert_perm, perm_sign, trivial_input_algebra, wreath_product
-from .linalg import CoordSolver, entry_iadd
+from .linalg import Echelon, entry_iadd
 
 
 class SpechtError(ValueError):
@@ -196,8 +197,11 @@ def specht_module(lam, W=None, field=None, max_size=5):
     tabs = tabloids(lam)
     tab_index = {k: i for i, k in enumerate(tabs)}
     std = standard_tableaux(lam)
-    rows = [_polytabloid(t, m, tab_index, F) for t in std]
-    solver = CoordSolver(F, rows, width=len(tabs))
+    span = Echelon(F).insert_all(_polytabloid(t, m, tab_index, F) for t in std)
+    if span.dim != len(std):
+        raise SpechtError(f"polytabloids of shape {lam} span {span.dim} dimensions, "
+                          f"not {len(std)}")
+    rows = span.basis_rows()
 
     def act_key(vec, perm):
         pinv = invert_perm(perm)
@@ -212,13 +216,11 @@ def specht_module(lam, W=None, field=None, max_size=5):
     for (labels, perm) in W.basis_keys:
         mat = []
         for r in rows:
-            coords = solver.coords(act_key(r, perm))
+            coords = span.coords(act_key(r, perm))
             assert coords is not None, "permuted polytabloid left the span"
             mat.append(coords)
         action.append(mat)
-    mod = RightModule(W, len(std), action, name=f"S{lam}")
-    mod.tableaux = std
-    return mod
+    return RightModule(W, len(std), action, name=f"S{lam}")
 
 
 def outer_product(Sa: RightModule, Sb: RightModule, Wab) -> RightModule:

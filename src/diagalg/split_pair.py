@@ -10,18 +10,20 @@ For a diagram algebra D with layer idempotent e at depth l:
   of the layer, split by the embedding of W through the corner isomorphism.
   At l = 0 the idempotent is the identity, so alpha is the split quotient of
   D itself onto W, and its kernel is the first layer ideal J_1;
-* the transfer bimodule is S = W (x)_{corner} e*D, realized here as the
-  quotient of e*D by ker(alpha)*e*D; it is left-free over W with one basis
-  class for every bottom configuration, and S*e is isomorphic to W as a
-  right W-module via ``theta: s -> alpha(lift(s)*e)``.
+* the transfer bimodule S = W (x)_{corner} e*D is the quotient of e*D by
+  ker(alpha)*e*D, which is e*D meet J_{l+1}: the class of x is its
+  exactly-l part, read through the layer factorization with one coordinate
+  per layer-l diagram (e_top, f, key).  W acts on the key, so S is left-free
+  on the diagrams (e_top, f, identity), and S*e is isomorphic to W as a
+  right W-module via ``theta: s -> alpha(lift(s)*e)``.  The run certifies
+  the reading: it kills ker(alpha)*e*D, and its rank is dim S.
 
-Induction tensors against S (computed through the certified left basis, so
-dim ind M = rank V * dim M), restriction multiplies by e and restricts along
-the W-embedding; ``natural_unit_iso`` realizes M = res(ind M) through
+Induction tensors against S, so dim ind M = rank V * dim M; the left
+coordinates of (e_top, f, identity) * b are the keys of one diagram product,
+read as above.  Restriction multiplies by e and restricts along the
+W-embedding; ``natural_unit_iso`` realizes M = res(ind M) through
 ``theta^{-1}(1)``, which is the unit of the split-pair adjunction.  An
-induced module builds each action matrix on first use, from the left
-coordinates of (left basis) * b, which do not depend on M and are cached on
-the datum.
+induced module builds each action matrix on first use.
 """
 
 from __future__ import annotations
@@ -45,9 +47,8 @@ from .algebra_kernel import (
     stable_action,
 )
 from .diagrams import Diagram, DiagramAlgebra, DiagramKind, diagram_fin_algebra
-from .inflation import layer_ideal_indices, rank_v, small_algebra
+from .inflation import layer_ideal_indices, small_algebra
 from .linalg import (
-    CoordSolver,
     Echelon,
     entry_iadd,
     identity_rows,
@@ -55,7 +56,6 @@ from .linalg import (
     kernel_basis,
     mat_mul,
     transpose_rows,
-    vec_iadd,
     vec_times_rows,
 )
 
@@ -73,10 +73,8 @@ class CornerSplitDatum:
         self.dalg = dalg
         self.big = big
         self.layer = l
-        F = big.field
-        self.field = F
-        A = dalg.A
-        self.unit_label = A.unit_basis_index()
+        self.field = big.field
+        self.unit_label = dalg.A.unit_basis_index()
         if self.unit_label is None:
             raise SplitPairError("corner machinery needs the input-algebra unit "
                                  "to be a basis element")
@@ -84,7 +82,11 @@ class CornerSplitDatum:
         self.idem = dalg.layer_idempotent(l)
         self.idem_vec = {big.key_index[d]: c for d, c in self.idem.items()}
         (self._e_diag, self._e_pref), = self.idem.items()
-        self.e_top, self.e_bottom, e_key = dalg.layer_factorize(self._e_diag)
+        self.e_top, self.e_bottom, _ = dalg.layer_factorize(self._e_diag)
+        # S has W.dim coordinates per bottom configuration
+        self.bottom_configs = dalg.enumerate_partials(l)
+        self._slot = {f: s for s, f in enumerate(self.bottom_configs)}
+        self.n_l = len(self.bottom_configs)
 
         # corner and the smaller diagram algebra
         self.corner = corner_algebra(big, self.idem_vec, name=f"corner(l={l})")
@@ -92,7 +94,7 @@ class CornerSplitDatum:
         # never larger than big, which the caller has already capped
         self.small_big = diagram_fin_algebra(self.small_dalg, cap=big.dim)
         self.W = small_algebra(dalg, l)
-        self.n_l = rank_v(dalg, l)
+        self._coords = [self._coordinate(d) for d in big.basis_keys]
 
         self.mu_rows = [self._mu(d) for d in self.small_big.basis_keys]
 
@@ -100,7 +102,6 @@ class CornerSplitDatum:
         self._build_transfer_bimodule()
         self._build_left_basis()
         self._build_corner_restriction()
-        self._right_action_cache = {}
         self._induce_decomp_cache = {}
 
     # -- corner isomorphism ---------------------------------------------------
@@ -172,30 +173,41 @@ class CornerSplitDatum:
 
     # -- alpha: corner onto the wreath algebra ----------------------------------
 
-    def _wreath_read(self, big_vec):
-        """Exactly-l part of a corner element as a wreath vector (unnormalized)."""
-        n = self.dalg.kind.n
-        F = self.field
+    def _coordinate(self, d):
+        """Coordinate in S of a basis diagram: slot(f) * W.dim + key for the
+        layer-l diagram (e_top, f, key), -1 above layer l, None otherwise."""
+        h = self.dalg.layer(d)
+        if h != self.layer:
+            return -1 if h > self.layer else None
+        top, bottom, key = self.dalg.layer_factorize(d)
+        if top != self.e_top:
+            return None
+        return self._slot[bottom] * self.W.dim + self.W.key_index[key]
+
+    def _to_S(self, big_vec):
+        """Class in S of an element of e*D: its exactly-l part, read through
+        the layer factorization."""
         out = {}
         for i, c in big_vec.items():
-            d = self.big.basis_keys[i]
-            h = d.horizontal_count(n)
-            assert h >= self.layer, "corner element below its layer"
-            if h > self.layer:
-                continue
-            top, bottom, key = self.dalg.layer_factorize(d)
-            assert top == self.e_top and bottom == self.e_bottom, \
-                "corner element with foreign configurations"
-            entry_iadd(F, out, self.W.key_index[key], c)
+            s = self._coords[i]
+            if s is None:
+                raise SplitPairError("element of e*D with a term below its layer "
+                                     "or with a foreign top configuration")
+            if s >= 0:
+                out[s] = c
         return out
 
     def _build_alpha(self):
+        """alpha reads a corner element in the block of the bottom e_bottom."""
         F = self.field
         norm = F.inv(self._e_pref)
+        base = self._slot[self.e_bottom] * self.W.dim
         self.alpha_rows = []
         for row in self.corner.rows:
-            raw = self._wreath_read(row)
-            self.alpha_rows.append({k: F.mul(norm, c) for k, c in raw.items()})
+            read = self._to_S(row)
+            assert all(base <= s < base + self.W.dim for s in read), \
+                "corner element with a foreign bottom configuration"
+            self.alpha_rows.append({s - base: F.mul(norm, c) for s, c in read.items()})
         # section: wreath basis -> corner coordinates, through the corner iso
         empty = self.small_dalg.enumerate_partials(0)[0]
         small_index = self.small_big.key_index
@@ -237,115 +249,72 @@ class CornerSplitDatum:
     # -- the transfer bimodule S -------------------------------------------------
 
     def _build_transfer_bimodule(self):
-        F = self.field
-        big = self.big
-        ed = Echelon(F)
-        order = []
-        for j in range(big.dim):
-            p = ed.insert(big.mul(self.idem_vec, big.basis_vec(j)))
-            if p is not None:
-                order.append(p)
-        self.eD_ech = ed
-        self.eD_rows = ed.basis_rows()
-
-        rel = Echelon(F)
+        """dim S = dim e*D - dim ker(alpha)*e*D as ranks over big coordinates;
+        whether the reading ``_to_S`` kills the products spanning
+        ker(alpha)*e*D, and its rank on e*D.  When it kills them and its rank
+        is dim S, it is injective on S; when dim S is also rank V * dim W, the
+        (e_top, f, key) diagrams read a basis of S.
+        """
+        F, big = self.field, self.big
+        eD = Echelon(F).insert_all(big.mul(self.idem_vec, big.basis_vec(j))
+                                   for j in range(big.dim))
+        rows = eD.basis_rows()
         if self.layer == 0:
-            # ker(alpha) = the first layer ideal; its right translates span it,
-            # so the relation space is the ideal itself, coordinate by coordinate
-            for i in layer_ideal_indices(self.dalg, big, 1):
-                rel.insert(self._eD_coords(big.basis_vec(i)))
+            # verify_alpha certifies ker(alpha) = J_1, and J_1 * D = J_1
+            relations = [big.basis_vec(i) for i in layer_ideal_indices(self.dalg, big, 1)]
         else:
             ker = kernel_basis(F, transpose_rows(self.alpha_rows, self.W.dim),
                                self.corner.algebra.dim)
             ker_big = [vec_times_rows(F, k, self.corner.rows) for k in ker]
-            for kv in ker_big:
-                for r in self.eD_rows:
-                    rel.insert(self._eD_coords(big.mul(kv, r)))
-        self.rel_ech = rel
-        keep = [t for t in range(len(self.eD_rows)) if t not in rel.rows]
-        self.S_keep = keep
-        self.S_pos = {t: s for s, t in enumerate(keep)}
-        self.S_dim = len(keep)
-
-    def _eD_coords(self, big_vec):
-        coords = self.eD_ech.coords(big_vec)
-        assert coords is not None, "vector outside e*D"
-        return coords
-
-    def _to_S(self, big_vec):
-        """Class in S of an element of e*D given in big coordinates."""
-        red = self.rel_ech.reduce(self._eD_coords(big_vec))
-        return {self.S_pos[t]: c for t, c in red.items()}
+            relations = [big.mul(kv, r) for kv in ker_big for r in rows]
+        self.S_dim = eD.dim - Echelon(F).insert_all(relations).dim
+        self.read_kills_relations = not any(map(self._to_S, relations))
+        self.read_rank = Echelon(F).insert_all(self._to_S(r) for r in rows).dim
 
     def _lift_S(self, s_vec):
-        """Coordinate section S -> e*D (big coordinates)."""
-        F = self.field
+        """The (e_top, f, key) diagrams read at the coordinates of s_vec, in
+        big coordinates."""
+        W, index = self.W, self.big.key_index
         out = {}
         for s, c in s_vec.items():
-            vec_iadd(F, out, c, self.eD_rows[self.S_keep[s]])
-        return out
-
-    def _S_right_rows(self, b):
-        rows = self._right_action_cache.get(b)
-        if rows is None:
-            big = self.big
-            rows = [self._to_S(big.mul(self.eD_rows[self.S_keep[s]], big.basis_vec(b)))
-                    for s in range(self.S_dim)]
-            self._right_action_cache[b] = rows
-        return rows
-
-    def _S_left_act(self, w_vec, s_vec):
-        """Left action of a wreath element through the corner embedding."""
-        F = self.field
-        out = {}
-        lift = self._lift_S(s_vec)
-        for w, c in w_vec.items():
-            vec_iadd(F, out, c, self._to_S(self.big.mul(self.section_big[w], lift)))
+            slot, w = divmod(s, W.dim)
+            d = self.dalg.layer_assemble_key(self.e_top, self.bottom_configs[slot],
+                                             W.basis_keys[w])
+            out[index[d]] = c
         return out
 
     # -- left basis and the right-module isomorphism S*e = W ----------------------
 
     def _build_left_basis(self):
-        F = self.field
-        dalg = self.dalg
-        W = self.W
-        id_key = (tuple([self.unit_label] * len(self.e_top.free())),
-                  tuple(range(len(self.e_top.free()))))
-        self.bottom_configs = dalg.enumerate_partials(self.layer)
-        self.left_basis = []
-        for f in self.bottom_configs:
-            d = dalg.layer_assemble_key(self.e_top, f, id_key)
-            self.left_basis.append(self._to_S({self.big.key_index[d]: F.one}))
-        spanning = []
-        for s_vec in self.left_basis:
-            for w in range(W.dim):
-                spanning.append(self._S_left_act(W.basis_vec(w), s_vec))
-        self._left_solver = None
-        self._left_spanning = spanning
-        self.left_free = (len(spanning) == self.S_dim
-                          and Echelon(F).insert_all(spanning).dim == self.S_dim)
+        """The diagrams (e_top, f, identity), one per bottom configuration f.
+
+        left_free: mu(w) * (e_top, f, identity) reads as (e_top, f, key w)
+        for every wreath basis element w, so the coordinate slot * W.dim + w
+        of S is w * (left basis slot), and S is left-free on this basis.
+        """
+        F, big, W = self.field, self.big, self.W
+        m = len(self.e_top.free())
+        id_key = (tuple([self.unit_label] * m), tuple(range(m)))
+        self.left_basis = [self.dalg.layer_assemble_key(self.e_top, f, id_key)
+                           for f in self.bottom_configs]
+        self.left_free = all(
+            self._to_S(big.mul(self.section_big[w], {big.key_index[d]: F.one}))
+            == {slot * W.dim + w: F.one}
+            for slot, d in enumerate(self.left_basis) for w in range(W.dim))
 
     def _left_coords(self, s_vec):
         """Coefficients (config slot -> wreath vector) over the left basis."""
-        if self._left_solver is None:
-            self._left_solver = CoordSolver(self.field, self._left_spanning,
-                                            width=self.S_dim)
-        flat = self._left_solver.coords(s_vec)
-        assert flat is not None, "left basis does not span"
-        W = self.W
         out = {}
-        for idx, c in flat.items():
-            slot, w = divmod(idx, W.dim)
+        for idx, c in s_vec.items():
+            slot, w = divmod(idx, self.W.dim)
             out.setdefault(slot, {})[w] = c
         return out
 
     def _build_corner_restriction(self):
         """S*e with theta onto the wreath algebra."""
-        F = self.field
-        img = Echelon(F)
-        for s in range(self.S_dim):
-            img.insert(self._to_S(self.big.mul(self.eD_rows[self.S_keep[s]], self.idem_vec)))
-        self.Se_ech = img
+        F, big = self.field, self.big
+        img = Echelon(F).insert_all(self._to_S(big.mul(self._lift_S({s: F.one}), self.idem_vec))
+                                    for s in range(self.n_l * self.W.dim))
         self.Se_rows = img.basis_rows()
         self.theta_rows = [self.theta(r) for r in self.Se_rows]
         # None when S*e is not isomorphic to W through theta
@@ -359,39 +328,36 @@ class CornerSplitDatum:
 
     def theta(self, s_vec):
         """alpha(lift(s) * e): the right-module map S -> W, bijective on S*e."""
-        lifted = self.big.mul(self._lift_S(s_vec), self.idem_vec)
+        return self._theta_big(self._lift_S(s_vec))
+
+    def _theta_big(self, x):
+        """alpha(x * e) for x in e*D, in big coordinates."""
+        lifted = self.big.mul(x, self.idem_vec)
         return vec_times_rows(self.field, self._corner_coords(lifted), self.alpha_rows)
 
     def verify_transfer_bimodule(self) -> dict:
-        """Left-freeness of rank rank(V) and S*e = W (explicit isomorphisms)."""
+        """Left-freeness of rank rank(V), S read from the layer factorization,
+        and S*e = W (explicit isomorphisms)."""
         failures = []
         expected = self.n_l * self.W.dim
         if self.S_dim != expected:
             failures.append({"check": "S_dim", "got": self.S_dim, "expected": expected})
+        if not (self.read_kills_relations and self.read_rank == self.S_dim):
+            failures.append({"check": "S_is_layer_part", "rank": self.read_rank,
+                             "killsRelations": self.read_kills_relations})
         if not self.left_free:
             failures.append({"check": "left_free"})
         if self.theta_inv is None:
             failures.append({"check": "Se_iso_rank", "dim": len(self.Se_rows)})
         else:
-            for t, row in enumerate(self.Se_rows):
-                for w in range(self.W.dim):
-                    lhs = self.theta(self._S_right_act_elt(row, self.section_big[w]))
-                    rhs = self.W.mul(self.theta_rows[t], self.W.basis_vec(w))
-                    if lhs != rhs:
-                        failures.append({"check": "Se_iso_module_map", "at": [t, w]})
-                        break
-                else:
-                    continue
-                break
+            W, lifts = self.W, [self._lift_S(row) for row in self.Se_rows]
+            bad = next(([t, w] for t, lift in enumerate(lifts) for w in range(W.dim)
+                        if self._theta_big(self.big.mul(lift, self.section_big[w]))
+                        != W.mul(self.theta_rows[t], W.basis_vec(w))), None)
+            if bad is not None:
+                failures.append({"check": "Se_iso_module_map", "at": bad})
         return {"ok": not failures, "failures": failures,
                 "SDim": self.S_dim, "rankV": self.n_l, "wreathDim": self.W.dim}
-
-    def _S_right_act_elt(self, s_vec, big_elt):
-        F = self.field
-        out = {}
-        for b, c in big_elt.items():
-            vec_iadd(F, out, c, vec_times_rows(F, s_vec, self._S_right_rows(b)))
-        return out
 
     def _ind_row(self, M, i, slots):
         """m_i (x) sum over slots of (left basis slot) * w_vec, in ind M
@@ -419,15 +385,16 @@ class CornerSplitDatum:
                            name=f"ind_{self.layer}({M.name})")
 
     def _induce_decomp(self, b):
-        """Left coordinates of (left basis k) * b for every k; the part of
-        the action of b on ind M that does not depend on M."""
+        """Left coordinates of (left basis k) * b for every k, one diagram
+        product each: the part of the action of b on ind M that does not
+        depend on M."""
         decomp = self._induce_decomp_cache.get(b)
         if decomp is None:
-            F = self.field
-            right = self._S_right_rows(b)
-            decomp = [self._left_coords(vec_times_rows(F, s_vec, right))
-                      for s_vec in self.left_basis]
-            self._induce_decomp_cache[b] = decomp
+            d_b, index = self.big.basis_keys[b], self.big.key_index
+            mul = self.dalg.mul_diagrams
+            decomp = self._induce_decomp_cache[b] = [
+                self._left_coords(self._to_S({index[x]: c for x, c in mul(d, d_b).items()}))
+                for d in self.left_basis]
         return decomp
 
     def induce_map(self, f: ModuleMap, src_ind=None, dst_ind=None) -> ModuleMap:
@@ -678,7 +645,7 @@ SPLIT_LIMIT = 4000
 
 
 def verify_exact_split_pair(datum, samples=None, small_sequences=None,
-                            big_sequences=None, seed=0) -> dict:
+                            big_sequences=None) -> dict:
     """Everything the split pair promises, on explicit witnesses.
 
     Checks the corner isomorphism, the split surjection alpha, freeness of

@@ -15,6 +15,11 @@ from diagalg.algebra_kernel import index_cases
 from diagalg.inflation import LayerReport, contraction_form, small_algebra
 
 
+def horizontal(d, n):
+    """Horizontal edges per row of a diagram on n columns."""
+    return sum(1 for (_, v, _) in d.edges if v < n)
+
+
 def _to_key_vec(W, idx_vec):
     return {W.basis_keys[i]: c for i, c in idx_vec.items()}
 
@@ -23,13 +28,13 @@ def ideal_witness_by_pairs(dalg, l, seed=0):
     """First (basis, member) pair whose product leaves J_l, or None."""
     n = dalg.kind.n
     basis = dalg.basis()
-    members = [d for d in basis if d.horizontal_count(n) >= l]
+    members = [d for d in basis if horizontal(d, n) >= l]
     pairs, _, _ = index_cases((len(basis), len(members)), 150, 1000, seed)
     for i, t in pairs:
         b, d = basis[i], members[t]
         for side in (dalg.mul_diagrams(b, d), dalg.mul_diagrams(d, b)):
             for prod in side:
-                if prod.horizontal_count(n) < l:
+                if horizontal(prod, n) < l:
                     return (b, d)
     return None
 

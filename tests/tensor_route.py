@@ -2,8 +2,9 @@
 
 ``induce_via_tensor`` computes M (x)_W S for the transfer bimodule S of a
 corner split datum by the textbook construction: the plain tensor space
-modulo the balancing relations.  Only the actions of S are read from the
-datum; the construction shares no code with the left-basis route of
+modulo the balancing relations.  The actions of S come from
+``TransferOracle``, the quotient of e*D by linear algebra, so the
+construction shares no code with the layer-factorization route of
 ``CornerSplitDatum.induce``, and the tests compare the two up to
 isomorphism.
 
@@ -14,6 +15,7 @@ right action matrices commute elementwise.
 
 from diagalg.algebra_kernel import RightModule
 from diagalg.linalg import Echelon, identity_rows, vec_iadd, vec_scale, vec_times_rows
+from transfer_oracle import TransferOracle
 
 
 class Bimodule:
@@ -139,12 +141,13 @@ def tensor_over(M, S):
 
 def transfer_bimodule(datum):
     """The (wreath, diagram-algebra) bimodule S as an explicit Bimodule."""
+    oracle = TransferOracle(datum)
     left = []
     for w in range(datum.W.dim):
-        left.append([datum._S_left_act(datum.W.basis_vec(w), {s: datum.field.one})
-                     for s in range(datum.S_dim)])
-    right = [datum._S_right_rows(b) for b in range(datum.big.dim)]
-    return Bimodule(datum.W, datum.big, datum.S_dim, left, right,
+        left.append([oracle.left_act(datum.W.basis_vec(w), {s: datum.field.one})
+                     for s in range(oracle.S_dim)])
+    right = [oracle.right_rows(b) for b in range(datum.big.dim)]
+    return Bimodule(datum.W, datum.big, oracle.S_dim, left, right,
                     name=f"S(l={datum.layer})")
 
 

@@ -135,13 +135,12 @@ def test_product_of_wall_legal_is_wall_legal():
 
 def test_filtration_horizontal_count_grows():
     dalg = brauer(3)
-    n = dalg.kind.n
     basis = dalg.basis()
     for d1 in basis:
         for d2 in basis:
-            low = max(d1.horizontal_count(n), d2.horizontal_count(n))
+            low = max(dalg.layer(d1), dalg.layer(d2))
             for d in dalg.mul_diagrams(d1, d2):
-                assert d.horizontal_count(n) >= low
+                assert dalg.layer(d) >= low
 
 
 @pytest.mark.parametrize("make", [
@@ -334,9 +333,8 @@ def test_prefactor_example():
 
 def test_factorize_roundtrip_exhaustive():
     for dalg in (brauer(3), cyclo(2, 2, ["1", "1"]), walled(2, 1)):
-        n = dalg.kind.n
         for d in dalg.basis():
-            l = d.horizontal_count(n)
+            l = dalg.layer(d)
             top, bottom, key = dalg.layer_factorize(d)
             assert len(top.edges) == len(bottom.edges) == l
             assert dalg.layer_assemble_key(top, bottom, key) == d

@@ -50,6 +50,20 @@ LARGER_INFLATION = {
         "90afd559234c8a5d416f2bd40998357f58178df9c0d0d02aedc2382b51f66a64",
 }
 
+# split pairs whose induction reads the layer factorization on labeled
+# diagrams, on the largest Brauer algebra below the cap, and over a
+# cyclotomic field
+LARGER_SPLIT_PAIR = {
+    "verify-split-pair --kind cyclotomic --n 3 --r 3 --delta 1 --l 1 --field cyc:3":
+        "ba62956d5932bbba420c2637b40acf6c8a7fe04367c9c9a1b5f23e3af29e6ffa",
+    "verify-split-pair --kind cyclotomic --n 4 --r 2 --deltas 1,1 --l 1":
+        "68244576bacd5c527eea901374a23f62095245213d891e743af6cf4dc7dcb6f4",
+    "verify-split-pair --kind abrauer --n 5 --l 1":
+        "44138c5cf9072de9b797ff792980782edc8bd0854703d84bf3cec84b51b14854",
+    "hom-ext --kind cyclotomic --n 3 --r 3 --delta 1 --l 1 --field cyc:3":
+        "ba20e4cd8b22ece0e1682366e80e9720ac8905290708ecc24a436dac5ab2a8b5",
+}
+
 
 def report_digest(command):
     argv = shlex.split(command)
@@ -75,6 +89,11 @@ def test_larger_hom_ext_report_is_pinned():
 @pytest.mark.parametrize("command", LARGER_INFLATION)
 def test_larger_inflation_report_is_pinned(command):
     assert report_digest(command) == LARGER_INFLATION[command]
+
+
+@pytest.mark.parametrize("command", LARGER_SPLIT_PAIR)
+def test_larger_split_pair_report_is_pinned(command):
+    assert report_digest(command) == LARGER_SPLIT_PAIR[command]
 
 
 def test_layer_trace_targets_resolve():

@@ -18,7 +18,7 @@ from diagalg.fields import RationalField
 from diagalg.inflation import small_algebra, verify_decomposition, verify_layer
 from diagalg.input_algebra import cyclic_group_algebra, trivial_input_algebra
 
-from inflation_oracle import decomposition_by_pairs
+from inflation_oracle import decomposition_by_pairs, horizontal
 
 Q = RationalField()
 
@@ -63,13 +63,13 @@ def _candidates(dalg, how, seed):
         ordered = ((layer[i], layer[j]) for i, j in pairs)
     else:
         basis = dalg.basis()
-        members = [d for d in basis if d.horizontal_count(n) >= 1]
+        members = [d for d in basis if horizontal(d, n) >= 1]
         pairs, _, _ = index_cases((len(basis), len(members)), 150, 1000, seed)
         ordered = ((basis[i], members[t]) if how == "push-left" else (members[t], basis[i])
-                   for i, t in pairs if basis[i].horizontal_count(n) == 0)
+                   for i, t in pairs if horizontal(basis[i], n) == 0)
     for d1, d2 in ordered:
         prod = dalg.mul_diagrams(d1, d2)
-        if len(prod) == 1 and next(iter(prod)).horizontal_count(n) == 1:
+        if len(prod) == 1 and horizontal(next(iter(prod)), n) == 1:
             yield d1, d2
 
 
@@ -135,7 +135,7 @@ def test_ideal_chain_multiplies_each_ordered_pair_once(monkeypatch):
     assert len(basis) == 120   # at most 150: the chain is exhaustive
     visited = set()
     for l in range(1, dalg.layer_bound() + 1):
-        members = [d for d in basis if d.horizontal_count(n) >= l]
+        members = [d for d in basis if horizontal(d, n) >= l]
         pairs, _, _ = index_cases((len(basis), len(members)), 150, 1000, 0)
         visited |= {p for i, t in pairs
                     for p in ((basis[i], members[t]), (members[t], basis[i]))}

@@ -1,11 +1,8 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from diagalg.fields import PrimeField, RationalField
 from diagalg.linalg import (
-    CoordSolver,
     Echelon,
     identity_rows,
     invert_rows,
@@ -87,20 +84,6 @@ def test_kernel_dimension_rank_nullity():
         rows = [{j: c for j, c in r.items() if c} for r in rows]
         ker = kernel_basis(F5, rows, 6)
         assert len(ker) == 6 - Echelon(F5).insert_all(rows).dim
-
-
-def test_coord_solver():
-    rows = fr([{0: 1, 1: 1}, {1: 1}])
-    cs = CoordSolver(Q, rows, width=3)
-    got = cs.coords({0: Fraction(2), 1: Fraction(5)})
-    assert got == {0: Fraction(2), 1: Fraction(3)}
-    assert cs.coords({2: Fraction(1)}) is None
-
-
-def test_coord_solver_rejects_dependent_rows():
-    rows = fr([{0: 1}, {0: 2}])
-    with pytest.raises(ValueError):
-        CoordSolver(Q, rows, width=2)
 
 
 def test_invert_rows():
