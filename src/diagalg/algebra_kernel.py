@@ -17,8 +17,8 @@ Module actions are built on first use in the same spirit: free modules,
 direct sums, submodules, quotients and inductions hold a ``LazyAction``
 whose matrix for basis element b is computed when ``action[b]`` is first
 read.  Hom spaces, Ext^1, module generators and module-map checks read only
-the action of the algebra generators, so a presentation kernel builds a
-handful of its ``dim A`` matrices.  Action stability of a submodule or
+the action of the algebra generators, so an induced module builds a handful
+of its ``dim A`` matrices.  Action stability of a submodule or
 quotient is checked at construction on every basis element in the support
 of the generators, which suffices because the generators and the unit
 generate the algebra.
@@ -31,6 +31,15 @@ than dim M * dim N.  The spin of M does not depend on N, so one spin serves
 a list of targets (``hom_spaces``, ``ext1_dims``).  The method rests on the
 same premise as the stability checks: the algebra generators and the unit
 generate the algebra.
+
+Ext^1 and presentations come from the spin's own relations.  Spun with the
+preimage of each vector in the free cover P = A^b on its b generators, the
+spin of M meets elements of the kernel Omega M of P -> M, and they generate
+Omega M as a module (the Schreier argument behind the standard basis).  So
+Omega M is spun inside P from them, carrying images in the targets, with no
+kernel solved and no matrix of M read beyond the generators'; reaching
+dimension b*dim A - dim M certifies that the spin is all of Omega M.  These
+certificates raise AlgebraError, so ``python -O`` keeps them.
 """
 
 from __future__ import annotations
@@ -39,15 +48,13 @@ import collections
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linalg import (
     Echelon,
     entry_iadd,
     identity_rows,
     invert_rows,
-    kernel_basis,
-    transpose_rows,
     vec_iadd,
     vec_times_diag_kron,
     vec_times_rows,
@@ -98,6 +105,7 @@ class FinAlgebra:
         self.involution_rows = involution_rows
         self.generators = generators
         self.name = name
+        self._generator_rows = None
 
     def __repr__(self):
         return f"FinAlgebra({self.name or 'dim %d' % self.dim})"
@@ -117,6 +125,23 @@ class FinAlgebra:
             for j, b in v.items():
                 vec_iadd(F, out, F.mul(a, b), self.mul_basis(i, j))
         return out
+
+    def generator_rows(self):
+        """Matrix of right multiplication by each generating vector g (see
+        ``_generating_vectors``) on the algebra: row i is b_i * g, the cached
+        product itself when g is a basis element.  Built once."""
+        one = self.field.one
+
+        def rows(g):
+            if len(g) == 1:
+                (b, c), = g.items()
+                if c == one:
+                    return [self.mul_basis(i, b) for i in range(self.dim)]
+            return [self.mul({i: one}, g) for i in range(self.dim)]
+
+        if self._generator_rows is None:
+            self._generator_rows = [rows(g) for g in _generating_vectors(self)]
+        return self._generator_rows
 
     def involve(self, v):
         if self.involution_rows is None:
@@ -253,6 +278,11 @@ class RightModule:
                 vec_iadd(F, acc, c, row)
         return rows
 
+    def generator_matrices(self):
+        """The matrix of each generating vector of the algebra, acting on
+        every run of len(rows) coordinates (one run here)."""
+        return [self.action_rows(g) for g in _generating_vectors(self.algebra)]
+
     def check(self, pairs=None):
         """Witness that the action is not a unital right action, or None."""
         alg = self.algebra
@@ -278,16 +308,25 @@ def regular_module(alg):
     return RightModule(alg, alg.dim, action, name="regular")
 
 
-def free_module(alg, rank):
+class FreeModule(RightModule):
     """Free right module of the given rank, coordinates (g, i) -> g*dim + i."""
-    d = alg.dim
 
-    def rows_for(b):
-        column = [alg.mul_basis(i, b) for i in range(d)]
-        return [{g * d + j: c for j, c in prod.items()}
-                for g in range(rank) for prod in column]
+    def __init__(self, alg, rank):
+        d = alg.dim
 
-    return RightModule(alg, rank * d, LazyAction(d, rows_for), name=f"free^{rank}")
+        def rows_for(b):
+            column = [alg.mul_basis(i, b) for i in range(d)]
+            return [{g * d + j: c for j, c in prod.items()}
+                    for g in range(rank) for prod in column]
+
+        super().__init__(alg, rank * d, LazyAction(d, rows_for), name=f"free^{rank}")
+
+    def generator_matrices(self):
+        # a generating vector acts on every copy of A by one matrix
+        return self.algebra.generator_rows()
+
+
+free_module = FreeModule
 
 
 class ModuleMap:
@@ -365,57 +404,91 @@ def generated_subalgebra_dim(alg, gens=None):
 
 
 class Spin:
-    """Standard-basis spin of a module M, carrying images in target modules.
+    """Standard-basis spin of a module M, carrying images in target modules
+    or preimages in a free cover.
 
-    Greedy generators x_1..x_k of M are spun under the algebra generators G:
-    basis vector i becomes a generator when it lies outside the submodule
+    Start vectors of M (by default its basis vectors) are taken in order: a
+    start vector becomes a generator x_s when it lies outside the submodule
     spun so far, and every vector v kept by the spin is followed by v*g for
-    each g in G.  Each vector carries its image under an unknown module map
-    from M to every target N, written in the unknowns u_s, the image of
-    x_s: the image of x_s*w is u_s*w, so the image of v*g is the image of v
-    times the action of g on N.  The augmented vectors [v | image] share one
-    Echelon whose M columns come first, so the M part pivots first.  A spun
-    vector whose M part reduces to zero leaves a pure image part, which a
-    module map must send to zero: dim N linear equations in the k*dim N
-    unknowns of N.  Their null space is Hom(M, N), because G and the unit
-    generate the algebra, so the spin spans M and its relations are all
-    the conditions on a module map.
+    each algebra generator g in G.  Each vector carries its image under an
+    unknown module map from M to every target N, written in the unknowns
+    u_s, the image of x_s: the image of x_s*w is u_s*w, so the image of v*g
+    is the image of v times the action of g on N.  The augmented vectors
+    [v | image] share one Echelon whose M columns come first, so the M part
+    pivots first.  A spun vector whose M part reduces to zero leaves a pure
+    image part, which a module map must send to zero: dim N linear equations
+    in the k*dim N unknowns of N.  Their null space is Hom(S, N) for the
+    spun submodule S, because G and the unit generate the algebra, so the
+    relations the spin meets are all the conditions on a module map.
 
     The targets' coordinates are concatenated into 0..n-1; unknown row
     r = s*n + j is coordinate j of u_s, and image column j2 of row r sits at
     column m + r*n + j2 (j and j2 in the same target).  The M part does not
     depend on the targets, so one spin serves all of them, and their
     equations separate by target.
+
+    With ``cover``, and no targets, each vector carries instead its preimage
+    in the free cover P = A^b on the generators, x_s lifting to the unit of
+    copy s (copy s of A at columns m + s*dim A onward): the preimage of v*g
+    is the preimage of v times g.  A pure preimage part left by a relation is then
+    an element of the kernel Omega M of P -> M, and ``relations`` lists
+    them.  They generate Omega M (Schreier): the preimages of the spun
+    vectors and the relations span a subspace of P that holds the unit of
+    every copy and is stable under G, so it is P, and the preimages of the
+    spun vectors, dim M of them, meet Omega M in zero.
+
+    ``span_dim`` (by default dim M) is the dimension the spin must reach;
+    it stops there, and raises AlgebraError if the start vectors span less.
     """
 
-    def __init__(self, M, targets=()):
+    def __init__(self, M, targets=(), starts=None, span_dim=None, cover=False):
         alg = M.algebra
         F = alg.field
         targets = list(targets)
         if any(N.algebra is not alg and N.algebra.dim != alg.dim for N in targets):
             raise AlgebraError("modules live over different algebras")
         m = M.dim
+        span_dim = m if span_dim is None else span_dim
         offsets = list(itertools.accumulate((N.dim for N in targets), initial=0))
         n = offsets[-1]
-        self.M, self.targets, self._offsets = M, targets, offsets
-        self._block = [t for t, N in enumerate(targets) for _ in range(N.dim)]
+        self.M, self.targets, self._n = M, targets, n
+        # concatenated coordinate j2 -> (its target t, offset of t, dim of t)
+        where = self._where = [(t, o, N.dim) for t, (N, o) in enumerate(zip(targets, offsets))
+                               for _ in range(N.dim)]
 
-        # [v | image] times g: the M part by M's matrix of g, and each image
-        # row, a vector in the concatenated targets, by their matrices of g
-        actions = [(M.action_rows(g),
-                    [{o + j: c for j, c in row.items()}
-                     for N, o in zip(targets, offsets) for row in N.action_rows(g)])
-                   for g in _generating_vectors(alg)]
+        # [v | carry] times g: the M part by M's matrix of g, and each carry
+        # block (an image row in the concatenated targets, or a copy of A)
+        # by the matrix of g on that block
+        if cover:
+            blocks = alg.generator_rows()
+            unit = alg.unit
+
+            def carry(s):
+                return {m + s * alg.dim + j: c for j, c in unit.items()}
+        else:
+            blocks = [[{o + j: c for j, c in row.items()}
+                       for N, o in zip(targets, offsets) for row in N.action_rows(g)]
+                      for g in _generating_vectors(alg)]
+
+            def carry(s):
+                return {m + (s * n + j) * n + j: F.one for j in range(n)}
+        actions = list(zip(M.generator_matrices(), blocks))
 
         equations = [Echelon(F) for _ in targets]
         seen = [set() for _ in targets]
+        self.relations = []
 
-        def add_equations(residue):
+        def add_relation(residue):
+            if cover:
+                self.relations.append({col - m: c for col, c in residue.items()})
+                return
             # one equation per target coordinate of the residue
             eqs = {}
             for col, c in residue.items():
-                t, unknown, j2 = self._locate(col)
-                eqs.setdefault((t, j2), {})[unknown] = c
+                s, cell = divmod(col - m, n * n)
+                j, j2 = divmod(cell, n)
+                t, o, dim = where[j2]
+                eqs.setdefault((t, j2 - o), {})[s * dim + j - o] = c
             for (t, _), eq in eqs.items():
                 # most relations repeat an equation already seen verbatim
                 key = frozenset(eq.items())
@@ -423,31 +496,30 @@ class Spin:
                     seen[t].add(key)
                     equations[t].insert(eq)
 
+        if starts is None:
+            starts = ({i: F.one} for i in range(m))
         ech = Echelon(F)
         gens = []
-        for i in range(m):
-            if ech.dim == m:
+        for i, vec in enumerate(starts):
+            if ech.dim == span_dim:
                 break
-            start = {i: F.one}
-            r0 = len(gens) * n
-            for j in range(n):
-                start[m + (r0 + j) * n + j] = F.one
-            red = ech.reduce(start)
-            if min(red, default=m) >= m:    # basis vector i is spun already
+            red = ech.reduce({**vec, **carry(len(gens))})
+            if min(red, default=m) >= m:    # vec is spun already
                 continue
             gens.append(i)
-            ech.insert(red)
+            ech.insert_reduced(red)
             queue = collections.deque([red])
             while queue:
                 v = queue.popleft()
-                for m_rows, image_rows in actions:
-                    w = ech.reduce(vec_times_diag_kron(F, v, m_rows, image_rows))
+                for m_rows, carry_rows in actions:
+                    w = ech.reduce(vec_times_diag_kron(F, v, m_rows, carry_rows, m))
                     if min(w, default=m) < m:
-                        ech.insert(w)
+                        ech.insert_reduced(w)
                         queue.append(w)
                     elif w:
-                        add_equations(w)
-        assert ech.dim == m, "the spin must span the module"
+                        add_relation(w)
+        if ech.dim != span_dim:
+            raise AlgebraError(f"the spin spans dimension {ech.dim}, not {span_dim}")
         self.generators = gens
         self._ech = ech
         self.solutions = [eqs.null_space(len(gens) * N.dim)
@@ -455,12 +527,10 @@ class Spin:
 
     def _locate(self, col):
         """(target t, unknown of t, coordinate of t) of an image column."""
-        m, n = self.M.dim, self._offsets[-1]
-        r, j2 = divmod(col - m, n)
-        s, j = divmod(r, n)
-        t = self._block[j2]
-        o = self._offsets[t]
-        return t, s * self.targets[t].dim + j - o, j2 - o
+        s, cell = divmod(col - self.M.dim, self._n * self._n)
+        j, j2 = divmod(cell, self._n)
+        t, o, dim = self._where[j2]
+        return t, s * dim + j - o, j2 - o
 
     def maps(self):
         """A basis of Hom(M, N) for each target N, as module maps.
@@ -539,11 +609,12 @@ def submodule(M, vectors, name="sub"):
 
     Returns (module, inclusion map); AlgebraError if the span is not stable.
     """
-    alg = M.algebra
-    F = alg.field
-    ech = Echelon(F)
-    for v in vectors:
-        ech.insert(v)
+    return _span_submodule(M, Echelon(M.algebra.field).insert_all(vectors), name)
+
+
+def _span_submodule(M, ech, name="sub"):
+    """Submodule of M on the span of an Echelon over M's coordinates, with
+    the echelon rows as its basis; as ``submodule``."""
     rows = ech.basis_rows()
 
     def rows_for(b):
@@ -555,10 +626,9 @@ def submodule(M, vectors, name="sub"):
             mats.append(coords)
         return mats
 
-    action = stable_action(alg, LazyAction(alg.dim, rows_for))
-    sub = RightModule(alg, len(rows), action, name=name)
-    incl = ModuleMap(sub, M, rows)
-    return sub, incl
+    action = stable_action(M.algebra, LazyAction(M.algebra.dim, rows_for))
+    sub = RightModule(M.algebra, len(rows), action, name=name)
+    return sub, ModuleMap(sub, M, rows)
 
 
 def quotient_module(M, vectors, name="quot"):
@@ -590,8 +660,7 @@ def quotient_module(M, vectors, name="quot"):
     return quot, proj
 
 
-@dataclass
-class Corner:
+class Corner(NamedTuple):
     """Corner algebra e*A*e of an idempotent, with its basis inside A."""
     parent: FinAlgebra
     idempotent: dict
@@ -623,34 +692,46 @@ def corner_algebra(alg, e_vec, name=""):
     return Corner(alg, dict(e_vec), corner_alg, rows, ech)
 
 
-@dataclass
-class Presentation:
-    """Start of a free resolution: 0 -> kernel -> cover -> M -> 0."""
+class Presentation(NamedTuple):
+    """Start of a free resolution: 0 -> kernel -> cover -> M -> 0.
+
+    ``relations`` are elements of the kernel, in cover coordinates, that
+    generate it as a module: those the spin of M meets (see ``Spin``).
+    """
     module: RightModule
     cover: RightModule
     proj: ModuleMap
     kernel: RightModule
     incl: ModuleMap
     cover_rank: int
+    relations: list
+
+
+def _omega_spin(M, cover, relations, targets=()):
+    """Spin of the kernel of cover -> M from its relations, carrying images
+    in the targets.  The spin's span lies in the kernel, so reaching
+    dim cover - dim M certifies that it is the kernel; AlgebraError if not."""
+    return Spin(cover, targets, starts=relations, span_dim=cover.dim - M.dim)
 
 
 def free_presentation(M):
-    """Free cover on a pruned generating set, with its kernel as a submodule."""
+    """Free cover on the spin generators of M, with its kernel Omega M.
+
+    The spin of M carrying preimages gives the generators and the relations;
+    the kernel's basis is the echelon of the spin of Omega M from them.
+    """
     alg = M.algebra
     F = alg.field
-    gens = module_generators(M)
-    b = len(gens)
+    spin = Spin(M, cover=True)
+    b = len(spin.generators)
     cover = free_module(alg, b)
-    proj_rows = []
-    for g in gens:
-        for i in range(alg.dim):
-            proj_rows.append(M.act_basis({g: F.one}, i))
+    omega = _omega_spin(M, cover, spin.relations)
+    kernel, incl = _span_submodule(cover, omega._ech, name=f"Omega({M.name})")
+    proj_rows = [M.act_basis({g: F.one}, i) for g in spin.generators for i in range(alg.dim)]
     proj = ModuleMap(cover, M, proj_rows)
-    ker_vectors = kernel_basis(F, transpose_rows(proj_rows, M.dim), cover.dim)
-    kernel, incl = submodule(cover, ker_vectors, name=f"Omega({M.name})")
-    assert proj.image_rank() == M.dim, "free cover must surject"
-    assert kernel.dim == cover.dim - M.dim
-    return Presentation(M, cover, proj, kernel, incl, b)
+    if proj.image_rank() != M.dim:
+        raise AlgebraError("the free cover does not surject")
+    return Presentation(M, cover, proj, kernel, incl, b, spin.relations)
 
 
 def ext1_dims(M, targets, hom_dims, presentation=None):
@@ -659,11 +740,18 @@ def ext1_dims(M, targets, hom_dims, presentation=None):
     From a free presentation 0 -> Omega M -> P0 -> M -> 0 with P0 free of
     rank b: the image of Hom(P0, N) inside Hom(Omega M, N) has dimension
     b*dim N - dim Hom(M, N), since maps vanishing on Omega M are exactly the
-    maps factoring through M.  One spin of Omega M serves every target.
+    maps factoring through M.  Omega M is spun inside P0 from the relations
+    that the spin of M meets, once for every target; of M, only the action
+    matrices of the algebra generators are read.
     """
-    pres = presentation or free_presentation(M)
-    omega = Spin(pres.kernel, targets).solutions
-    return [len(sols) - pres.cover_rank * N.dim + hom
+    if presentation is None:
+        spin = Spin(M, cover=True)
+        cover, relations = free_module(M.algebra, len(spin.generators)), spin.relations
+    else:
+        cover, relations = presentation.cover, presentation.relations
+    b = cover.dim // M.algebra.dim
+    omega = _omega_spin(M, cover, relations, targets).solutions
+    return [len(sols) - b * N.dim + hom
             for sols, N, hom in zip(omega, targets, hom_dims)]
 
 

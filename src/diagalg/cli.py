@@ -358,8 +358,11 @@ COMMANDS = {
 }
 
 
-def run(argv):
-    parser = build_parser()
+def run(argv, parser=None):
+    """(report, exit status) of one command line; ``parser``, if given, is
+    the one ``build_parser`` made, so a caller that parsed argv already does
+    not build a second."""
+    parser = parser or build_parser()
     args = parser.parse_args(argv)
     if args.format == "csv" and (args.replay or args.command != "dominance-table"):
         raise CliError("csv format is only available for table reports")
@@ -377,11 +380,12 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     started = time.monotonic()
     try:
-        probe = build_parser().parse_args(argv)
+        parser = build_parser()
+        probe = parser.parse_args(argv)
         if probe.cap > _SHARED_DEFAULTS["cap"]:
             print(f"warning: raising the dimension cap to {probe.cap} "
                   "leaves the desk-scale envelope", file=sys.stderr)
-        report, code = run(argv)
+        report, code = run(argv, parser)
         payload = emit(report, probe.format)
         if probe.out:
             with open(probe.out, "wb") as fh:

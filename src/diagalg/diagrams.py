@@ -183,10 +183,8 @@ class DiagramAlgebra:
         n = self.kind.n
         verts = tuple(range(2 * n))
         diagrams = []
-        for matching in _perfect_matchings(verts):
-            if self.kind.family == "walled":
-                if any(not self.check_edge_legal(u, v) for (u, v) in matching):
-                    continue
+        legal = self.check_edge_legal if self.kind.family == "walled" else None
+        for matching in _perfect_matchings(verts, legal):
             for labels in itertools.product(range(self.A.dim), repeat=len(matching)):
                 edges = tuple(sorted((u, v, k) for (u, v), k in zip(matching, labels)))
                 diagrams.append(Diagram(edges))
@@ -574,15 +572,20 @@ def format_diagram(dalg: DiagramAlgebra, d: Diagram) -> str:
     return f"[{body}] @ {_kind_suffix(dalg.kind)}"
 
 
-def _perfect_matchings(verts):
+def _perfect_matchings(verts, legal=None):
+    """Perfect matchings of the vertex tuple, using only edges (a, b) with
+    legal(a, b) when a predicate is given: an illegal edge prunes every
+    matching through it."""
     if not verts:
         yield ()
         return
     a = verts[0]
     for i in range(1, len(verts)):
         b = verts[i]
+        if legal is not None and not legal(a, b):
+            continue
         rest = verts[1:i] + verts[i + 1:]
-        for m in _perfect_matchings(rest):
+        for m in _perfect_matchings(rest, legal):
             yield ((a, b),) + m
 
 

@@ -111,10 +111,16 @@ def cyclotomic_polynomial(r: int) -> tuple:
 
 
 class Field:
-    """Abstract arithmetic context over an exact field."""
+    """Abstract arithmetic context over an exact field.
+
+    ``p`` is the prime of a prime field and None otherwise: the sparse
+    kernels of ``linalg`` inline the arithmetic of F_p, on ints in range(p),
+    where it is set.
+    """
 
     zero = None
     one = None
+    p = None
 
     def add(self, a, b):
         raise NotImplementedError

@@ -30,7 +30,7 @@ do not depend on this sharing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 from .algebra_kernel import FinAlgebra, index_cases
 from .diagrams import DiagramAlgebra
@@ -124,8 +124,7 @@ def check_layer_ideal_closed(dalg: DiagramAlgebra, l: int, seed=0, table=None):
     return None
 
 
-@dataclass
-class LayerReport:
+class LayerReport(NamedTuple):
     layer: int
     rank_v: int
     dim_small: int
@@ -135,7 +134,7 @@ class LayerReport:
     involution_ok: bool
     pairs_checked: int
     sampled: bool
-    failures: list = dc_field(default_factory=list)
+    failures: list
 
     @property
     def ok(self):

@@ -19,7 +19,7 @@ symmetric groups, as needed for the walled family.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra_kernel import FinAlgebra, algebra_from_mult_context
 
@@ -210,8 +210,7 @@ def input_algebra_from_json(obj, field):
     return InputAlgebra(F, labels, unit, struct, invo, trace)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     witness: tuple | None = None

@@ -15,7 +15,10 @@ Every layer follows the same sparse invariants:
   Echelon row already handed out;
 * coordinates are read from the support: the coordinates of a span member
   by pivot position are its own entries at pivot columns
-  (``Echelon.coords``), so no call walks every stored pivot.
+  (``Echelon.coords``), so no call walks every stored pivot;
+* over a prime field (``F.p`` set) ``vec_iadd`` and ``vec_times_diag_kron``
+  do the int arithmetic mod p themselves; every other field goes through
+  ``F.add`` and ``F.mul``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,19 @@ from __future__ import annotations
 
 def vec_iadd(F, acc, c, v):
     """acc += c*v in place, dropping entries that cancel; returns acc."""
-    add, mul, is_zero, get = F.add, F.mul, F.is_zero, acc.get
+    p, get = F.p, acc.get
+    if p:
+        # prime field: a missing entry gets c*x, nonzero mod p, so only a
+        # present entry can cancel
+        if c:
+            for j, x in v.items():
+                s = (get(j, 0) + c * x) % p
+                if s:
+                    acc[j] = s
+                else:
+                    del acc[j]
+        return acc
+    add, mul, is_zero = F.add, F.mul, F.is_zero
     if is_zero(c):
         return acc
     scaled = c != F.one
@@ -59,44 +74,45 @@ def vec_scale(F, c, v):
 
 def vec_times_rows(F, v, rows):
     """Row vector times a matrix given as a list of rows: sum_i v_i * rows[i]."""
-    add, mul, is_zero, one = F.add, F.mul, F.is_zero, F.one
-    out = {}
-    get = out.get
-    for i, c in v.items():
-        scaled = c != one
-        for j, x in rows[i].items():
-            if scaled:
-                x = mul(c, x)
-            s = get(j)
-            if s is None:
-                out[j] = x
-            else:
-                s = add(s, x)
-                if is_zero(s):
-                    del out[j]
-                else:
-                    out[j] = s
-    return out
+    return vec_times_diag_kron(F, v, rows, ())
 
 
-def vec_times_diag_kron(F, v, a_rows, b_rows):
-    """Row vector times the block-diagonal matrix diag(A, B, B, ...), with A
-    and the square B given as lists of rows.
+def vec_times_diag_kron(F, v, a_rows, b_rows, m=None):
+    """Row vector times the block-diagonal matrix diag(A, ..., A, B, B, ...),
+    with the square A and B given as lists of rows.
 
-    The coordinates of v below len(a_rows) meet the rows of A; each later
-    run of len(b_rows) coordinates meets the rows of B and lands in the same
-    run of columns, so B is never copied into its blocks.
+    The coordinates of v below m (by default len(a_rows)) meet A, and the
+    later ones B, in runs of the matrix's length; each run lands in the same
+    run of columns, so neither matrix is copied into its blocks.
     """
-    add, mul, is_zero, one = F.add, F.mul, F.is_zero, F.one
-    m, n = len(a_rows), len(b_rows)
+    p = F.p
+    na, nb = len(a_rows), len(b_rows)
+    m = na if m is None else m
     out = {}
     get = out.get
+    if p:
+        # prime field: sum the integer products, reduce mod p once at the end
+        for i, c in v.items():
+            if i < m:
+                r = i % na
+                row = a_rows[r]
+            else:
+                r = (i - m) % nb
+                row = b_rows[r]
+            shift = i - r
+            for j, x in row.items():
+                j += shift
+                out[j] = get(j, 0) + c * x
+        return {j: s for j, t in out.items() if (s := t % p)}
+    add, mul, is_zero, one = F.add, F.mul, F.is_zero, F.one
     for i, c in v.items():
         if i < m:
-            row, shift = a_rows[i], 0
+            r = i % na
+            row = a_rows[r]
         else:
-            r = (i - m) % n
-            row, shift = b_rows[r], i - r
+            r = (i - m) % nb
+            row = b_rows[r]
+        shift = i - r
         scaled = c != one
         for j, x in row.items():
             if scaled:
@@ -166,8 +182,11 @@ class Echelon:
 
     def insert(self, v):
         """Add v to the span; returns the new pivot column or None."""
+        return self.insert_reduced(self.reduce(v))
+
+    def insert_reduced(self, red):
+        """``insert`` of a vector that ``reduce`` returned, not reduced again."""
         F = self.F
-        red = self.reduce(v)
         if not red:
             return None
         p = min(red)

@@ -28,7 +28,7 @@ induced module builds each action matrix on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra_kernel import (
     FinAlgebra,
@@ -456,8 +456,7 @@ def corner_split_datum(dalg: DiagramAlgebra, big: FinAlgebra, l: int):
 # short exact sequences and the exactness verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ShortExactSequence:
+class ShortExactSequence(NamedTuple):
     incl: ModuleMap
     proj: ModuleMap
     name: str = "ses"

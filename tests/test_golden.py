@@ -62,6 +62,13 @@ LARGER_SPLIT_PAIR = {
         "44138c5cf9072de9b797ff792980782edc8bd0854703d84bf3cec84b51b14854",
     "hom-ext --kind cyclotomic --n 3 --r 3 --delta 1 --l 1 --field cyc:3":
         "ba20e4cd8b22ece0e1682366e80e9720ac8905290708ecc24a436dac5ab2a8b5",
+    # the presentation of the cell head, and Ext^1 of inductions of dimension
+    # 10 over the 945-dimensional D_5: digests taken on the kernel-solve route
+    # that the relation spin replaced
+    "verify-split-pair --kind cyclotomic --n 4 --r 2 --deltas 1,1 --l 2":
+        "ea20db6dbb8abdd71da45be3320c2dd08ef35e6a6e2ac51479f1d41dfd0e6a1a",
+    "hom-ext --kind abrauer --n 5 --l 1 --field fp:7":
+        "d6be527cef7d7e2ba68449d0ad2a69fea8c182fa8aba84bd8a31d345de6f2be4",
 }
 
 

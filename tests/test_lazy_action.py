@@ -13,6 +13,7 @@ from diagalg.algebra_kernel import (
     AlgebraError,
     LazyAction,
     ext1,
+    ext1_dims,
     free_module,
     free_presentation,
     hom_space,
@@ -108,6 +109,16 @@ def test_ext1_builds_only_the_generator_matrices_of_the_kernel():
     assert (len(support), big.dim) == (6, 105)
     assert pres.kernel.action.built_indices() == support
     assert pres.cover.action.built_indices() == support
+
+
+def test_ext1_reads_only_the_generator_matrices_of_the_module():
+    # Omega M is spun inside the free cover from the relations of the spin
+    # of M, so no cover projection reads the other matrices of M
+    datum = datum_for(DiagramKind.abrauer(4), 1, F5)
+    ind = datum.induce(wreath_trivial_module(datum.W))
+    assert ext1_dims(ind, [ind], [len(hom_space(ind, ind))]) == [0]
+    assert ind.action.built_indices() == generator_support(datum.big)
+    assert len(generator_support(datum.big)) == 6
 
 
 def test_spin_builds_only_the_generator_matrices():

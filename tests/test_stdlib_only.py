@@ -1,7 +1,10 @@
 """The runtime needs only the standard library: every absolute import in
-``src/diagalg`` names a standard-library module."""
+``src/diagalg`` names a standard-library module, and importing the command
+line stays clear of the costly ones."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -25,3 +28,14 @@ def test_every_absolute_import_is_stdlib():
              for line, name in absolute_imports(path)
              if name not in sys.stdlib_module_names]
     assert not stray
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # each costs milliseconds in every process the command line starts
+    code = ("import sys; before = set(sys.modules); import diagalg.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    paths = [str(SRC.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == "[]"
