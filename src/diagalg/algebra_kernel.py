@@ -680,7 +680,8 @@ def corner_algebra(alg, e_vec, name=""):
 
     def from_parent(w):
         coords = ech.coords(w)
-        assert coords is not None, "product escaped the corner"
+        if coords is None:
+            raise AlgebraError("product escaped the corner")
         return coords
 
     def pair_mul(i, j):

@@ -24,6 +24,12 @@ and field operations remain only for loop traces and coefficients other
 than 1.  Otherwise the walk collects words, and ``InputAlgebra.expand_words``
 reduces them into a linear combination over the label choices.
 
+The walk (``DiagramAlgebra.product``) returns the product's edge tuple, its
+coefficient and the number of horizontal edges in its top row, which is the
+layer of every diagram of the product.  Checks that only compare a product
+with a prediction, or ask for its layer, read these three values and build
+no ``Diagram``; ``mul_diagrams`` wraps them as an element dict.
+
 Walled diagrams (``family="walled"``, n = r + t columns, wall after column
 r): horizontal edges must cross the wall, vertical edges must not, and the
 input algebra is the base field.
@@ -266,7 +272,8 @@ class DiagramAlgebra:
         bot_used = {w for p in bottom_pairs for w in p}
         top_free = [i for i in range(n) if i not in top_used]
         bot_free = [i for i in range(n) if i not in bot_used]
-        assert len(top_free) == len(bot_free)
+        if len(top_free) != len(bot_free):
+            raise DiagramError("cups leave unequal numbers of free columns in the two rows")
         parts = []
         for (u, v) in top_pairs:
             parts.append((u, v))
@@ -333,7 +340,8 @@ class DiagramAlgebra:
         bot_used = {w for p in bottom_pairs for w in p} | {strand[1]}
         top_free = [i for i in range(n) if i not in top_used]
         bot_free = [i for i in range(n) if i not in bot_used]
-        assert top_free == bot_free, "delta=0 idempotent: verticals must align"
+        if top_free != bot_free:
+            raise DiagramError("delta=0 idempotent: verticals must align")
         u0 = self.A.unit_basis_index()
         if u0 is None:
             raise DiagramError("delta = 0 idempotent needs the unit as a basis label")
@@ -372,14 +380,21 @@ class DiagramAlgebra:
         return _expand([(u, v) for u, v, _ in edges],
                        self.A.expand_words([w for _, _, w in edges], loops))
 
-    def mul_diagrams(self, d1: Diagram, d2: Diagram):
-        """Product of two basis diagrams as an element dict.
+    def product(self, d1: Diagram, d2: Diagram):
+        """(edges, coefficient, top) of the product of two basis diagrams.
 
         One walk over the compiled pair: every through-path from its smaller
         result vertex, then every closed middle loop from its leftmost column
         into d1.  Each step reduces the path's label by one table lookup,
         b_k times the next letter; coefficients other than 1 are multiplied
         as they appear, and loop traces at the end.
+
+        ``top`` counts the horizontal edges of the product's top row: every
+        diagram of the product has this matching, so it is their layer.
+        Over a monomial input algebra the product is ``Diagram(edges)``
+        times ``coefficient``, which is zero when a loop trace or a label
+        coefficient kills it.  Otherwise ``edges`` is None and
+        ``coefficient`` is the whole product as an element dict.
         """
         n = self.kind.n
         compiled = self._compiled
@@ -389,8 +404,10 @@ class DiagramAlgebra:
         letters, products = self.A.walk_table
         mul = self.field.mul
         out = 4 * n                   # partners from here on are result vertices
+        top_end = 5 * n               # and below this, top-row vertices
         seen = [False] * (6 * n)      # middle positions crossed, result vertices reached
         edges, loops = [], []
+        top = 0
         c = None
         for w0, mark, mark2 in self._starts:
             if seen[mark] or seen[mark2]:
@@ -410,17 +427,26 @@ class DiagramAlgebra:
                 loops.append(k)
             else:
                 seen[x] = True
+                if x < top_end:
+                    top += 1
                 edges.append((mark - out, x - out, k))
         if self.A.label_table is None:
-            return self._from_words(edges, loops)
+            return None, self._from_words(edges, loops), top
         F, trace = self.field, self.A.trace
         for k in loops:
             c = trace[k] if c is None else mul(c, trace[k])
-        if c is None:
-            c = F.one
-        elif F.is_zero(c):
-            return {}
-        return {Diagram(tuple(edges)): c}
+        return tuple(edges), F.one if c is None else c, top
+
+    def element(self, result):
+        """The element dict of a ``product`` result."""
+        edges, c, _ = result
+        if edges is None:
+            return c
+        return {} if self.field.is_zero(c) else {Diagram(edges): c}
+
+    def mul_diagrams(self, d1: Diagram, d2: Diagram):
+        """Product of two basis diagrams as an element dict (see ``product``)."""
+        return self.element(self.product(d1, d2))
 
     def mul(self, x, y):
         F = self.field
@@ -534,6 +560,8 @@ class DiagramAlgebra:
         return format_diagram(self, d)
 
     def generator_elements(self):
+        """Swaps, cups and the labels of strand 1; a label generator equal to
+        the unit (label 1 of a group algebra) is left out."""
         gens = []
         n = self.kind.n
         if self.kind.family == "abrauer":
@@ -541,8 +569,9 @@ class DiagramAlgebra:
                 gens.append(self.swap(i))
                 gens.append(self.cup_generator(i))
             if self.A.dim > 1 and n >= 1:
-                for k in range(self.A.dim):
-                    gens.append(self.label_generator(1, k))
+                unit = self.identity()
+                labels = (self.label_generator(1, k) for k in range(self.A.dim))
+                gens += [g for g in labels if g != unit]
         else:
             r = self.kind.wall
             for i in range(1, n):

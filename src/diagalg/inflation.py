@@ -18,10 +18,19 @@ involution swaps the two configurations and stars the wreath part.
 ``verify_decomposition`` runs every layer, the ideal chain and the global
 dimension identity.
 
-The checks share their work.  The ideal chain reads one table of lowest
-layers, shared by every l, so it computes each product once; the layer
-checks read the diagrams the roundtrip assembled, and keep wreath products
-used by one pair out of the wreath algebra's product cache.
+The checks share their work, so that a run computes each product of two
+basis diagrams once (a pair that sampling draws twice is multiplied twice).
+A product is one walk, ``DiagramAlgebra.product``, read as its edges, its
+coefficient and the edge count of its top row, which is its layer: no
+check builds a ``Diagram`` or an element dict for a monomial product it
+only compares or locates.  Each layer check returns the lowest layer of
+every product it computed at l >= 1, and the ideal chain reads that one
+table, shared by every l, computing each other product once.  The layer
+checks read the diagrams the roundtrip assembled; the contraction form of
+(f, e) is read from the product of the layer diagrams (f, f, 1) and
+(e, e, 1), which the check of that pair reuses; wreath products used by
+one pair stay out of the wreath algebra's product cache, and a wreath side
+b_k1 * phi * b_k2 that can repeat is formed once.
 ``diagram_fin_algebra``'s cache is not used: it is built at setup and
 caches whole product vectors, which costs memory the checks do not need.
 Which pairs are checked, and the bounds between exhaustive and sampled,
@@ -32,7 +41,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra_kernel import FinAlgebra, index_cases
+from .algebra_kernel import AlgebraError, FinAlgebra, index_cases
 from .diagrams import DiagramAlgebra
 from .input_algebra import wreath_product
 from .linalg import entry_iadd, vec_iadd
@@ -64,18 +73,30 @@ def contraction_form(dalg: DiagramAlgebra, W, f_pd, e_pd):
     the result modulo the next layer; loops contribute their label traces,
     and any strand returning to its own row kills the product.
     """
-    l = len(f_pd.edges)
     unit_keys = _to_key_vec(W, W.unit)
     df = dalg.layer_assemble(f_pd, f_pd, unit_keys)
     de = dalg.layer_assemble(e_pd, e_pd, unit_keys)
-    prod = dalg.truncate_above_layer(dalg.mul(df, de), l)
+    return _read_contraction(dalg, W, f_pd, e_pd, dalg.mul(df, de))
+
+
+def _read_contraction(dalg, W, f_pd, e_pd, prod):
+    """The wreath part of a product of the contraction form's diagrams."""
     out = {}
     F = dalg.field
-    for d, c in prod.items():
+    for d, c in dalg.truncate_above_layer(prod, len(f_pd.edges)).items():
         top, bottom, key = dalg.layer_factorize(d)
-        assert top == f_pd and bottom == e_pd, "contraction changed the configurations"
+        if top != f_pd or bottom != e_pd:
+            raise AlgebraError("contraction changed the configurations")
         entry_iadd(F, out, W.key_index[key], c)
     return out
+
+
+def _lowest(dalg, result):
+    """Fewest horizontal edges in the support of a ``product`` result (n when
+    the product is zero)."""
+    edges, c, top = result
+    zero = not c if edges is None else dalg.field.is_zero(c)
+    return dalg.kind.n if zero else top
 
 
 def layer_ideal_indices(dalg: DiagramAlgebra, big: FinAlgebra, l: int):
@@ -92,8 +113,10 @@ def check_layer_ideal_closed(dalg: DiagramAlgebra, l: int, seed=0, table=None):
     Returns a witness pair or None.
 
     ``table`` maps i * dim + j to the fewest horizontal edges in the support
-    of b_i * b_j (n for a zero product).  Passed the same table for every l,
-    the chain computes each product once; the pairs and bounds do not change.
+    of b_i * b_j (n for a zero product), read from the top-row count of the
+    product.  Passed the same table for every l, filled first by the layer
+    checks, the chain computes each product once in a run; the pairs and
+    bounds do not change.
 
     At l = 0 the span is the whole algebra and no diagram has fewer than 0
     horizontal edges, so no pair could be a witness: None, with no pair
@@ -101,7 +124,6 @@ def check_layer_ideal_closed(dalg: DiagramAlgebra, l: int, seed=0, table=None):
     """
     if l == 0:
         return None
-    n = dalg.kind.n
     basis = dalg.basis()
     dim = len(basis)
     if table is None:
@@ -112,8 +134,7 @@ def check_layer_ideal_closed(dalg: DiagramAlgebra, l: int, seed=0, table=None):
         key = i * dim + j
         got = table.get(key)
         if got is None:
-            prod = dalg.mul_diagrams(basis[i], basis[j])
-            got = table[key] = min(map(dalg.layer, prod), default=n)
+            got = table[key] = _lowest(dalg, dalg.product(basis[i], basis[j]))
         return got
 
     pairs, _, _ = index_cases((dim, len(members)), 150, 1000, seed)
@@ -135,6 +156,10 @@ class LayerReport(NamedTuple):
     pairs_checked: int
     sampled: bool
     failures: list
+    # i * dim + j -> fewest horizontal edges of b_i * b_j, over basis indices,
+    # for each product the check computed at l >= 1; read by the ideal chain
+    # and not reported
+    lowest: dict
 
     @property
     def ok(self):
@@ -163,24 +188,40 @@ def verify_layer(dalg: DiagramAlgebra, l: int, W=None, seed=0) -> LayerReport:
 
     The roundtrip check assembles every layer diagram from its factors, and
     the involution and multiplication checks read those assemblies back.
-    b_k1 * phi is formed once per wreath index k1 and contraction value phi;
-    its product with b_k2, which one pair reads, goes through ``W.pair_mul``,
-    so W's product cache keeps no product that is used once.
+    Configurations and wreath keys are read as ints.  Each checked pair
+    costs one ``DiagramAlgebra.product``; a single-term product is compared
+    with a single-term prediction by edges and coefficient, and any other
+    case by element dicts.  When the wreath unit is one basis element, the
+    contraction form of (f, e) is read from the product of the layer
+    diagrams (f, f, 1) and (e, e, 1), which the pair of them reuses.
+
+    b_k1 * phi(bot1, top2) is formed once per (k1, bot1, top2), through W's
+    product cache.  Its product with b_k2 goes through ``W.pair_mul``, which
+    caches nothing: once per (k1, bot1, top2, k2) when there is more than
+    one configuration, so that such a key can repeat, and once per pair
+    otherwise, when no key repeats.
     """
     if W is None:
         W = small_algebra(dalg, l)
-    layer = dalg.layer_basis(l)
-    partials = dalg.enumerate_partials(l)
-    failures = []
     F = dalg.field
+    basis = dalg.basis()
+    dim = len(basis)
+    at = [i for i, d in enumerate(basis) if dalg.layer(d) == l]
+    layer = [basis[i] for i in at]
+    partials = dalg.enumerate_partials(l)
+    P, Wd = len(partials), W.dim
+    config = {p: t for t, p in enumerate(partials)}
+    failures = []
 
-    assembled = {}   # (top, bottom) -> {wreath index: diagram}
+    expected = P * P * Wd
+    assembled = {}   # (top * P + bottom) * Wd + k -> diagram
 
     def assemble(top, bottom, k):
-        row = assembled.setdefault((top, bottom), {})
-        got = row.get(k)
+        slot = (top * P + bottom) * Wd + k
+        got = assembled.get(slot)
         if got is None:
-            got = row[k] = dalg.layer_assemble_key(top, bottom, W.basis_keys[k])
+            got = assembled[slot] = dalg.layer_assemble_key(
+                partials[top], partials[bottom], W.basis_keys[k])
         return got
 
     def assemble_vec(top, bottom, wreath_vec):
@@ -190,17 +231,16 @@ def verify_layer(dalg: DiagramAlgebra, l: int, W=None, seed=0) -> LayerReport:
         return out
 
     factored = [dalg.layer_factorize(d) for d in layer]
-    windex = [W.key_index[key] for _, _, key in factored]
-    expected = len(partials) ** 2 * W.dim
+    fac = [(config[top], config[bottom], W.key_index[key]) for top, bottom, key in factored]
     bijective = (len(layer) == expected and len(set(factored)) == len(layer))
-    for d, (top, bottom, _), k in zip(layer, factored, windex):
+    for d, (top, bottom, k) in zip(layer, fac):
         if assemble(top, bottom, k) != d:
             bijective = False
             failures.append({"check": "roundtrip", "diagram": dalg.label(d)})
             break
 
     involution_ok = True
-    for d, (top, bottom, _), k in zip(layer, factored, windex):
+    for d, (top, bottom, k) in zip(layer, fac):
         lhs = dalg.involution({d: F.one})
         rhs = assemble_vec(bottom, top, W.involve(W.basis_vec(k)))
         if lhs != rhs:
@@ -208,34 +248,91 @@ def verify_layer(dalg: DiagramAlgebra, l: int, W=None, seed=0) -> LayerReport:
             failures.append({"check": "involution", "diagram": dalg.label(d)})
             break
 
-    pairs, pairs_checked, sampled = index_cases((len(layer), len(layer)), 200, 600, seed)
+    n_layer = len(layer)
+    lowest = {}
+    held = {}        # i * n_layer + j -> product of layer[i] and layer[j]
+
+    def product(i, j):
+        got = held.pop(i * n_layer + j, None) if held else None
+        if got is None:
+            got = dalg.product(layer[i], layer[j])
+            if l:
+                lowest[at[i] * dim + at[j]] = _lowest(dalg, got)
+        return got
+
+    # the contraction form's diagrams are layer diagrams when W's unit is a
+    # basis element; their product is then shared with the pair check
+    unit_k = next(iter(W.unit)) if list(W.unit.values()) == [F.one] else None
+    index_of = {d: i for i, d in enumerate(layer)}
     phi_cache = {}
-    left_cache = {}   # (k1, bot1, top2) -> b_k1 * phi(bot1, top2)
+
+    def phi(bottom, top):
+        key = bottom * P + top
+        got = phi_cache.get(key)
+        if got is None:
+            f, e = partials[bottom], partials[top]
+            i = j = None
+            if unit_k is not None:
+                i = index_of.get(assemble(bottom, bottom, unit_k))
+                j = index_of.get(assemble(top, top, unit_k))
+            if i is None or j is None:
+                got = contraction_form(dalg, W, f, e)
+            else:
+                prod = held[i * n_layer + j] = product(i, j)
+                got = _read_contraction(dalg, W, f, e, dalg.element(prod))
+            phi_cache[key] = got
+        return got
+
+    left_cache = {}   # (k1 * P + bot1) * P + top2 -> b_k1 * phi(bot1, top2)
+    wreath_cache = {}   # ((k1 * P + bot1) * P + top2) * Wd + k2 -> wreath side
+    one = F.one
+
+    def wreath_side(k1, bot1, top2, k2):
+        key = (k1 * P + bot1) * P + top2
+        left = left_cache.get(key)
+        if left is None:
+            left = left_cache[key] = W.mul(W.basis_vec(k1), phi(bot1, top2))
+        if len(left) == 1:
+            (m, c), = left.items()
+            got = W.pair_mul(m, k2)
+            return got if c == one else {m2: F.mul(c, c2) for m2, c2 in got.items()}
+        got = {}
+        for m, c in left.items():
+            vec_iadd(F, got, c, W.pair_mul(m, k2))
+        return got
+
+    pairs, pairs_checked, sampled = index_cases((n_layer, n_layer), 200, 600, seed)
     multiplicative = True
     for i, j in pairs:
-        top1, bot1, _ = factored[i]
-        top2, bot2, _ = factored[j]
-        k1 = windex[i]
-        left = left_cache.get((k1, bot1, top2))
-        if left is None:
-            phi = phi_cache.get((bot1, top2))
-            if phi is None:
-                phi = phi_cache[bot1, top2] = contraction_form(dalg, W, bot1, top2)
-            left = left_cache[k1, bot1, top2] = W.mul(W.basis_vec(k1), phi)
-        wprod = {}
-        for m, c in left.items():
-            vec_iadd(F, wprod, c, W.pair_mul(m, windex[j]))
-        d1, d2 = layer[i], layer[j]
-        lhs = dalg.truncate_above_layer(dalg.mul_diagrams(d1, d2), l)
-        if lhs != assemble_vec(top1, bot2, wprod):
+        top1, bot1, k1 = fac[i]
+        top2, bot2, k2 = fac[j]
+        if P == 1:
+            wprod = wreath_side(k1, bot1, top2, k2)
+        else:
+            key = ((k1 * P + bot1) * P + top2) * Wd + k2
+            wprod = wreath_cache.get(key)
+            if wprod is None:
+                wprod = wreath_cache[key] = wreath_side(k1, bot1, top2, k2)
+        got = product(i, j)
+        edges, c, top = got
+        if edges is not None and len(wprod) <= 1:
+            if wprod:
+                (m, cw), = wprod.items()
+                ok = edges == assemble(top1, bot2, m).edges and c == cw
+            else:
+                ok = top > l or F.is_zero(c)
+        else:
+            ok = (dalg.truncate_above_layer(dalg.element(got), l)
+                  == assemble_vec(top1, bot2, wprod))
+        if not ok:
             multiplicative = False
             failures.append({"check": "multiplicative",
-                             "pair": [dalg.label(d1), dalg.label(d2)]})
+                             "pair": [dalg.label(layer[i]), dalg.label(layer[j])]})
             if len(failures) > 5:
                 break
 
-    return LayerReport(l, len(partials), W.dim, expected, bijective,
-                       multiplicative, involution_ok, pairs_checked, sampled, failures)
+    return LayerReport(l, P, Wd, expected, bijective, multiplicative, involution_ok,
+                       pairs_checked, sampled, failures, lowest)
 
 
 def verify_decomposition(dalg: DiagramAlgebra, seed=0) -> dict:
@@ -245,7 +342,11 @@ def verify_decomposition(dalg: DiagramAlgebra, seed=0) -> dict:
 
     chain_ok = True
     ideal_witnesses = []
-    lowest_layer = {}   # shared by every l: each product is computed once
+    # one table for the run: the chain reads the products the layer checks
+    # computed, and computes each other product once for every l
+    lowest_layer = {}
+    for rep in layers:
+        lowest_layer.update(rep.lowest)
     counts = [sum(1 for d in basis if dalg.layer(d) >= l) for l in range(bound + 2)]
     for l in range(bound + 1):
         if counts[l + 1] >= counts[l]:   # every layer is nonempty, so strictly nested

@@ -366,9 +366,12 @@ class _WreathContext:
             p[i], p[i + 1] = p[i + 1], p[i]
             gens.append(self.decorated_perm_element(tuple(p)))
         if self.m > 0 and self.A.dim > 1:
+            unit = self.identity()
             for k in range(self.A.dim):
                 vecs = [{k: self.field.one}] + [self.A.unit] * (self.m - 1)
-                gens.append(self.decorated_perm_element(identity_perm(self.m), vecs))
+                g = self.decorated_perm_element(identity_perm(self.m), vecs)
+                if g != unit:
+                    gens.append(g)
         return gens
 
 

@@ -217,7 +217,8 @@ def specht_module(lam, W=None, field=None, max_size=5):
         mat = []
         for r in rows:
             coords = span.coords(act_key(r, perm))
-            assert coords is not None, "permuted polytabloid left the span"
+            if coords is None:
+                raise SpechtError("permuted polytabloid left the span")
             mat.append(coords)
         action.append(mat)
     return RightModule(W, len(std), action, name=f"S{lam}")

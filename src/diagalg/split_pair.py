@@ -205,8 +205,8 @@ class CornerSplitDatum:
         self.alpha_rows = []
         for row in self.corner.rows:
             read = self._to_S(row)
-            assert all(base <= s < base + self.W.dim for s in read), \
-                "corner element with a foreign bottom configuration"
+            if not all(base <= s < base + self.W.dim for s in read):
+                raise SplitPairError("corner element with a foreign bottom configuration")
             self.alpha_rows.append({s - base: F.mul(norm, c) for s, c in read.items()})
         # section: wreath basis -> corner coordinates, through the corner iso
         empty = self.small_dalg.enumerate_partials(0)[0]
@@ -323,7 +323,8 @@ class CornerSplitDatum:
 
     def _corner_coords(self, big_vec):
         coords = self.corner.ech.coords(big_vec)
-        assert coords is not None, "vector outside the corner"
+        if coords is None:
+            raise SplitPairError("vector outside the corner")
         return coords
 
     def theta(self, s_vec):
@@ -417,7 +418,8 @@ class CornerSplitDatum:
 
         def coords(v):
             got = img.coords(v)
-            assert got is not None, "restriction escaped N*e"
+            if got is None:
+                raise SplitPairError("restriction escaped N*e")
             return got
 
         action = []

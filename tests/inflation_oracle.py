@@ -85,7 +85,7 @@ def layer_report_by_pairs(dalg, l, seed=0):
                 break
 
     return LayerReport(l, len(partials), W.dim, expected, bijective,
-                       multiplicative, involution_ok, pairs_checked, sampled, failures)
+                       multiplicative, involution_ok, pairs_checked, sampled, failures, {})
 
 
 def decomposition_by_pairs(dalg, seed=0):

@@ -204,6 +204,31 @@ def assert_products_match_oracle(dalg, pairs=None):
 
 
 @pytest.mark.parametrize("make", [
+    lambda: cyclo(3, 2, ["1", "1"]),
+    lambda: walled(2, 2),
+    lambda: brauer(3, delta="0"),
+], ids=["D3-Z2", "walled22", "D3-delta0"])
+def test_product_kernel_matches_oracle(make):
+    """The walk's edges, coefficient and top-row count on every pair: the
+    oracle's product is Diagram(edges) times the coefficient (nothing when
+    it is zero), and the count is the layer of that diagram."""
+    dalg = make()
+    F = dalg.field
+    zeros = 0
+    for d1, d2 in itertools.product(dalg.basis(), repeat=2):
+        edges, c, top = dalg.product(d1, d2)
+        want = oracle_product(dalg, d1, d2)
+        if F.is_zero(c):
+            zeros += 1
+            assert want == {}, (d1, d2)
+        else:
+            assert want == {Diagram(edges): c}, (d1, d2)
+        assert top == dalg.layer(Diagram(edges))
+    # delta = 0 kills every product that closes a loop
+    assert (zeros > 0) == F.is_zero(dalg.A.delta())
+
+
+@pytest.mark.parametrize("make", [
     lambda: DiagramAlgebra(DiagramKind.abrauer(0), input_algebra_from_json(DUAL_NUMBERS, Q)),
     lambda: DiagramAlgebra(DiagramKind.abrauer(1), input_algebra_from_json(DUAL_NUMBERS, Q)),
     lambda: DiagramAlgebra(DiagramKind.abrauer(2), input_algebra_from_json(DUAL_NUMBERS, Q)),

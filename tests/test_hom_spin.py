@@ -12,6 +12,7 @@ spin of a presentation kernel must match the oracle's Hom dimensions.
 
 import functools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from diagalg.algebra_kernel import (
@@ -25,10 +26,11 @@ from diagalg.algebra_kernel import (
 )
 from diagalg.diagrams import DiagramAlgebra, DiagramKind, diagram_fin_algebra
 from diagalg.fields import make_field
-from diagalg.input_algebra import trivial_input_algebra
+from diagalg.input_algebra import _WreathContext, cyclic_group_algebra, trivial_input_algebra
 from diagalg.linalg import Echelon
 from diagalg.specht import specht_module
-from diagalg.split_pair import corner_split_datum, wreath_sign_module, wreath_trivial_module
+from diagalg.split_pair import (corner_split_datum, hom_ext_transfer, wreath_sign_module,
+                                wreath_trivial_module)
 
 from hom_oracle import hom_space_by_entries
 
@@ -114,3 +116,41 @@ def test_module_generators_generate(field_spec, side, index):
             for b in range(M.algebra.dim):
                 before.insert(M.act_basis({h: F.one}, b))
         assert not before.contains({g: F.one})
+
+
+def _cyclotomic_hom_ext(field_spec, r, n):
+    """Generators of the diagram algebra and of each layer's wreath algebra,
+    and the Hom and Ext^1 dimensions of hom-ext at every layer."""
+    F = make_field(field_spec)
+    dalg = DiagramAlgebra(DiagramKind.abrauer(n), cyclic_group_algebra(F, r, [F.one] * r))
+    big = diagram_fin_algebra(dalg)
+    algebras, dims = [big], []
+    for l in range(dalg.layer_bound() + 1):
+        datum = corner_split_datum(dalg, big, l)
+        algebras.append(datum.W)
+        mods = [wreath_trivial_module(datum.W), wreath_sign_module(datum.W)]
+        inds = [datum.induce(M) for M in mods]
+        for M, ind in zip(mods, inds):
+            dims.append(hom_ext_transfer(datum, M, mods, ind_m=ind, ind_targets=inds))
+    return algebras, dims
+
+
+@pytest.mark.parametrize("field_spec,r,n", [("q", 2, 3), ("fp:2", 2, 3), ("fp:3", 3, 2)])
+def test_unit_is_no_generator(field_spec, r, n, monkeypatch):
+    """Label 1 of a group algebra labels no generator of the diagram algebra
+    or of a wreath algebra, and Hom and Ext^1 come out as with it added back."""
+    algebras, dims = _cyclotomic_hom_ext(field_spec, r, n)
+    for alg in algebras:
+        assert all(g != alg.unit for g in alg.generators)
+
+    def with_unit(generator_elements):
+        return lambda ctx: generator_elements(ctx) + [ctx.identity()]
+
+    monkeypatch.setattr(DiagramAlgebra, "generator_elements",
+                        with_unit(DiagramAlgebra.generator_elements))
+    monkeypatch.setattr(_WreathContext, "generator_elements",
+                        with_unit(_WreathContext.generator_elements))
+    algebras_with_unit, dims_with_unit = _cyclotomic_hom_ext(field_spec, r, n)
+    assert [len(a.generators) for a in algebras_with_unit] == [
+        len(a.generators) + 1 for a in algebras]
+    assert dims == dims_with_unit

@@ -1,0 +1,101 @@
+"""Internal consistency checks raise their module's error, under ``python -O`` too.
+
+Each check guards a step that cannot fail on a well-formed algebra, so each
+test here breaks one input, product or helper and asserts the error.
+"""
+
+import pytest
+
+from diagalg import specht
+from diagalg.algebra_kernel import AlgebraError, corner_algebra, regular_module
+from diagalg.diagrams import DiagramAlgebra, DiagramError, DiagramKind, diagram_fin_algebra
+from diagalg.fields import RationalField
+from diagalg.inflation import contraction_form, small_algebra, verify_layer
+from diagalg.input_algebra import trivial_input_algebra, wreath_product
+from diagalg.split_pair import CornerSplitDatum, SplitPairError, corner_split_datum
+
+Q = RationalField()
+
+
+def brauer(n, delta="2"):
+    return DiagramAlgebra(DiagramKind.abrauer(n), trivial_input_algebra(Q, Q.parse(delta)))
+
+
+def test_contraction_that_changes_the_configurations_raises():
+    """The product of the contraction form's diagrams replaced by a layer-1
+    diagram with other configurations."""
+    dalg = brauer(4)
+    W = small_algebra(dalg, 1)
+    f, e = dalg.enumerate_partials(1)[:2]
+    foreign = next(d for d in dalg.layer_basis(1) if dalg.layer_factorize(d)[0] not in (f, e))
+    dalg.product = lambda d1, d2: (foreign.edges, Q.one, 1)
+    with pytest.raises(AlgebraError, match="contraction changed the configurations"):
+        contraction_form(dalg, W, f, e)
+    with pytest.raises(AlgebraError, match="contraction changed the configurations"):
+        verify_layer(dalg, 1, W=W)
+
+
+def test_corner_product_outside_the_corner_raises():
+    """e = (1 + s)/2 in the group algebra of S_2 spans its own corner; once
+    every product reads 1, e * e = 1 leaves it."""
+    W = wreath_product(trivial_input_algebra(Q, Q.one), 2)
+    half = Q.parse("1/2")
+    corner = corner_algebra(W, {0: half, 1: half})
+    assert corner.algebra.dim == 1
+    W._cache.clear()
+    W.pair_mul = lambda i, j: {0: Q.one}
+    with pytest.raises(AlgebraError, match="product escaped the corner"):
+        corner.algebra.pair_mul(0, 0)
+
+
+def test_cups_with_unequal_free_columns_raise():
+    with pytest.raises(DiagramError, match="unequal numbers of free columns"):
+        brauer(3)._cup_diagram_element(((0, 1),), ())
+
+
+def test_shifted_cups_with_misaligned_verticals_raise():
+    with pytest.raises(DiagramError, match="verticals must align"):
+        brauer(3, "0")._shifted_cup_element(((1, 2),), ((0, 1),), strand=(0, 0))
+
+
+def test_permuted_polytabloid_outside_the_span_raises(monkeypatch):
+    """With each polytabloid replaced by the tabloid of its tableau, the span
+    has the right dimension but misses the third tabloid of shape (2, 1),
+    which a transposition reaches."""
+    def tabloid(tableau, m, tab_index, F):
+        key = [0] * m
+        for i, row in enumerate(tableau):
+            for v in row:
+                key[v] = i
+        return {tab_index[tuple(key)]: F.one}
+
+    monkeypatch.setattr(specht, "_polytabloid", tabloid)
+    with pytest.raises(specht.SpechtError, match="permuted polytabloid left the span"):
+        specht.specht_module((2, 1), field=Q)
+
+
+def test_alpha_of_a_foreign_bottom_configuration_raises(monkeypatch):
+    monkeypatch.setattr(CornerSplitDatum, "_to_S", lambda self, v: {-1: self.field.one})
+    dalg = brauer(3)
+    with pytest.raises(SplitPairError, match="foreign bottom configuration"):
+        corner_split_datum(dalg, diagram_fin_algebra(dalg), 1)
+
+
+def test_corner_coordinates_of_a_vector_outside_the_corner_raise():
+    dalg = brauer(3)
+    big = diagram_fin_algebra(dalg)
+    datum = corner_split_datum(dalg, big, 1)
+    with pytest.raises(SplitPairError, match="vector outside the corner"):
+        datum._corner_coords(big.unit)
+
+
+def test_restriction_through_a_section_that_leaves_N_e_raises():
+    """N * e is D * e for the regular module; a swap moving the cup of e
+    takes it elsewhere."""
+    dalg = brauer(3)
+    big = diagram_fin_algebra(dalg)
+    datum = corner_split_datum(dalg, big, 1)
+    (swap,) = dalg.swap(1)
+    datum.section_big = [big.basis_vec(big.key_index[swap])] * datum.W.dim
+    with pytest.raises(SplitPairError, match="restriction escaped N\\*e"):
+        datum.restrict(regular_module(big))
