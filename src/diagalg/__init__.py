@@ -25,7 +25,6 @@ from .algebra_kernel import (
     FinAlgebra,
     ModuleMap,
     RightModule,
-    corner_algebra,
     direct_sum,
     ext1,
     free_module,

@@ -69,17 +69,19 @@ def index_cases(sizes, limit, samples, seed):
     """Index tuples (i_0, i_1, ...) with i_k in range(sizes[k]) for a check.
 
     Every tuple, in itertools.product order, when no size exceeds limit;
-    otherwise ``samples`` tuples drawn coordinate by coordinate with
-    randrange from random.Random(seed).  An empty size gives no tuples.
-    Returns (iterator of tuples, their number, whether they are sampled).
+    otherwise min(samples, number of tuples) distinct tuples, drawn by
+    random.Random(seed).sample over their positions in that order.  Returns
+    (iterator of tuples, their number, whether they are sampled).
     """
+    population = math.prod(sizes)
     if max(sizes, default=0) <= limit:
-        return itertools.product(*map(range, sizes)), math.prod(sizes), False
-    if not all(sizes):
-        return iter(()), 0, True
-    rng = random.Random(seed)
-    draws = (tuple(rng.randrange(size) for size in sizes) for _ in range(samples))
-    return draws, samples, True
+        return itertools.product(*map(range, sizes)), population, False
+    picks = random.Random(seed).sample(range(population), min(samples, population))
+
+    def unravel(p):
+        return tuple(p // math.prod(sizes[k + 1:]) % size for k, size in enumerate(sizes))
+
+    return map(unravel, picks), len(picks), True
 
 
 class FinAlgebra:
@@ -658,39 +660,6 @@ def quotient_module(M, vectors, name="quot"):
     quot = RightModule(alg, len(keep), LazyAction(alg.dim, rows_for), name=name)
     proj = ModuleMap(M, quot, [project({i: F.one}) for i in range(M.dim)])
     return quot, proj
-
-
-class Corner(NamedTuple):
-    """Corner algebra e*A*e of an idempotent, with its basis inside A."""
-    parent: FinAlgebra
-    idempotent: dict
-    algebra: FinAlgebra
-    rows: list          # corner basis as vectors in the parent
-    ech: Echelon        # its span; ech.coords reads corner coordinates
-
-
-def corner_algebra(alg, e_vec, name=""):
-    F = alg.field
-    if alg.mul(e_vec, e_vec) != e_vec:
-        raise AlgebraError("element is not idempotent")
-    ech = Echelon(F)
-    for i in range(alg.dim):
-        ech.insert(alg.mul(alg.mul(e_vec, alg.basis_vec(i)), e_vec))
-    rows = ech.basis_rows()
-
-    def from_parent(w):
-        coords = ech.coords(w)
-        if coords is None:
-            raise AlgebraError("product escaped the corner")
-        return coords
-
-    def pair_mul(i, j):
-        return from_parent(alg.mul(rows[i], rows[j]))
-
-    unit = from_parent(e_vec)
-    labels = [f"c{p}" for p in ech.pivots()]
-    corner_alg = FinAlgebra(F, labels, unit, pair_mul, name=name or f"e({alg.name})e")
-    return Corner(alg, dict(e_vec), corner_alg, rows, ech)
 
 
 class Presentation(NamedTuple):

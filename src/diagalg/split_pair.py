@@ -3,13 +3,15 @@
 For a diagram algebra D with layer idempotent e at depth l:
 
 * the corner e*D*e is isomorphic to the diagram algebra on the free columns
-  (the isomorphism sends a small diagram d to e*d'*e where d' adds identity
-  strands through the cup block);
+  through mu, which sends a small diagram d to e*d'*e where d' adds identity
+  strands through the cup block; the corner is read in the small algebra's
+  basis through mu, and verify_corner_iso certifies mu;
 * reading the exactly-l part of a corner element as a decorated permutation
   of the free strands gives a surjection ``alpha`` onto the wreath algebra W
-  of the layer, split by the embedding of W through the corner isomorphism.
-  At l = 0 the idempotent is the identity, so alpha is the split quotient of
-  D itself onto W, and its kernel is the first layer ideal J_1;
+  of the layer, split by mu of the layer-0 small diagrams.  Its kernel is mu
+  of the first layer ideal J_1 of the small algebra, certified at every l;
+  at l = 0 the idempotent is the identity and alpha is the split quotient of
+  D itself onto W;
 * the transfer bimodule S = W (x)_{corner} e*D is the quotient of e*D by
   ker(alpha)*e*D, which is e*D meet J_{l+1}: the class of x is its
   exactly-l part, read through the layer factorization with one coordinate
@@ -22,8 +24,8 @@ Induction tensors against S, so dim ind M = rank V * dim M; the left
 coordinates of (e_top, f, identity) * b are the keys of one diagram product,
 read as above.  Restriction multiplies by e and restricts along the
 W-embedding; ``natural_unit_iso`` realizes M = res(ind M) through
-``theta^{-1}(1)``, which is the unit of the split-pair adjunction.  An
-induced module builds each action matrix on first use.
+``theta^{-1}(1)``, the class of e, which is the unit of the split-pair
+adjunction.  An induced module builds each action matrix on first use.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .algebra_kernel import (
     ModuleMap,
     RightModule,
     check_algebra_map,
-    corner_algebra,
     direct_sum,
     ext1_dims,
     free_presentation,
@@ -52,7 +53,6 @@ from .linalg import (
     Echelon,
     entry_iadd,
     identity_rows,
-    invert_rows,
     kernel_basis,
     mat_mul,
     transpose_rows,
@@ -80,7 +80,9 @@ class CornerSplitDatum:
                                  "to be a basis element")
 
         self.idem = dalg.layer_idempotent(l)
-        self.idem_vec = {big.key_index[d]: c for d, c in self.idem.items()}
+        e = self.idem_vec = {big.key_index[d]: c for d, c in self.idem.items()}
+        if big.mul(e, e) != e:
+            raise SplitPairError("element is not idempotent")
         (self._e_diag, self._e_pref), = self.idem.items()
         self.e_top, self.e_bottom, _ = dalg.layer_factorize(self._e_diag)
         # S has W.dim coordinates per bottom configuration
@@ -88,8 +90,11 @@ class CornerSplitDatum:
         self._slot = {f: s for s, f in enumerate(self.bottom_configs)}
         self.n_l = len(self.bottom_configs)
 
-        # corner and the smaller diagram algebra
-        self.corner = corner_algebra(big, self.idem_vec, name=f"corner(l={l})")
+        # the span of the corner e*D*e gives its dimension and alpha's guard;
+        # the small algebra's basis, carried by mu, gives its coordinates
+        self._corner_ech = Echelon(self.field).insert_all(
+            big.mul(big.mul(e, big.basis_vec(i)), e) for i in range(big.dim))
+        self.corner_dim = self._corner_ech.dim
         self.small_dalg = self._small_diagram_algebra()
         # never larger than big, which the caller has already capped
         self.small_big = diagram_fin_algebra(self.small_dalg, cap=big.dim)
@@ -97,6 +102,7 @@ class CornerSplitDatum:
         self._coords = [self._coordinate(d) for d in big.basis_keys]
 
         self.mu_rows = [self._mu(d) for d in self.small_big.basis_keys]
+        self._first_layer = layer_ideal_indices(self.small_dalg, self.small_big, 1)
 
         self._build_alpha()
         self._build_transfer_bimodule()
@@ -153,9 +159,9 @@ class CornerSplitDatum:
         F = self.field
         failures = []
         ech = Echelon(F).insert_all(self.mu_rows)
-        if not (ech.dim == len(self.mu_rows) == self.corner.algebra.dim):
+        if not (ech.dim == len(self.mu_rows) == self.corner_dim):
             failures.append({"check": "bijective", "rank": ech.dim,
-                             "cornerDim": self.corner.algebra.dim})
+                             "cornerDim": self.corner_dim})
         unit_idx = self.small_big.key_index[next(iter(self.small_dalg.identity()))]
         if self.mu_rows[unit_idx] != self.idem_vec:
             failures.append({"check": "unital"})
@@ -167,9 +173,9 @@ class CornerSplitDatum:
                 if lhs != rhs:
                     failures.append({"check": "multiplicative", "pair": [i, j]})
                     return {"ok": False, "failures": failures,
-                            "cornerDim": self.corner.algebra.dim, "smallDim": small.dim}
+                            "cornerDim": self.corner_dim, "smallDim": small.dim}
         return {"ok": not failures, "failures": failures,
-                "cornerDim": self.corner.algebra.dim, "smallDim": small.dim}
+                "cornerDim": self.corner_dim, "smallDim": small.dim}
 
     # -- alpha: corner onto the wreath algebra ----------------------------------
 
@@ -197,54 +203,56 @@ class CornerSplitDatum:
                 out[s] = c
         return out
 
-    def _build_alpha(self):
-        """alpha reads a corner element in the block of the bottom e_bottom."""
-        F = self.field
+    def _alpha(self, y):
+        """alpha of a corner element y: its exactly-l part, read in the block
+        of the bottom e_bottom and normalised by the idempotent's prefactor."""
+        F, W = self.field, self.W
+        if not self._corner_ech.contains(y):
+            raise SplitPairError("vector outside the corner")
+        read = self._to_S(y)
+        base = self._slot[self.e_bottom] * W.dim
+        if not all(base <= s < base + W.dim for s in read):
+            raise SplitPairError("corner element with a foreign bottom configuration")
         norm = F.inv(self._e_pref)
-        base = self._slot[self.e_bottom] * self.W.dim
-        self.alpha_rows = []
-        for row in self.corner.rows:
-            read = self._to_S(row)
-            if not all(base <= s < base + self.W.dim for s in read):
-                raise SplitPairError("corner element with a foreign bottom configuration")
-            self.alpha_rows.append({s - base: F.mul(norm, c) for s, c in read.items()})
-        # section: wreath basis -> corner coordinates, through the corner iso
+        return {s - base: F.mul(norm, c) for s, c in read.items()}
+
+    def _build_alpha(self):
+        """alpha on the small basis through mu; the section sends a wreath
+        key to mu of the layer-0 small diagram that carries it."""
+        self.alpha_rows = [self._alpha(row) for row in self.mu_rows]
         empty = self.small_dalg.enumerate_partials(0)[0]
-        small_index = self.small_big.key_index
-        self.section_rows = []
-        for key in self.W.basis_keys:
-            d = self.small_dalg.layer_assemble_key(empty, empty, key)
-            self.section_rows.append(self._corner_coords(self.mu_rows[small_index[d]]))
-        self.section_big = [vec_times_rows(F, row, self.corner.rows)
-                            for row in self.section_rows]
+        self._section_index = [
+            self.small_big.key_index[self.small_dalg.layer_assemble_key(empty, empty, key)]
+            for key in self.W.basis_keys]
+        self.section_big = [self.mu_rows[i] for i in self._section_index]
 
     def verify_alpha(self) -> dict:
-        """alpha is a split surjective algebra map; at l = 0 its kernel is
-        also the first layer ideal J_1, which the transfer bimodule assumes."""
-        F = self.field
+        """alpha is a split surjective algebra map, and its kernel is mu of the
+        first layer ideal J_1 of the small algebra, which the transfer
+        bimodule assumes.  Each is checked on the small algebra, which
+        verify_corner_iso certifies mu to carry isomorphically onto e*D*e."""
+        F, small, W = self.field, self.small_big, self.W
         failures = []
-        witness = check_algebra_map(self.corner.algebra, self.W, self.alpha_rows)
+        witness = check_algebra_map(small, W, self.alpha_rows)
         if witness is not None:
             failures.append({"check": "alpha_algebra_map", "witness": list(witness)})
         rank = Echelon(F).insert_all(self.alpha_rows).dim
-        if rank != self.W.dim:
+        if rank != W.dim:
             failures.append({"check": "alpha_surjective", "rank": rank})
-        for w in range(self.W.dim):
-            if vec_times_rows(F, self.section_rows[w], self.alpha_rows) != self.W.basis_vec(w):
+        for w, i in enumerate(self._section_index):
+            if self.alpha_rows[i] != W.basis_vec(w):
                 failures.append({"check": "alpha_splits", "basis": w})
                 break
-        if check_algebra_map(self.W, self.corner.algebra, self.section_rows) is not None:
+        section = [small.basis_vec(i) for i in self._section_index]
+        if check_algebra_map(W, small, section) is not None:
             failures.append({"check": "section_algebra_map"})
-        if self.layer == 0:
-            ideal = layer_ideal_indices(self.dalg, self.big, 1)
-            killed = all(not vec_times_rows(F, self._corner_coords(self.big.basis_vec(i)),
-                                            self.alpha_rows)
-                         for i in ideal)
-            if not (killed and self.corner.algebra.dim - self.W.dim == len(ideal)):
-                failures.append({"check": "kernel_is_first_layer",
-                                 "rank": rank, "kernel": len(ideal)})
+        ideal = self._first_layer
+        killed = all(not self.alpha_rows[i] for i in ideal)
+        if not (killed and self.corner_dim - W.dim == len(ideal)):
+            failures.append({"check": "kernel_is_first_layer",
+                             "rank": rank, "kernel": len(ideal)})
         return {"ok": not failures, "failures": failures,
-                "kernelDim": self.corner.algebra.dim - self.W.dim}
+                "kernelDim": self.corner_dim - W.dim}
 
     # -- the transfer bimodule S -------------------------------------------------
 
@@ -259,14 +267,10 @@ class CornerSplitDatum:
         eD = Echelon(F).insert_all(big.mul(self.idem_vec, big.basis_vec(j))
                                    for j in range(big.dim))
         rows = eD.basis_rows()
-        if self.layer == 0:
-            # verify_alpha certifies ker(alpha) = J_1, and J_1 * D = J_1
-            relations = [big.basis_vec(i) for i in layer_ideal_indices(self.dalg, big, 1)]
-        else:
-            ker = kernel_basis(F, transpose_rows(self.alpha_rows, self.W.dim),
-                               self.corner.algebra.dim)
-            ker_big = [vec_times_rows(F, k, self.corner.rows) for k in ker]
-            relations = [big.mul(kv, r) for kv in ker_big for r in rows]
+        # verify_alpha certifies that these span ker(alpha); at l = 0 mu is
+        # the identity on diagrams and ker(alpha) = J_1 is a right ideal
+        ker = [self.mu_rows[i] for i in self._first_layer]
+        relations = ker if self.layer == 0 else [big.mul(k, r) for k in ker for r in rows]
         self.S_dim = eD.dim - Echelon(F).insert_all(relations).dim
         self.read_kills_relations = not any(map(self._to_S, relations))
         self.read_rank = Echelon(F).insert_all(self._to_S(r) for r in rows).dim
@@ -311,21 +315,15 @@ class CornerSplitDatum:
         return out
 
     def _build_corner_restriction(self):
-        """S*e with theta onto the wreath algebra."""
-        F, big = self.field, self.big
+        """S*e with theta onto the wreath algebra, and whether theta is
+        bijective on it: both of dimension W.dim, theta of full rank."""
+        F, big, W = self.field, self.big, self.W
         img = Echelon(F).insert_all(self._to_S(big.mul(self._lift_S({s: F.one}), self.idem_vec))
-                                    for s in range(self.n_l * self.W.dim))
+                                    for s in range(self.n_l * W.dim))
         self.Se_rows = img.basis_rows()
         self.theta_rows = [self.theta(r) for r in self.Se_rows]
-        # None when S*e is not isomorphic to W through theta
-        self.theta_inv = (invert_rows(F, self.theta_rows)
-                          if len(self.Se_rows) == self.W.dim else None)
-
-    def _corner_coords(self, big_vec):
-        coords = self.corner.ech.coords(big_vec)
-        if coords is None:
-            raise SplitPairError("vector outside the corner")
-        return coords
+        self.theta_is_iso = (len(self.Se_rows) == W.dim
+                             and Echelon(F).insert_all(self.theta_rows).dim == W.dim)
 
     def theta(self, s_vec):
         """alpha(lift(s) * e): the right-module map S -> W, bijective on S*e."""
@@ -333,8 +331,7 @@ class CornerSplitDatum:
 
     def _theta_big(self, x):
         """alpha(x * e) for x in e*D, in big coordinates."""
-        lifted = self.big.mul(x, self.idem_vec)
-        return vec_times_rows(self.field, self._corner_coords(lifted), self.alpha_rows)
+        return self._alpha(self.big.mul(x, self.idem_vec))
 
     def verify_transfer_bimodule(self) -> dict:
         """Left-freeness of rank rank(V), S read from the layer factorization,
@@ -348,7 +345,7 @@ class CornerSplitDatum:
                              "killsRelations": self.read_kills_relations})
         if not self.left_free:
             failures.append({"check": "left_free"})
-        if self.theta_inv is None:
+        if not self.theta_is_iso:
             failures.append({"check": "Se_iso_rank", "dim": len(self.Se_rows)})
         else:
             W, lifts = self.W, [self._lift_S(row) for row in self.Se_rows]
@@ -436,15 +433,13 @@ class CornerSplitDatum:
         return ModuleMap(src_res, dst_res, rows)
 
     def natural_unit_iso(self, M: RightModule, ind=None, res=None):
-        """The explicit map M -> res(ind M) through theta^{-1}(1)."""
-        F = self.field
+        """The explicit map M -> res(ind M) through theta^{-1}(1): theta of the
+        class of e = e*e is alpha(e) = 1, as alpha is unital."""
         ind = ind or self.induce(M)
         res = res or self.restrict(ind)
-        if self.theta_inv is None:
+        if not self.theta_is_iso:
             raise SplitPairError("S*e is not isomorphic to the wreath algebra")
-        unit_coords = vec_times_rows(F, self.W.unit, self.theta_inv)
-        s0 = vec_times_rows(F, unit_coords, self.Se_rows)
-        slots = self._left_coords(s0)
+        slots = self._left_coords(self._to_S(self.idem_vec))
         rows = [res.subspace_coords(ind.act(self._ind_row(M, i, slots), self.idem_vec))
                 for i in range(M.dim)]
         return ModuleMap(M, res, rows), ind, res

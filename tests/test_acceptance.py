@@ -150,7 +150,7 @@ def test_criterion_04_corner_rings(cache):
                 # the whole algebra and the comparison is definitional
                 idem_ok = (datum.mu_rows ==
                            [datum.big.basis_vec(i) for i in range(datum.big.dim)])
-                ok = ok and idem_ok and datum.corner.algebra.dim == datum.big.dim
+                ok = ok and idem_ok and datum.corner_dim == datum.big.dim
             else:
                 rep = datum.verify_corner_iso()
                 ok = ok and rep["ok"]
@@ -249,7 +249,7 @@ def test_criterion_09_delta_zero(cache):
         for l in layers:
             datum = cache.datum(family, params, l, delta="0", field="fp:5")
             if l == 0:
-                ok = ok and datum.corner.algebra.dim == datum.big.dim   # criterion 4
+                ok = ok and datum.corner_dim == datum.big.dim   # criterion 4
             else:
                 ok = ok and datum.verify_corner_iso()["ok"]
             ok = ok and datum.verify_alpha()["ok"]                       # criteria 3, 5

@@ -5,7 +5,6 @@ import pytest
 from diagalg.algebra_kernel import (
     AlgebraError,
     check_algebra_map,
-    corner_algebra,
     direct_sum,
     ext1,
     free_module,
@@ -26,7 +25,6 @@ from diagalg.input_algebra import (
     wreath_product,
 )
 from diagalg.inflation import layer_ideal_indices
-from diagalg.linalg import vec_scale
 from ideal_oracle import ideal_span, is_two_sided_ideal, pullback_module, quotient_algebra
 from isomorphism import find_isomorphism
 from tensor_route import regular_bimodule, tensor_over
@@ -165,43 +163,6 @@ def test_quotient_by_zero_ideal_is_copy():
     for i in range(alg.dim):
         for j in range(alg.dim):
             assert quot.mul_basis(i, j) == alg.mul_basis(i, j)
-
-
-# -- corners -------------------------------------------------------------------
-
-def test_corner_of_unit_is_whole_algebra():
-    _, alg = brauer_alg(2, "1")
-    corner = corner_algebra(alg, alg.unit)
-    assert corner.algebra.dim == alg.dim
-    # a corner carries no involution, so both involution checks refuse it
-    for check in (corner.algebra.check_involution_square,
-                  corner.algebra.check_involution_antihom):
-        with pytest.raises(AlgebraError):
-            check()
-
-
-def test_corner_of_scaled_cup_is_one_dimensional():
-    dalg, alg = brauer_alg(2, "5")
-    e = vec_scale(Q, fr("1/5"), dalg.cup_generator(1))
-    e_vec = {alg.key_index[d]: c for d, c in e.items()}
-    corner = corner_algebra(alg, e_vec)
-    assert corner.algebra.dim == 1
-    assert corner.algebra.check_unital() is None
-
-
-def test_corner_of_cup_in_d4_delta_one():
-    dalg, alg = brauer_alg(4, "1")
-    e_vec = {alg.key_index[d]: c for d, c in dalg.cup_generator(3).items()}
-    corner = corner_algebra(alg, e_vec)
-    assert corner.algebra.dim == 3   # isomorphic to the 2-strand algebra
-    assert corner.algebra.check_associative() is None
-
-
-def test_corner_requires_idempotent():
-    dalg, alg = brauer_alg(2, "5")
-    e_vec = {alg.key_index[d]: c for d, c in dalg.cup_generator(1).items()}
-    with pytest.raises(AlgebraError):
-        corner_algebra(alg, e_vec)
 
 
 # -- hom spaces ---------------------------------------------------------------
@@ -345,21 +306,23 @@ def test_submodule_and_quotient_split_regular_s2():
 
 def test_index_cases_exhaustive_sampled_and_empty():
     import itertools
-    import random
+    import math
 
     from diagalg.algebra_kernel import index_cases
 
     cases, count, sampled = index_cases((2, 3), 3, 5, seed=0)
     assert list(cases) == list(itertools.product(range(2), range(3)))
     assert (count, sampled) == (6, False)
-    cases, count, sampled = index_cases((4, 2), 3, 5, seed=7)
-    rng = random.Random(7)
-    assert list(cases) == [(rng.randrange(4), rng.randrange(2)) for _ in range(5)]
-    assert (count, sampled) == (5, True)
-    # rng.choice over sequences of those sizes makes the same draws
-    rng = random.Random(7)
-    picks = [(rng.choice("abcd"), rng.choice("xy")) for _ in range(5)]
-    assert picks == [("abcd"[i], "xy"[j]) for i, j in index_cases((4, 2), 3, 5, seed=7)[0]]
+    # sampled: min(samples, population) distinct tuples in range, the same
+    # ones for the same seed
+    for sizes, samples in (((4, 2), 5), ((4, 2), 8), ((4, 2), 20), ((5, 3, 4), 7)):
+        cases, count, sampled = index_cases(sizes, 3, samples, seed=7)
+        cases = list(cases)
+        assert (count, sampled) == (min(samples, math.prod(sizes)), True)
+        assert len(cases) == len(set(cases)) == count
+        assert all(0 <= i < size for case in cases for i, size in zip(case, sizes))
+        assert cases == list(index_cases(sizes, 3, samples, seed=7)[0])
+    assert set(index_cases((4, 2), 3, 20, seed=1)[0]) == set(itertools.product(range(4), range(2)))
     for sizes in ((4, 0), (0, 0)):
         cases, count, _ = index_cases(sizes, 3, 5, seed=0)
         assert list(cases) == [] and count == 0

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from diagalg import inflation
+from diagalg.algebra_kernel import index_cases
 from diagalg.diagrams import DiagramAlgebra, DiagramKind, diagram_fin_algebra
 from diagalg.fields import PrimeField, RationalField
 from diagalg.inflation import (
@@ -149,6 +151,31 @@ def test_decomposition_over_prime_field():
     report = verify_decomposition(walled(2, 1, "2", field=PrimeField(5)))
     assert report["ok"]
     assert report["dim"] == 6
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sampled_checks_visit_as_many_distinct_pairs_as_they_count(monkeypatch, seed):
+    """On D_5 the layer checks at l = 1 and 2 and the ideal chain sample.
+    Each visits as many distinct pairs as it counts: pairsChecked for the
+    layer checks, 1,000 for each layer of the chain."""
+    visited = []
+
+    def recording(sizes, limit, samples, seed):
+        cases, count, sampled = index_cases(sizes, limit, samples, seed)
+        seen = []
+        visited.append(seen)
+        return (seen.append(c) or c for c in cases), count, sampled
+
+    monkeypatch.setattr(inflation, "index_cases", recording)
+    report = verify_decomposition(brauer(5, "2"), seed=seed)
+    assert report["ok"]
+    # three layer checks, then the chain at l = 1 and 2 (l = 0 draws nothing)
+    layers, chain = visited[:3], visited[3:]
+    assert len(chain) == 2
+    for rep, seen in zip(report["layers"], layers):
+        assert len(set(seen)) == len(seen) == rep["pairsChecked"]
+    assert [rep["sampled"] for rep in report["layers"]] == [False, True, True]
+    assert [len(set(seen)) for seen in chain] == [1000, 1000]
 
 
 def test_rank_v_values():

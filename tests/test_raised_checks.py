@@ -7,11 +7,11 @@ test here breaks one input, product or helper and asserts the error.
 import pytest
 
 from diagalg import specht
-from diagalg.algebra_kernel import AlgebraError, corner_algebra, regular_module
+from diagalg.algebra_kernel import AlgebraError, regular_module
 from diagalg.diagrams import DiagramAlgebra, DiagramError, DiagramKind, diagram_fin_algebra
 from diagalg.fields import RationalField
 from diagalg.inflation import contraction_form, small_algebra, verify_layer
-from diagalg.input_algebra import trivial_input_algebra, wreath_product
+from diagalg.input_algebra import trivial_input_algebra
 from diagalg.split_pair import CornerSplitDatum, SplitPairError, corner_split_datum
 
 Q = RationalField()
@@ -33,19 +33,6 @@ def test_contraction_that_changes_the_configurations_raises():
         contraction_form(dalg, W, f, e)
     with pytest.raises(AlgebraError, match="contraction changed the configurations"):
         verify_layer(dalg, 1, W=W)
-
-
-def test_corner_product_outside_the_corner_raises():
-    """e = (1 + s)/2 in the group algebra of S_2 spans its own corner; once
-    every product reads 1, e * e = 1 leaves it."""
-    W = wreath_product(trivial_input_algebra(Q, Q.one), 2)
-    half = Q.parse("1/2")
-    corner = corner_algebra(W, {0: half, 1: half})
-    assert corner.algebra.dim == 1
-    W._cache.clear()
-    W.pair_mul = lambda i, j: {0: Q.one}
-    with pytest.raises(AlgebraError, match="product escaped the corner"):
-        corner.algebra.pair_mul(0, 0)
 
 
 def test_cups_with_unequal_free_columns_raise():
@@ -86,7 +73,17 @@ def test_corner_coordinates_of_a_vector_outside_the_corner_raise():
     big = diagram_fin_algebra(dalg)
     datum = corner_split_datum(dalg, big, 1)
     with pytest.raises(SplitPairError, match="vector outside the corner"):
-        datum._corner_coords(big.unit)
+        datum._alpha(big.unit)
+
+
+def test_layer_idempotent_without_its_prefactor_raises(monkeypatch):
+    """At delta = 2 the cup diagram squares to twice itself, so without
+    the delta^-l prefactor the layer idempotent is not idempotent."""
+    dalg = brauer(3)
+    (cup,) = dalg.layer_idempotent(1)
+    monkeypatch.setattr(dalg, "layer_idempotent", lambda l: {cup: Q.one})
+    with pytest.raises(SplitPairError, match="element is not idempotent"):
+        corner_split_datum(dalg, diagram_fin_algebra(dalg), 1)
 
 
 def test_restriction_through_a_section_that_leaves_N_e_raises():

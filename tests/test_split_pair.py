@@ -79,7 +79,7 @@ def test_split_quotient_kernel_dim():
 def test_corner_datum_b2_example():
     dalg, big = brauer(2, "2")
     datum = corner_split_datum(dalg, big, 1)
-    assert datum.corner.algebra.dim == 1
+    assert datum.corner_dim == 1
     assert datum.W.dim == 1
     assert datum.n_l == 1
     assert datum.S_dim == 1
@@ -101,7 +101,7 @@ def test_corner_datum_d4_l1():
 def test_corner_datum_walled_22_l1():
     dalg, big = walled(2, 2, "1")
     datum = corner_split_datum(dalg, big, 1)
-    assert datum.corner.algebra.dim == 2     # B_{1,1}
+    assert datum.corner_dim == 2             # B_{1,1}
     assert datum.W.dim == 1                  # RS_1 x RS_1
     assert datum.n_l == 4
     assert datum.S_dim == 4

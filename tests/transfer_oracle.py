@@ -5,15 +5,17 @@ Echelon of the products e*b_j spans e*D, every element of e*D gets
 coordinates over its basis, and a relation Echelon of the products
 k*r (k in ker(alpha), r in e*D) cuts out the quotient.  At l = 0 the
 relations are the first layer ideal J_1, which ``verify_alpha`` certifies to
-be ker(alpha).  The left basis is the class of the layer-l diagram
-(e_top, f, identity) for every bottom configuration f, and ``CoordSolver``
-reads left coordinates over its W-translates.
+be ker(alpha); at l >= 1 the kernel of alpha is solved in the coordinates of
+the corner of ``corner_oracle.py``.  The left basis is the class of the
+layer-l diagram (e_top, f, identity) for every bottom configuration f, and
+``CoordSolver`` reads left coordinates over its W-translates.
 
-From the datum it reads the idempotent, the corner, alpha and the section
-of alpha, and none of the reading through the layer factorization by which
+From the datum it reads the idempotent, alpha and the section of alpha, and
+none of the reading through the layer factorization by which
 ``CornerSplitDatum`` builds S, so the tests can compare the two.
 """
 
+from corner_oracle import corner_algebra
 from diagalg.inflation import layer_ideal_indices
 from diagalg.linalg import Echelon, kernel_basis, transpose_rows, vec_iadd, vec_times_rows
 
@@ -67,10 +69,11 @@ class TransferOracle:
             for i in layer_ideal_indices(datum.dalg, big, 1):
                 rel.insert(self._eD_coords(big.basis_vec(i)))
         else:
-            ker = kernel_basis(F, transpose_rows(datum.alpha_rows, self.W.dim),
-                               datum.corner.algebra.dim)
+            corner = corner_algebra(big, datum.idem_vec)
+            alpha_rows = [datum._alpha(row) for row in corner.rows]
+            ker = kernel_basis(F, transpose_rows(alpha_rows, self.W.dim), corner.algebra.dim)
             for k in ker:
-                kv = vec_times_rows(F, k, datum.corner.rows)
+                kv = vec_times_rows(F, k, corner.rows)
                 for r in self.eD_rows:
                     rel.insert(self._eD_coords(big.mul(kv, r)))
         self.rel_ech = rel
