@@ -84,6 +84,13 @@ class DiagramKind(NamedTuple):
     def walled(r, t):
         return DiagramKind("walled", r + t, r)
 
+    def free_columns(self, l):
+        """The kind of the free columns of a layer-l diagram: l on each side
+        of the wall fewer (2l fewer for abrauer)."""
+        if self.family == "abrauer":
+            return DiagramKind.abrauer(self.n - 2 * l)
+        return DiagramKind.walled(self.wall - l, self.n - self.wall - l)
+
 
 class Diagram(NamedTuple):
     edges: tuple  # sorted triples (u, v, label), u < v

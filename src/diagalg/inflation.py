@@ -49,12 +49,8 @@ from .linalg import entry_iadd, vec_iadd
 
 def small_algebra(dalg: DiagramAlgebra, l: int) -> FinAlgebra:
     """Wreath algebra of the free strands at layer l."""
-    kind = dalg.kind
-    if kind.family == "abrauer":
-        return wreath_product(dalg.A, kind.n - 2 * l)
-    r = kind.wall
-    t = kind.n - r
-    return wreath_product(dalg.A, (r - l) + (t - l), wall=r - l)
+    kind = dalg.kind.free_columns(l)
+    return wreath_product(dalg.A, kind.n, wall=kind.wall)
 
 
 def rank_v(dalg: DiagramAlgebra, l: int) -> int:

@@ -1,16 +1,19 @@
-"""Test oracle: the corner algebra e*A*e of an idempotent, in coordinates
-over an echelon basis of its span inside A.
+"""Test oracles for the corner: the corner algebra e*A*e of an idempotent,
+in coordinates over an echelon basis of its span inside A, and the corner
+isomorphism checked on every pair of basis elements.
 
 ``corner_algebra`` inserts e*b_i*e for every basis element b_i, and the
 corner's structure constants are the echelon coordinates of products of its
 rows.  ``CornerSplitDatum`` reads the corner through the small algebra's
 basis and the corner isomorphism instead, so the tests can compare the two.
+``corner_iso_pair_witness`` compares mu(b_i)*mu(b_j) with mu(b_i*b_j) for
+all dim^2 pairs, where ``verify_corner_iso`` checks the generators only.
 """
 
 from typing import NamedTuple
 
 from diagalg.algebra_kernel import AlgebraError, FinAlgebra
-from diagalg.linalg import Echelon
+from diagalg.linalg import Echelon, vec_times_rows
 
 
 class Corner(NamedTuple):
@@ -44,3 +47,16 @@ def corner_algebra(alg, e_vec, name=""):
     labels = [f"c{p}" for p in ech.pivots()]
     corner_alg = FinAlgebra(F, labels, unit, pair_mul, name=name or f"e({alg.name})e")
     return Corner(alg, dict(e_vec), corner_alg, rows, ech)
+
+
+def corner_iso_pair_witness(datum):
+    """("unit",) if mu(1) != e, else the first basis pair (i, j) of the small
+    algebra with mu(b_i)*mu(b_j) != mu(b_i*b_j), or None."""
+    F, small, big, rows = datum.field, datum.small_big, datum.big, datum.mu_rows
+    if vec_times_rows(F, small.unit, rows) != datum.idem_vec:
+        return ("unit",)
+    for i in range(small.dim):
+        for j in range(small.dim):
+            if big.mul(rows[i], rows[j]) != vec_times_rows(F, small.mul_basis(i, j), rows):
+                return (i, j)
+    return None

@@ -289,6 +289,51 @@ def test_check_algebra_map_identity():
     assert check_algebra_map(W, W, idrows) is None
 
 
+def off_generators(alg):
+    """Basis elements that are neither in the unit nor in the support of a
+    generator: a product checked on generators never has one as its g."""
+    support = {b for g in alg.generators for b in g} | set(alg.unit)
+    return sorted(set(range(alg.dim)) - support)
+
+
+def _scaled_off_generators(W):
+    """The identity of W with the row of the last basis element off the
+    generators scaled by 2, and that element."""
+    x = off_generators(W)[-1]
+    rows = [W.basis_vec(i) for i in range(W.dim)]
+    rows[x] = {x: fr(2)}
+    return rows, x
+
+
+def test_check_algebra_map_sees_a_row_off_the_generators():
+    """Only dim*(|G| + 1) products are compared, none with the scaled element
+    as its g; the failure shows up at some x*g all the same."""
+    W = group_algebra_sn(3)
+    rows, x = _scaled_off_generators(W)
+    witness = check_algebra_map(W, W, rows)
+    assert witness is not None and witness[0] == "mult"
+    _, y, k = witness
+    assert 0 <= y < W.dim and 0 <= k <= len(W.generators)
+
+
+def test_check_algebra_map_checks_the_given_unit():
+    W = group_algebra_sn(2)
+    idrows = [W.basis_vec(i) for i in range(W.dim)]
+    assert check_algebra_map(W, W, idrows, unit={1: fr(1)}) == ("unit",)
+
+
+def test_check_algebra_map_names_generators_that_do_not_generate():
+    """With s_1 alone listed, the unit and the generators span 2 of the 6
+    dimensions of QS_3: a named premise failure, even for the identity map,
+    which a check on those generators alone would pass."""
+    W = group_algebra_sn(3)
+    W.generators = W.generators[:1]
+    idrows = [W.basis_vec(i) for i in range(W.dim)]
+    assert check_algebra_map(W, W, idrows) == ("generators", 2)
+    rows, _ = _scaled_off_generators(W)
+    assert check_algebra_map(W, W, rows) == ("generators", 2)
+
+
 # -- submodule / quotient machinery ---------------------------------------------------
 
 def test_submodule_and_quotient_split_regular_s2():

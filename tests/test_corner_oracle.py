@@ -1,5 +1,6 @@
 """The corner read through the small algebra, against the corner algebra of
-``corner_oracle.py``, and the oracle's own tests.
+``corner_oracle.py``; the corner isomorphism checked on generators, against
+the check on every pair; and the oracle's own tests.
 
 ``CornerSplitDatum`` keeps no corner algebra: alpha reads a corner element
 directly, the corner's coordinates are the small algebra's through mu, the
@@ -8,11 +9,12 @@ theta^{-1}(1) is the class of e.  On every configuration each of these must
 agree with the old route through the echelon coordinates of the corner.
 """
 
+import copy
 from fractions import Fraction
 
 import pytest
 
-from corner_oracle import corner_algebra
+from corner_oracle import corner_algebra, corner_iso_pair_witness
 from diagalg.algebra_kernel import AlgebraError, check_algebra_map, regular_module
 from diagalg.diagrams import DiagramAlgebra, DiagramKind, diagram_fin_algebra
 from diagalg.fields import RationalField
@@ -31,6 +33,7 @@ from diagalg.linalg import (
     vec_times_rows,
 )
 from diagalg.split_pair import corner_split_datum
+from test_algebra_kernel import off_generators
 from test_input_algebra import DUAL_NUMBERS
 
 Q = RationalField()
@@ -103,6 +106,27 @@ def test_corner_reading_matches_the_corner_algebra(cache, name):
     for w, key in enumerate(W.basis_keys):
         mu_w = datum.mu_rows[datum.small_big.key_index[small.layer_assemble_key(empty, empty, key)]]
         assert datum.section_big[w] == vec_times_rows(F, corner.ech.coords(mu_w), corner.rows)
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_corner_iso_on_generators_matches_every_pair(cache, name):
+    """The generator-form check and the dim^2 comparison agree: both pass on
+    every configuration, and both fail once mu of a basis element that is
+    neither the unit nor a generator is scaled, where there is one."""
+    datum = _datum(cache, CONFIGS[name])
+    assert datum.verify_corner_iso()["ok"]
+    assert corner_iso_pair_witness(datum) is None
+    off = off_generators(datum.small_big)
+    if not off:
+        return
+    x = off[-1]
+    tampered = copy.copy(datum)
+    tampered.mu_rows = list(datum.mu_rows)
+    tampered.mu_rows[x] = vec_scale(datum.field, datum.field.from_int(2), datum.mu_rows[x])
+    report = tampered.verify_corner_iso()
+    assert not report["ok"]
+    assert [f["check"] for f in report["failures"]] == ["multiplicative"]
+    assert corner_iso_pair_witness(tampered) is not None
 
 
 # -- the oracle ------------------------------------------------------------------

@@ -69,6 +69,17 @@ LARGER_SPLIT_PAIR = {
         "ea20db6dbb8abdd71da45be3320c2dd08ef35e6a6e2ac51479f1d41dfd0e6a1a",
     "hom-ext --kind abrauer --n 5 --l 1 --field fp:7":
         "d6be527cef7d7e2ba68449d0ad2a69fea8c182fa8aba84bd8a31d345de6f2be4",
+    # layer 0, where the small algebra is the algebra itself (dimensions 720,
+    # 720, 945 and 405): digests taken when the corner isomorphism was checked
+    # on every pair of basis elements
+    "verify-split-pair --kind walled --r 3 --t 3 --l 0":
+        "6dce996a7fd0fd01ff0d6f39cafabf6565166212eb7cdbbb5971411a7205b885",
+    "verify-split-pair --kind walled --r 4 --t 2 --l 0":
+        "3026609d65bab8ed80d5bbac35c31401ff16128d57f83401fdc7c64864499635",
+    "verify-split-pair --kind abrauer --n 5 --l 0 --delta 2":
+        "4076537f64805b23d3f949d50a8064aa7b82d8be51a2c043f14416e14819737b",
+    "verify-split-pair --kind cyclotomic --n 3 --r 3 --delta 1 --l 0 --field cyc:3":
+        "067e1a57ca2788130168b46d3d1e8ceb8f3137f3dbf49b20445c6bf824630ce4",
 }
 
 

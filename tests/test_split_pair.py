@@ -22,6 +22,7 @@ from diagalg.split_pair import (
 )
 from ideal_oracle import pullback_module
 from isomorphism import find_isomorphism
+from test_algebra_kernel import off_generators
 from tensor_route import induce_via_tensor, transfer_bimodule
 
 Q = RationalField()
@@ -121,6 +122,85 @@ def test_corner_datum_requires_basis_unit():
     big = diagram_fin_algebra(dalg)
     with pytest.raises(SplitPairError):
         corner_split_datum(dalg, big, 1)
+
+
+def test_layer_zero_small_algebra_is_the_algebra():
+    dalg, big = brauer(3, "2")
+    datum = corner_split_datum(dalg, big, 0)
+    assert datum.small_big is big and datum.small_dalg is dalg
+    assert datum.mu_rows == [big.basis_vec(i) for i in range(big.dim)]
+    assert datum.verify_corner_iso() == {"ok": True, "failures": [],
+                                         "cornerDim": 15, "smallDim": 15}
+
+
+def test_scaled_mu_row_off_the_generators_fails_the_corner_iso():
+    """walled(3,2) at l = 1: mu of a basis element of B_{2,1} that is neither
+    the unit nor a generator, scaled by 2, keeps mu bijective and unital."""
+    dalg, big = walled(3, 2, "2")
+    datum = corner_split_datum(dalg, big, 1)
+    small = datum.small_big
+    x = off_generators(small)[-1]
+    datum.mu_rows[x] = {j: 2 * c for j, c in datum.mu_rows[x].items()}
+    report = datum.verify_corner_iso()
+    assert not report["ok"]
+    (failure,) = report["failures"]
+    assert failure["check"] == "multiplicative"
+    y, k = failure["pair"]
+    assert 0 <= y < small.dim and 0 <= k <= len(small.generators)
+
+
+def test_scaled_alpha_row_off_the_generators_fails_alpha():
+    """D_3 at l = 0: alpha of a permutation that is neither the unit nor a
+    generator (a 3-cycle or the longest element), scaled by 2."""
+    dalg, big = brauer(3, "2")
+    datum = corner_split_datum(dalg, big, 0)
+    x = max(set(off_generators(big)) & set(datum._section_index))
+    datum.alpha_rows[x] = {j: 2 * c for j, c in datum.alpha_rows[x].items()}
+    report = datum.verify_alpha()
+    assert not report["ok"]
+    failure = next(f for f in report["failures"] if f["check"] == "alpha_algebra_map")
+    assert failure["witness"][0] == "mult"
+
+
+def test_scaled_theta_row_fails_the_module_map_check():
+    """theta stays of full rank, but theta(s*1) = theta(s)*1 fails at once."""
+    dalg, big = brauer(3, "2")
+    datum = corner_split_datum(dalg, big, 0)
+    datum.theta_rows[1] = {j: 2 * c for j, c in datum.theta_rows[1].items()}
+    report = datum.verify_transfer_bimodule()
+    assert not report["ok"]
+    assert report["failures"] == [{"check": "Se_iso_module_map", "at": [1, 0]}]
+
+
+def test_theta_that_is_not_a_module_map_fails_at_a_generator():
+    """theta followed by the involution of QS_3 (inversion of permutations)
+    is bijective and agrees with its own rows at the unit, but it reverses
+    products, so theta(s*g) = theta(s)*g fails at a generator."""
+    dalg, big = brauer(3, "2")
+    datum = corner_split_datum(dalg, big, 0)
+    theta = datum._theta_big
+    datum._theta_big = lambda x: datum.W.involve(theta(x))
+    datum.theta_rows = [datum._theta_big(x) for x in datum._Se_lifts]
+    report = datum.verify_transfer_bimodule()
+    (failure,) = report["failures"]
+    assert failure["check"] == "Se_iso_module_map" and failure["at"][1] >= 1
+
+
+def test_generators_that_do_not_generate_fail_the_report():
+    """With the cup left out of the small algebra's generators, the swaps
+    span only the group algebra of S_2 x S_1 inside B_{2,1}: a named premise
+    failure in the corner and alpha checks, never a pass on the rest."""
+    dalg, big = walled(3, 2, "2")
+    datum = corner_split_datum(dalg, big, 1)
+    small = datum.small_big
+    cup = {small.key_index[d]: c for d, c in datum.small_dalg.cup_generator(2, 3).items()}
+    small.generators = [g for g in small.generators if g != cup]
+    assert len(small.generators) == 1
+    report = verify_exact_split_pair(datum, samples=[wreath_trivial_module(datum.W)])
+    assert not report["ok"]
+    assert report["cornerIso"]["failures"] == [{"check": "generators_generate",
+                                                "generatedDim": 2}]
+    assert {"check": "alpha_algebra_map", "witness": ["generators", 2]} in report["alpha"]["failures"]
 
 
 # -- induction / restriction ------------------------------------------------------
