@@ -246,10 +246,8 @@ def cmd_verify_split_pair(args, field):
     small_seqs = [presentation_sequence(wreath_trivial_module(datum.W)),
                   split_control_sequence(wreath_trivial_module(datum.W),
                                          wreath_sign_module(datum.W))]
-    big_seqs = [chain_ideal_sequence(dalg, big, args.l)]
-    p = field.characteristic()
-    if p not in (2, 3):
-        big_seqs.append(cell_head_sequence(datum, wreath_trivial_module(datum.W)))
+    big_seqs = [chain_ideal_sequence(dalg, big, args.l),
+                cell_head_sequence(datum, wreath_trivial_module(datum.W))]
     report = verify_exact_split_pair(datum, samples=samples,
                                      small_sequences=small_seqs,
                                      big_sequences=big_seqs)
@@ -336,9 +334,10 @@ def run_replay(path):
     argv = witness.get("argv") if isinstance(witness, dict) else None
     if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
         raise CliError("witness has no argv list")
-    if build_parser().parse_args(argv).replay:
+    args = build_parser().parse_args(argv)
+    if args.replay:
         raise CliError("witness argv asks for --replay itself; refusing to recurse")
-    report, code = run(argv)
+    report, code = run(argv, args)
     target = witness.get("check")
     if target and "checks" in report:
         still = next((not c["ok"] for c in report["checks"] if c["name"] == target), None)
@@ -358,18 +357,18 @@ COMMANDS = {
 }
 
 
-def run(argv, parser=None):
-    """(report, exit status) of one command line; ``parser``, if given, is
-    the one ``build_parser`` made, so a caller that parsed argv already does
-    not build a second."""
-    parser = parser or build_parser()
-    args = parser.parse_args(argv)
+def run(argv, args=None):
+    """(report, exit status) of one command line; ``args``, if given, is argv
+    as ``build_parser`` parsed it, so a caller that parsed argv already does
+    not parse it again."""
+    if args is None:
+        args = build_parser().parse_args(argv)
     if args.format == "csv" and (args.replay or args.command != "dominance-table"):
         raise CliError("csv format is only available for table reports")
     if args.replay:
         return run_replay(args.replay)
     if not args.command:
-        parser.error("a subcommand is required (or --replay)")
+        build_parser().error("a subcommand is required (or --replay)")
     field = make_field(args.field)
     report = COMMANDS[args.command](args, field)
     report["argv"] = list(argv)
@@ -380,21 +379,20 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     started = time.monotonic()
     try:
-        parser = build_parser()
-        probe = parser.parse_args(argv)
-        if probe.cap > _SHARED_DEFAULTS["cap"]:
-            print(f"warning: raising the dimension cap to {probe.cap} "
+        args = build_parser().parse_args(argv)
+        if args.cap > _SHARED_DEFAULTS["cap"]:
+            print(f"warning: raising the dimension cap to {args.cap} "
                   "leaves the desk-scale envelope", file=sys.stderr)
-        report, code = run(argv, parser)
-        payload = emit(report, probe.format)
-        if probe.out:
-            with open(probe.out, "wb") as fh:
+        report, code = run(argv, args)
+        payload = emit(report, args.format)
+        if args.out:
+            with open(args.out, "wb") as fh:
                 fh.write(payload)
     except (FieldError, DiagramError, AlgebraError, InputAlgebraError,
             SplitPairError, SpechtError, CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not probe.out:
+    if not args.out:
         sys.stdout.buffer.write(payload)
     print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
     return code

@@ -5,18 +5,22 @@ For a diagram algebra D with layer idempotent e at depth l:
 * the corner e*D*e is isomorphic to the diagram algebra on the free columns
   through mu, which sends a small diagram d to e*d'*e where d' adds identity
   strands through the cup block; the corner is read in the small algebra's
-  basis through mu.  At l = 0, e = 1 and the small algebra is D itself;
+  basis through mu.  At l = 0, e = 1 and the small algebra is D itself.
+  mu(d) is a nonzero multiple of one diagram iota(d), iota is injective, and
+  the corner products e*b*e lie on iota's diagrams: dim e*D*e is a count;
 * reading the exactly-l part of a corner element as a decorated permutation
   of the free strands gives a surjection ``alpha`` onto the wreath algebra W
-  of the layer, split by mu of the layer-0 small diagrams.  Its kernel is mu
-  of the first layer ideal J_1 of the small algebra, certified at every l;
+  of the layer, split by mu of the layer-0 small diagrams, which it sends to
+  W's basis.  Its kernel is mu of the first layer ideal J_1 of the small
+  algebra, certified at every l;
 * the transfer bimodule S = W (x)_{corner} e*D is the quotient of e*D by
   ker(alpha)*e*D, which is e*D meet J_{l+1}: the class of x is its
   exactly-l part, read through the layer factorization with one coordinate
   per layer-l diagram (e_top, f, key).  W acts on the key, so S is left-free
   on the diagrams (e_top, f, identity), and S*e is isomorphic to W as a
-  right W-module via ``theta: s -> alpha(lift(s)*e)``.  The run certifies
-  the reading: it kills ker(alpha)*e*D, and its rank is dim S.
+  right W-module via ``theta: s -> alpha(lift(s)*e)``, onto as it sends the
+  class of e to 1.  The run certifies the reading: it kills
+  ker(alpha)*e*D, and its rank is dim S.
 
 mu, alpha and its section are checked as algebra maps on the unit and the
 generators of their source (``check_algebra_map``), which generate it, a
@@ -92,11 +96,12 @@ class CornerSplitDatum:
         self._slot = {f: s for s, f in enumerate(self.bottom_configs)}
         self.n_l = len(self.bottom_configs)
 
-        # the span of the corner e*D*e gives its dimension and alpha's guard;
-        # the small algebra's basis, carried by mu, gives its coordinates
-        self._corner_ech = Echelon(self.field).insert_all(
-            big.mul(big.mul(e, big.basis_vec(i)), e) for i in range(big.dim))
-        self.corner_dim = self._corner_ech.dim
+        # the diagrams of the corner products e*b*e span e*D*e; as they are
+        # mu's (verify_corner_iso), their number is its dimension
+        self._corner_support = set()
+        for i in range(big.dim):
+            self._corner_support.update(big.mul(big.mul(e, big.basis_vec(i)), e))
+        self.corner_dim = len(self._corner_support)
         # D itself at l = 0, else never larger than big, which is capped
         self.small_dalg = DiagramAlgebra(dalg.kind.free_columns(l), dalg.A) if l else dalg
         self.small_big = diagram_fin_algebra(self.small_dalg, cap=big.dim) if l else big
@@ -141,15 +146,18 @@ class CornerSplitDatum:
         return big.mul(big.mul(self.idem_vec, emb), self.idem_vec)
 
     def verify_corner_iso(self) -> dict:
-        """mu: d -> e d' e is a bijection onto e*D*e (a rank count) and an
-        algebra map with mu(1) = e, checked on the unit and the small
-        algebra's generators; this suffices as they generate it, which the
-        same check certifies (``check_algebra_map``)."""
+        """mu: d -> e d' e is a bijection onto e*D*e: each row is one term on a
+        diagram iota(d), no two share it, and the diagrams of the products
+        e*b*e, which span e*D*e, are iota's.  It is an algebra map with mu(1)
+        = e, checked on the unit and the small algebra's generators, which
+        generate it, as the same check certifies (``check_algebra_map``)."""
         failures = []
-        rank = Echelon(self.field).insert_all(self.mu_rows).dim
-        if not (rank == len(self.mu_rows) == self.corner_dim):
-            failures.append({"check": "bijective", "rank": rank,
-                             "cornerDim": self.corner_dim})
+        iota = {i for row in self.mu_rows for i in row}
+        if any(len(row) != 1 for row in self.mu_rows) or len(iota) != len(self.mu_rows):
+            failures.append({"check": "mu_monomial", "diagrams": len(iota)})
+        elif self._corner_support != iota:
+            failures.append({"check": "corner_is_mu_image",
+                             "diagram": min(self._corner_support ^ iota)})
         match check_algebra_map(self.small_big, self.big, self.mu_rows, unit=self.idem_vec):
             case ("unit",):
                 failures.append({"check": "unital"})
@@ -190,7 +198,7 @@ class CornerSplitDatum:
         """alpha of a corner element y: its exactly-l part, read in the block
         of the bottom e_bottom and normalised by the idempotent's prefactor."""
         F, W = self.field, self.W
-        if not self._corner_ech.contains(y):
+        if not self._corner_support.issuperset(y):
             raise SplitPairError("vector outside the corner")
         read = self._to_S(y)
         base = self._slot[self.e_bottom] * W.dim
@@ -213,15 +221,13 @@ class CornerSplitDatum:
         """alpha is a split surjective algebra map, and its kernel is mu of the
         first layer ideal J_1 of the small algebra, which the transfer
         bimodule assumes.  Each is checked on the small algebra, which
-        verify_corner_iso certifies mu to carry isomorphically onto e*D*e."""
-        F, small, W = self.field, self.small_big, self.W
+        verify_corner_iso certifies mu to carry isomorphically onto e*D*e.
+        alpha_splits makes alpha onto: dim ker(alpha) = dim e*D*e - dim W."""
+        small, W = self.small_big, self.W
         failures = []
         witness = check_algebra_map(small, W, self.alpha_rows)
         if witness is not None:
             failures.append({"check": "alpha_algebra_map", "witness": list(witness)})
-        rank = Echelon(F).insert_all(self.alpha_rows).dim
-        if rank != W.dim:
-            failures.append({"check": "alpha_surjective", "rank": rank})
         for w, i in enumerate(self._section_index):
             if self.alpha_rows[i] != W.basis_vec(w):
                 failures.append({"check": "alpha_splits", "basis": w})
@@ -232,8 +238,7 @@ class CornerSplitDatum:
         ideal = self._first_layer
         killed = all(not self.alpha_rows[i] for i in ideal)
         if not (killed and self.corner_dim - W.dim == len(ideal)):
-            failures.append({"check": "kernel_is_first_layer",
-                             "rank": rank, "kernel": len(ideal)})
+            failures.append({"check": "kernel_is_first_layer", "kernel": len(ideal)})
         return {"ok": not failures, "failures": failures,
                 "kernelDim": self.corner_dim - W.dim}
 
@@ -299,16 +304,18 @@ class CornerSplitDatum:
 
     def _build_corner_restriction(self):
         """S*e with theta: s -> alpha(lift(s)*e) onto the wreath algebra, and
-        whether theta is bijective on it: both of dimension W.dim, theta of
-        full rank."""
+        whether theta is bijective on it: dim S*e = dim W, and theta(class of
+        e) = 1, which makes the module map theta onto and is the theta^{-1}(1)
+        that ``natural_unit_iso`` reads."""
         F, big, W = self.field, self.big, self.W
         img = Echelon(F).insert_all(self._to_S(big.mul(self._lift_S({s: F.one}), self.idem_vec))
                                     for s in range(self.n_l * W.dim))
         self.Se_rows = img.basis_rows()
         self._Se_lifts = [self._lift_S(r) for r in self.Se_rows]
         self.theta_rows = [self._theta_big(x) for x in self._Se_lifts]
+        self._e_class = self._to_S(self.idem_vec)
         self.theta_is_iso = (len(self.Se_rows) == W.dim
-                             and Echelon(F).insert_all(self.theta_rows).dim == W.dim)
+                             and self._theta_big(self._lift_S(self._e_class)) == W.unit)
 
     def _theta_big(self, x):
         """theta of the class of x in e*D, in big coordinates: alpha(x * e)."""
@@ -326,8 +333,10 @@ class CornerSplitDatum:
                              "killsRelations": self.read_kills_relations})
         if not self.left_free:
             failures.append({"check": "left_free"})
-        if not self.theta_is_iso:
-            failures.append({"check": "Se_iso_rank", "dim": len(self.Se_rows)})
+        if len(self.Se_rows) != self.W.dim:
+            failures.append({"check": "Se_dim", "dim": len(self.Se_rows)})
+        elif not self.theta_is_iso:
+            failures.append({"check": "theta_unit"})
         else:
             # theta(s*g) = theta(s)*g for g in (1, g_0, g_1, ...) of W
             W = self.W
@@ -420,13 +429,13 @@ class CornerSplitDatum:
         return ModuleMap(src_res, dst_res, rows)
 
     def natural_unit_iso(self, M: RightModule, ind=None, res=None):
-        """The explicit map M -> res(ind M) through theta^{-1}(1): theta of the
-        class of e = e*e is alpha(e) = 1, as alpha is unital."""
+        """The explicit map M -> res(ind M) through theta^{-1}(1), the class of
+        e, as ``theta_is_iso`` certifies."""
         ind = ind or self.induce(M)
         res = res or self.restrict(ind)
         if not self.theta_is_iso:
             raise SplitPairError("S*e is not isomorphic to the wreath algebra")
-        slots = self._left_coords(self._to_S(self.idem_vec))
+        slots = self._left_coords(self._e_class)
         rows = [res.subspace_coords(ind.act(self._ind_row(M, i, slots), self.idem_vec))
                 for i in range(M.dim)]
         return ModuleMap(M, res, rows), ind, res
@@ -474,9 +483,8 @@ class ShortExactSequence(NamedTuple):
         if self.quot.dim == 0:
             return True
         q = self.quot.dim
-        ech = Echelon(F)
-        for h in hom_space(self.quot, self.mid):
-            ech.insert(_flatten_rows(mat_mul(F, h.rows, self.proj.rows), q))
+        ech = Echelon(F).insert_all(_flatten_rows(mat_mul(F, h.rows, self.proj.rows), q)
+                                    for h in hom_space(self.quot, self.mid))
         return ech.contains(_flatten_rows(identity_rows(F, q), q))
 
 
@@ -550,19 +558,13 @@ def cell_head_sequence(datum, char_module) -> ShortExactSequence:
     ind = datum.induce(char_module)
 
     def char(w_vec):
-        total = F.zero
-        for w, c in w_vec.items():
-            rows = char_module.action[w]
-            val = rows[0].get(0, F.zero) if rows else F.zero
-            total = F.add(total, F.mul(c, val))
-        return total
+        """The character on w_vec, as a vector with no term or one nonzero."""
+        return char_module.act({0: F.one}, w_vec)
 
     configs = datum.bottom_configs
-    gram = []
-    for f in configs:
-        gram.append({j: char(contraction_form(datum.dalg, datum.W, f, e))
-                     for j, e in enumerate(configs)})
-    gram = [{j: c for j, c in row.items() if not F.is_zero(c)} for row in gram]
+    gram = [{j: c for j, e in enumerate(configs)
+             for c in char(contraction_form(datum.dalg, datum.W, f, e)).values()}
+            for f in configs]
     rad = kernel_basis(F, transpose_rows(gram, len(configs)), len(configs))
     head, _ = quotient_module(ind, rad, name=f"head({ind.name})")
     return presentation_sequence(head)
@@ -664,10 +666,7 @@ def verify_exact_split_pair(datum, samples=None, small_sequences=None,
             "unitMapIsModuleMap": eta.is_module_map(),
             "unitMapIsIso": eta.is_iso(),
         }
-        homs = hom_space(M, res)
-        ech = Echelon(F)
-        for h in homs:
-            ech.insert(_flatten_rows(h.rows, res.dim))
+        ech = Echelon(F).insert_all(_flatten_rows(h.rows, res.dim) for h in hom_space(M, res))
         entry["unitMapInHomSpace"] = ech.contains(_flatten_rows(eta.rows, res.dim))
         etas.append((M, eta, ind, res))
         report["samples"].append(entry)

@@ -150,6 +150,28 @@ def test_replay_witness_roundtrip(tmp_path):
     assert replay_code == 1
 
 
+def test_each_command_line_is_parsed_once(tmp_path, monkeypatch, capsys):
+    """main parses its argv once and a replay parses the stored argv once,
+    with the reports and exit codes of the parsed runs."""
+    parsed = []
+    parse_args = cli.argparse.ArgumentParser.parse_args
+
+    def counting(self, argv=None, namespace=None):
+        parsed.append(list(argv))
+        return parse_args(self, argv, namespace)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "parse_args", counting)
+    argv = ["dims", "--kind", "abrauer", "--n", "2"]
+    assert main(argv) == 0
+    assert parsed == [argv]
+    witness_file = tmp_path / "witness.json"
+    witness_file.write_text(json.dumps({"argv": argv}))
+    parsed.clear()
+    assert main(["--replay", str(witness_file)]) == 0
+    assert parsed == [["--replay", str(witness_file)], argv]
+    assert capsys.readouterr().out.count('"ok":true') == 2
+
+
 TAMPERED_CYCLIC = {
     # group algebra of Z/3 with the product h*h tampered to h: not associative,
     # and * is no longer an anti-automorphism

@@ -4,8 +4,9 @@ import pytest
 
 from diagalg.diagrams import DiagramAlgebra, DiagramKind, diagram_fin_algebra
 from diagalg.fields import PrimeField, RationalField
-from diagalg.input_algebra import cyclic_group_algebra, trivial_input_algebra
+from diagalg.input_algebra import cyclic_group_algebra, perm_sign, trivial_input_algebra
 from diagalg.split_pair import (
+    CornerSplitDatum,
     SplitPairError,
     cell_head_sequence,
     chain_ideal_sequence,
@@ -201,6 +202,71 @@ def test_generators_that_do_not_generate_fail_the_report():
     assert report["cornerIso"]["failures"] == [{"check": "generators_generate",
                                                 "generatedDim": 2}]
     assert {"check": "alpha_algebra_map", "witness": ["generators", 2]} in report["alpha"]["failures"]
+
+
+# -- the certificates read off the diagrams, each shown to catch a defect ------
+
+def test_mu_row_with_a_second_term_fails_the_monomial_certificate():
+    """walled(3,2) at l = 1: mu of one small diagram given a second term, on
+    a diagram that is mu of another, so iota still has smallDim diagrams."""
+    dalg, big = walled(3, 2, "2")
+    datum = corner_split_datum(dalg, big, 1)
+    (other,) = datum.mu_rows[0]
+    x = datum.small_big.dim - 1
+    datum.mu_rows[x] = {**datum.mu_rows[x], other: Q.one}
+    report = datum.verify_corner_iso()
+    assert report["failures"][0] == {"check": "mu_monomial", "diagrams": datum.small_big.dim}
+
+
+def test_corner_product_outside_the_image_of_iota_fails():
+    """D_4 at l = 1: mu of one small diagram moved onto the identity diagram,
+    which is not in e*D*e.  mu stays monomial and injective, but the corner
+    product e*d'*e that mu sent it to now lies off iota's diagrams."""
+    dalg, big = brauer(4, "2")
+    datum = corner_split_datum(dalg, big, 1)
+    x = datum.small_big.dim - 1
+    (corner_diagram,) = datum.mu_rows[x]
+    (identity,) = big.unit
+    datum.mu_rows[x] = {identity: Q.one}
+    report = datum.verify_corner_iso()
+    assert report["failures"][0] == {"check": "corner_is_mu_image",
+                                     "diagram": min(identity, corner_diagram)}
+
+
+def _sign_element(W):
+    return {w: W.field.from_int(perm_sign(key[1])) for w, key in enumerate(W.basis_keys)}
+
+
+@pytest.mark.parametrize("left_factor", [_sign_element, lambda W: W.generators[0]],
+                         ids=["sign-element", "transposition"])
+def test_theta_away_from_one_at_the_class_of_e_fails(monkeypatch, left_factor):
+    """D_3 at l = 0, theta followed by left multiplication by u in QS_3: still
+    a right module map, but theta(class of e) = u.  For u the sum of sgn(w)*w
+    theta is not onto; for u a transposition it is bijective, but the class
+    of e, which the unit map reads, is not theta^{-1}(1)."""
+    theta = CornerSplitDatum._theta_big
+    monkeypatch.setattr(CornerSplitDatum, "_theta_big",
+                        lambda self, x: self.W.mul(left_factor(self.W), theta(self, x)))
+    dalg, big = brauer(3, "2")
+    datum = corner_split_datum(dalg, big, 0)
+    assert datum.verify_transfer_bimodule()["failures"] == [{"check": "theta_unit"}]
+    with pytest.raises(SplitPairError, match="S\\*e is not isomorphic"):
+        datum.natural_unit_iso(wreath_trivial_module(datum.W))
+
+
+def test_alpha_onto_a_line_fails_only_alpha_splits():
+    """D_3 at l = 0: alpha followed by x -> eps(x)*1, eps the trivial
+    character of QS_3, is an algebra map that kills J_1 and leaves every
+    count alone, but it is not onto W: its section rows miss their basis
+    vectors, the one surjectivity check left."""
+    dalg, big = brauer(3, "2")
+    datum = corner_split_datum(dalg, big, 0)
+    W = datum.W
+    datum.alpha_rows = [{w: sum(row.values()) for w in W.unit} if row else {}
+                        for row in datum.alpha_rows]
+    report = datum.verify_alpha()
+    assert W.unit == W.basis_vec(0)      # so basis element 1 is the first miss
+    assert report["failures"] == [{"check": "alpha_splits", "basis": 1}]
 
 
 # -- induction / restriction ------------------------------------------------------
