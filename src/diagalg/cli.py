@@ -259,6 +259,7 @@ def cmd_hom_ext(args, field):
     dalg, params = make_context(args, field)
     big = diagram_fin_algebra(dalg, cap=args.cap)
     datum = corner_split_datum(dalg, big, args.l)
+    failed = {key: rep for key, rep in datum.certificates().items() if not rep["ok"]}
     if dalg.kind.family == "walled":
         rows = dominance_vanishing_experiment(datum)
         pairs = [{k: row[k] for k in ("lambda", "mu", "lambda'", "mu'",
@@ -276,7 +277,8 @@ def cmd_hom_ext(args, field):
             for N, rep in zip(mods, reps):
                 pairs.append({"M": M.name, "N": N.name, **rep})
                 ok = ok and rep["ok"]
-    return {"config": config_echo(args, field, params), "pairs": pairs, "ok": ok}
+    return {"config": config_echo(args, field, params), "pairs": pairs, **failed,
+            "ok": ok and not failed}
 
 
 def cmd_dominance_table(args, field):
@@ -284,6 +286,7 @@ def cmd_dominance_table(args, field):
     dalg = DiagramAlgebra(DiagramKind.walled(args.r, args.t), A)
     big = diagram_fin_algebra(dalg, cap=args.cap)
     datum = corner_split_datum(dalg, big, args.l)
+    failed = {key: rep for key, rep in datum.certificates().items() if not rep["ok"]}
     rows = dominance_vanishing_experiment(datum)
     ok = all(row["transferOK"] and not row["violation"] for row in rows)
     return {
@@ -291,7 +294,8 @@ def cmd_dominance_table(args, field):
         "rows": rows,
         "strictReading": "the published implication is stated with strict dominance, "
                          "which fails on the diagonal; the table tests the non-strict form",
-        "ok": ok,
+        **failed,
+        "ok": ok and not failed,
     }
 
 

@@ -66,9 +66,7 @@ def diagram_fin_algebra(dalg, cap=2000):
         name = f"D_{kind.n}(dimA={dalg.A.dim})"
     else:
         name = f"B_{kind.wall},{kind.n - kind.wall}"
-    alg = algebra_from_mult_context(dalg, cap=cap, name=name)
-    alg.diagram_context = dalg
-    return alg
+    return algebra_from_mult_context(dalg, cap=cap, name=name)
 
 
 class DiagramKind(NamedTuple):

@@ -387,6 +387,4 @@ def wreath_product(A, m, wall=None, cap=5000) -> FinAlgebra:
         raise InputAlgebraError("walled variant requires the trivial input algebra")
     ctx = _WreathContext(A, m, wall)
     name = f"wreath({A.dim},{m})" if wall is None else f"perm2({wall},{m - wall})"
-    alg = algebra_from_mult_context(ctx, cap=cap, name=name)
-    alg.wreath_context = ctx
-    return alg
+    return algebra_from_mult_context(ctx, cap=cap, name=name)

@@ -5,6 +5,9 @@ import pytest
 
 from diagalg import cli
 from diagalg.cli import emit, main, run
+from diagalg.input_algebra import perm_sign
+from diagalg.linalg import vec_times_rows
+from diagalg.split_pair import CornerSplitDatum
 
 
 def run_json(argv):
@@ -365,3 +368,76 @@ def test_valid_input_algebra_file_is_accepted(tmp_path):
     report, code = run_json(["verify-inflation", "--kind", "abrauer", "--n", "2",
                              "--input-algebra", str(path)])
     assert code == 0 and report["ok"]
+
+
+# -- defects that only a certificate or a unit map sees ----------------------------
+
+def _tamper_every_datum(monkeypatch, tamper):
+    """Every CornerSplitDatum built from here on, replays included, is
+    passed to ``tamper`` once constructed."""
+    init = CornerSplitDatum.__init__
+
+    def tampered(self, *args):
+        init(self, *args)
+        tamper(self)
+
+    monkeypatch.setattr(CornerSplitDatum, "__init__", tampered)
+
+
+def _mu_row_with_a_second_term(datum):
+    (other,) = datum.mu_rows[0]
+    x = datum.small_big.dim - 1
+    datum.mu_rows[x] = {**datum.mu_rows[x], other: datum.field.one}
+
+
+@pytest.mark.parametrize("argv", [
+    ["hom-ext", "--kind", "abrauer", "--n", "3", "--l", "0", "--delta", "2"],
+    ["dominance-table", "--r", "2", "--t", "1", "--l", "0", "--field", "fp:5"],
+], ids=lambda argv: argv[0])
+def test_failed_certificate_fails_hom_ext_and_dominance_table(tmp_path, monkeypatch, argv):
+    """A mu row with a second term leaves every Hom and Ext^1 comparison
+    alone; only the monomial certificate of the corner sees it, and its
+    report goes under the key verify-split-pair uses."""
+    _tamper_every_datum(monkeypatch, _mu_row_with_a_second_term)
+    out = tmp_path / "report.json"
+    assert main(["--out", str(out), *argv]) == 1
+    report = json.loads(out.read_text())
+    assert not report["ok"]
+    assert report["cornerIso"]["failures"][0]["check"] == "mu_monomial"
+    assert "alpha" not in report and "transfer" not in report
+    rows = report.get("pairs") or report["rows"]
+    assert all(row.get("ok", row.get("transferOK")) for row in rows)
+    replay_report, replay_code = run_json(["--replay", str(out)])
+    assert replay_report["stillFailing"] is True and replay_code == 1
+
+
+def _sign_element(W):
+    return {w: W.field.from_int(perm_sign(key[1])) for w, key in enumerate(W.basis_keys)}
+
+
+@pytest.mark.parametrize("left_factor, failing", [
+    (_sign_element, "unitMapIsIso"),
+    (lambda W: W.generators[0], "unitMapIsModuleMap"),
+], ids=["sign-element", "transposition"])
+def test_unit_map_through_a_twisted_class_of_e_fails(tmp_path, monkeypatch, left_factor,
+                                                      failing):
+    """D_3 at l = 0 with u*[e] = [sigma(u)*e] read as the class of e, u in
+    QS_3: the regular sample's unit map becomes m -> m*u.  For u the sum of
+    sgn(w)*w, which is central, it is a module map of rank one; for u a
+    transposition it is bijective but not a module map.  Every certificate
+    still passes, the run exits 1, and its replay still fails."""
+    def twist(datum):
+        sigma_u = vec_times_rows(datum.field, left_factor(datum.W), datum.section_big)
+        datum._e_class = datum._to_S(datum.big.mul(sigma_u, datum.idem_vec))
+
+    _tamper_every_datum(monkeypatch, twist)
+    out = tmp_path / "report.json"
+    argv = ["verify-split-pair", "--kind", "abrauer", "--n", "3", "--l", "0", "--delta", "2"]
+    assert main(["--out", str(out), *argv]) == 1
+    report = json.loads(out.read_text())
+    assert not report["ok"]
+    assert all(report[key]["ok"] for key in ("cornerIso", "alpha", "transfer"))
+    regular = report["samples"][0]
+    assert regular["module"] == "regular" and regular[failing] is False
+    replay_report, replay_code = run_json(["--replay", str(out)])
+    assert replay_report["stillFailing"] is True and replay_code == 1

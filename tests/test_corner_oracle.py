@@ -3,10 +3,12 @@
 the check on every pair; and the oracle's own tests.
 
 ``CornerSplitDatum`` keeps no corner algebra: alpha reads a corner element
-directly, the corner's coordinates are the small algebra's through mu, the
-kernel of alpha is mu of the small algebra's first layer ideal, and
-theta^{-1}(1) is the class of e.  On every configuration each of these must
-agree with the old route through the echelon coordinates of the corner.
+directly, the corner's coordinates are the small algebra's through mu, and
+the kernel of alpha is mu of the small algebra's first layer ideal.  It
+keeps no isomorphism S*e = W either: the unit map reads the class of e,
+which must be theta^{-1}(1) for the oracle's theta: s -> alpha(lift(s)*e)
+on its own S*e.  On every configuration each of these must agree with the
+old route through the echelon coordinates of the corner.
 """
 
 import copy
@@ -35,6 +37,7 @@ from diagalg.linalg import (
 from diagalg.split_pair import corner_split_datum
 from test_algebra_kernel import off_generators
 from test_input_algebra import DUAL_NUMBERS
+from transfer_oracle import layer_lift
 
 Q = RationalField()
 
@@ -84,13 +87,17 @@ def test_corner_reading_matches_the_corner_algebra(cache, name):
     assert _same_span(F, ker_big, [datum.mu_rows[i] for i in first_layer])
 
     # (d) theta inverted on S*e, at the unit, is the class of e
+    lift = layer_lift(datum)
+    Se_rows = Echelon(F).insert_all(datum._to_S(big.mul(lift({s: F.one}), datum.idem_vec))
+                                    for s in range(datum.n_l * W.dim)).basis_rows()
+
     def theta(s_vec):
-        lifted = big.mul(datum._lift_S(s_vec), datum.idem_vec)
+        lifted = big.mul(lift(s_vec), datum.idem_vec)
         return vec_times_rows(F, corner.ech.coords(lifted), alpha_rows)
 
-    theta_inv = invert_rows(F, [theta(r) for r in datum.Se_rows])
-    assert len(datum.Se_rows) == W.dim and theta_inv is not None
-    unit = vec_times_rows(F, vec_times_rows(F, W.unit, theta_inv), datum.Se_rows)
+    theta_inv = invert_rows(F, [theta(r) for r in Se_rows])
+    assert len(Se_rows) == W.dim and theta_inv is not None
+    unit = vec_times_rows(F, vec_times_rows(F, W.unit, theta_inv), Se_rows)
     assert unit == datum._to_S(datum.idem_vec)
     # and the unit map is the one through it: on a commutative W another
     # wreath key can give a module isomorphism too, so the samples may miss it

@@ -4,9 +4,8 @@ import pytest
 
 from diagalg.diagrams import DiagramAlgebra, DiagramKind, diagram_fin_algebra
 from diagalg.fields import PrimeField, RationalField
-from diagalg.input_algebra import cyclic_group_algebra, perm_sign, trivial_input_algebra
+from diagalg.input_algebra import cyclic_group_algebra, trivial_input_algebra
 from diagalg.split_pair import (
-    CornerSplitDatum,
     SplitPairError,
     cell_head_sequence,
     chain_ideal_sequence,
@@ -163,30 +162,6 @@ def test_scaled_alpha_row_off_the_generators_fails_alpha():
     assert failure["witness"][0] == "mult"
 
 
-def test_scaled_theta_row_fails_the_module_map_check():
-    """theta stays of full rank, but theta(s*1) = theta(s)*1 fails at once."""
-    dalg, big = brauer(3, "2")
-    datum = corner_split_datum(dalg, big, 0)
-    datum.theta_rows[1] = {j: 2 * c for j, c in datum.theta_rows[1].items()}
-    report = datum.verify_transfer_bimodule()
-    assert not report["ok"]
-    assert report["failures"] == [{"check": "Se_iso_module_map", "at": [1, 0]}]
-
-
-def test_theta_that_is_not_a_module_map_fails_at_a_generator():
-    """theta followed by the involution of QS_3 (inversion of permutations)
-    is bijective and agrees with its own rows at the unit, but it reverses
-    products, so theta(s*g) = theta(s)*g fails at a generator."""
-    dalg, big = brauer(3, "2")
-    datum = corner_split_datum(dalg, big, 0)
-    theta = datum._theta_big
-    datum._theta_big = lambda x: datum.W.involve(theta(x))
-    datum.theta_rows = [datum._theta_big(x) for x in datum._Se_lifts]
-    report = datum.verify_transfer_bimodule()
-    (failure,) = report["failures"]
-    assert failure["check"] == "Se_iso_module_map" and failure["at"][1] >= 1
-
-
 def test_generators_that_do_not_generate_fail_the_report():
     """With the cup left out of the small algebra's generators, the swaps
     span only the group algebra of S_2 x S_1 inside B_{2,1}: a named premise
@@ -231,27 +206,6 @@ def test_corner_product_outside_the_image_of_iota_fails():
     report = datum.verify_corner_iso()
     assert report["failures"][0] == {"check": "corner_is_mu_image",
                                      "diagram": min(identity, corner_diagram)}
-
-
-def _sign_element(W):
-    return {w: W.field.from_int(perm_sign(key[1])) for w, key in enumerate(W.basis_keys)}
-
-
-@pytest.mark.parametrize("left_factor", [_sign_element, lambda W: W.generators[0]],
-                         ids=["sign-element", "transposition"])
-def test_theta_away_from_one_at_the_class_of_e_fails(monkeypatch, left_factor):
-    """D_3 at l = 0, theta followed by left multiplication by u in QS_3: still
-    a right module map, but theta(class of e) = u.  For u the sum of sgn(w)*w
-    theta is not onto; for u a transposition it is bijective, but the class
-    of e, which the unit map reads, is not theta^{-1}(1)."""
-    theta = CornerSplitDatum._theta_big
-    monkeypatch.setattr(CornerSplitDatum, "_theta_big",
-                        lambda self, x: self.W.mul(left_factor(self.W), theta(self, x)))
-    dalg, big = brauer(3, "2")
-    datum = corner_split_datum(dalg, big, 0)
-    assert datum.verify_transfer_bimodule()["failures"] == [{"check": "theta_unit"}]
-    with pytest.raises(SplitPairError, match="S\\*e is not isomorphic"):
-        datum.natural_unit_iso(wreath_trivial_module(datum.W))
 
 
 def test_alpha_onto_a_line_fails_only_alpha_splits():

@@ -18,7 +18,7 @@ from diagalg.input_algebra import input_algebra_from_json
 from diagalg.linalg import Echelon, vec_iadd, vec_times_rows
 from diagalg.split_pair import corner_split_datum
 from test_input_algebra import DUAL_NUMBERS
-from transfer_oracle import CoordSolver, TransferOracle
+from transfer_oracle import CoordSolver, TransferOracle, layer_lift
 
 Q = RationalField()
 
@@ -61,9 +61,10 @@ def test_layer_reading_matches_the_oracle(cache, name):
     def p(s_vec):
         return vec_times_rows(F, s_vec, P)
 
+    lift = layer_lift(datum)
     for b in range(big.dim):
         for s, row in enumerate(oracle.right_rows(b)):
-            assert p(row) == read(big.mul(datum._lift_S(P[s]), big.basis_vec(b))), (b, s)
+            assert p(row) == read(big.mul(lift(P[s]), big.basis_vec(b))), (b, s)
 
     for w in range(W.dim):
         for s in range(oracle.S_dim):

@@ -13,11 +13,30 @@ layer-l diagram (e_top, f, identity) for every bottom configuration f, and
 From the datum it reads the idempotent, alpha and the section of alpha, and
 none of the reading through the layer factorization by which
 ``CornerSplitDatum`` builds S, so the tests can compare the two.
+``layer_lift`` lifts the coordinates of that reading back to diagrams, from
+the layer factorization alone.
 """
 
 from corner_oracle import corner_algebra
 from diagalg.inflation import layer_ideal_indices
 from diagalg.linalg import Echelon, kernel_basis, transpose_rows, vec_iadd, vec_times_rows
+
+
+def layer_lift(datum):
+    """The lift of the datum's reading of S: coordinates slot(f) * dim W +
+    key go to the layer-l diagrams (e_top, f, key), in big coordinates."""
+    dalg, W, index = datum.dalg, datum.W, datum.big.key_index
+    e_top = dalg.layer_factorize(next(iter(datum.idem)))[0]
+    configs = dalg.enumerate_partials(datum.layer)
+
+    def lift(s_vec):
+        out = {}
+        for s, c in s_vec.items():
+            slot, w = divmod(s, W.dim)
+            out[index[dalg.layer_assemble_key(e_top, configs[slot], W.basis_keys[w])]] = c
+        return out
+
+    return lift
 
 
 class CoordSolver:
