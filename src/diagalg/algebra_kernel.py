@@ -96,11 +96,10 @@ class FinAlgebra:
     equation systems.
     """
 
-    def __init__(self, field, labels, unit, pair_mul, involution_rows=None,
+    def __init__(self, field, dim, unit, pair_mul, involution_rows=None,
                  generators=None, name=""):
         self.field = field
-        self.labels = list(labels)
-        self.dim = len(self.labels)
+        self.dim = dim
         self.unit = dict(unit)
         self.pair_mul = pair_mul
         self._cache = {}
@@ -162,18 +161,34 @@ class FinAlgebra:
                 return (i,)
         return None
 
-    def check_associative(self, exhaustive_limit=120, seed=0):
-        """Witness triple (i, j, k) violating associativity, or None.
+    def generated_dim(self):
+        """Dimension the unit and the generators generate, found once."""
+        if self._generated_dim is None:
+            self._generated_dim = generated_subalgebra_dim(self)
+        return self._generated_dim
 
-        Exhaustive up to the dimension limit, 1000 seeded triples above.
+    def check_associative(self):
+        """Witness (i, j, k) with (b_i*b_j)*h_k != b_i*(b_j*h_k), or None.
+
+        Light's test (Clifford-Preston, The Algebraic Theory of Semigroups I,
+        1961), exhaustive over every basis pair and h = (1, g_0, g_1, ...).
+        That suffices when the unit and the generators generate, by induction
+        on a word w in them: (x*y)*(w*g) = ((x*y)*w)*g = (x*(y*w))*g =
+        x*((y*w)*g) = x*(y*(w*g)).  The premise is certified once, witness
+        ("generators", the dimension they generate).  An algebra with no
+        generators takes its basis as h.
         """
-        n = self.dim
-        triples, _, _ = index_cases((n, n, n), exhaustive_limit, 1000, seed)
-        for i, j, k in triples:
-            lhs = self.mul(self.mul_basis(i, j), self.basis_vec(k))
-            rhs = self.mul(self.basis_vec(i), self.mul_basis(j, k))
-            if lhs != rhs:
-                return (i, j, k)
+        gs, columns = _generating_vectors(self), self.generator_rows()
+        if self.generators is not None:
+            if self.generated_dim() != self.dim:
+                return ("generators", self.generated_dim())
+            gs = [self.unit] + gs
+            columns = [[self.basis_vec(j) for j in range(self.dim)]] + columns
+        for i, j in itertools.product(range(self.dim), repeat=2):
+            ij = self.mul_basis(i, j)
+            for k, (g, column) in enumerate(zip(gs, columns)):
+                if self.mul(ij, g) != self.mul(self.basis_vec(i), column[j]):
+                    return (i, j, k)
         return None
 
     def check_involution_square(self):
@@ -197,8 +212,8 @@ def algebra_from_mult_context(ctx, cap=2000, name=""):
     """FinAlgebra over the basis of a multiplication context.
 
     ``ctx`` provides ``field``, ``basis()`` (canonical list of hashable keys),
-    ``label(key)``, ``mul_diagrams(x, y)``, ``identity()``, ``involution_key(x)``
-    (each element a dict {key: scalar}) and ``generator_elements()``.
+    ``mul_diagrams(x, y)``, ``identity()``, ``involution_key(x)`` (each
+    element a dict {key: scalar}) and ``generator_elements()``.
     """
     basis = ctx.basis()
     if len(basis) > cap:
@@ -213,8 +228,7 @@ def algebra_from_mult_context(ctx, cap=2000, name=""):
 
     invo = [to_vec(ctx.involution_key(k)) for k in basis]
     gens = [to_vec(g) for g in ctx.generator_elements()]
-    labels = [ctx.label(k) for k in basis]
-    alg = FinAlgebra(ctx.field, labels, to_vec(ctx.identity()), pair_mul, invo, gens, name)
+    alg = FinAlgebra(ctx.field, len(basis), to_vec(ctx.identity()), pair_mul, invo, gens, name)
     alg.basis_keys = basis
     alg.key_index = index
     return alg
@@ -744,10 +758,8 @@ def check_algebra_map(source, target, rows, unit=None):
     unit = target.unit if unit is None else unit
     if vec_times_rows(F, source.unit, rows) != unit:
         return ("unit",)
-    if source._generated_dim is None:
-        source._generated_dim = generated_subalgebra_dim(source)
-    if source._generated_dim != source.dim:
-        return ("generators", source._generated_dim)
+    if source.generated_dim() != source.dim:
+        return ("generators", source.generated_dim())
     images = [unit] + [vec_times_rows(F, g, rows) for g in _generating_vectors(source)]
     columns = [[source.basis_vec(x) for x in range(source.dim)]] + source.generator_rows()
     for k, (image, column) in enumerate(zip(images, columns)):

@@ -27,16 +27,11 @@ from .input_algebra import (
     trivial_input_algebra,
     validate_input_algebra,
 )
-from .specht import SpechtError, dominance_vanishing_experiment
+from .specht import SpechtError, dominance_vanishing_experiment, table_with_ext
 from .split_pair import (
     SplitPairError,
-    cell_head_sequence,
-    chain_ideal_sequence,
     corner_split_datum,
-    default_sample_modules,
     hom_ext_transfer,
-    presentation_sequence,
-    split_control_sequence,
     verify_exact_split_pair,
     wreath_sign_module,
     wreath_trivial_module,
@@ -159,9 +154,9 @@ def make_input_algebra(args, field, validate=True):
 
 
 def make_context(args, field):
-    """Diagram algebra of the --kind options, refused when its closed-form
-    dimension exceeds --cap (checked before any basis is enumerated)."""
-    kind_name = args.kind
+    """Diagram algebra of the --kind options (walled without --kind), refused
+    when its closed-form dimension exceeds --cap (before any basis is built)."""
+    kind_name = getattr(args, "kind", "walled")
     if kind_name == "walled":
         if args.r is None or args.t is None:
             raise CliError("walled kind needs --r and --t")
@@ -218,7 +213,7 @@ def cmd_dims(args, field):
         ds = small_algebra(dalg, l).dim
         layers.append({"l": l, "rankV": rv, "dimSmall": ds, "layerDim": rv * rv * ds})
         total += rv * rv * ds
-    report = {
+    return {
         "config": config_echo(args, field, params),
         "dim": len(basis),
         "layers": layers,
@@ -226,7 +221,6 @@ def cmd_dims(args, field):
         "dimTwoWaysEqual": total == len(basis),
         "ok": total == len(basis),
     }
-    return report
 
 
 def cmd_verify_inflation(args, field):
@@ -236,66 +230,63 @@ def cmd_verify_inflation(args, field):
     return report
 
 
+def split_pair_datum(args, dalg):
+    """The split-pair datum of D at --l."""
+    return corner_split_datum(dalg, diagram_fin_algebra(dalg, cap=args.cap), args.l)
+
+
+def failed_certificates(datum):
+    """The datum's failing certificates, keyed as verify-split-pair keys them."""
+    return {key: rep for key, rep in datum.certificates().items() if not rep["ok"]}
+
+
 def cmd_verify_split_pair(args, field):
     dalg, params = make_context(args, field)
     if args.delta_zero_mode and not field.is_zero(field.parse(args.delta)):
         raise CliError("--delta-zero-mode requires --delta 0")
-    big = diagram_fin_algebra(dalg, cap=args.cap)
-    datum = corner_split_datum(dalg, big, args.l)
-    samples = default_sample_modules(datum.W)
-    small_seqs = [presentation_sequence(wreath_trivial_module(datum.W)),
-                  split_control_sequence(wreath_trivial_module(datum.W),
-                                         wreath_sign_module(datum.W))]
-    big_seqs = [chain_ideal_sequence(dalg, big, args.l),
-                cell_head_sequence(datum, wreath_trivial_module(datum.W))]
-    report = verify_exact_split_pair(datum, samples=samples,
-                                     small_sequences=small_seqs,
-                                     big_sequences=big_seqs)
+    report = verify_exact_split_pair(split_pair_datum(args, dalg))
     report["config"] = config_echo(args, field, params)
     return report
 
 
+def walled_table(args, field, dalg):
+    """(failing certificates, dominance rows) of a walled algebra at --l: the
+    one path of hom-ext --kind walled and dominance-table.  The field is
+    refused before D is built."""
+    table_with_ext(field)
+    datum = split_pair_datum(args, dalg)
+    return failed_certificates(datum), dominance_vanishing_experiment(datum)
+
+
 def cmd_hom_ext(args, field):
     dalg, params = make_context(args, field)
-    big = diagram_fin_algebra(dalg, cap=args.cap)
-    datum = corner_split_datum(dalg, big, args.l)
-    failed = {key: rep for key, rep in datum.certificates().items() if not rep["ok"]}
     if dalg.kind.family == "walled":
-        rows = dominance_vanishing_experiment(datum)
+        failed, rows = walled_table(args, field, dalg)
         pairs = [{k: row[k] for k in ("lambda", "mu", "lambda'", "mu'",
                                       "dimHom_big", "dimHom_small",
                                       "dimExt_big", "dimExt_small", "transferOK")}
                  for row in rows]
         ok = all(row["transferOK"] for row in rows)
     else:
-        mods = [wreath_trivial_module(datum.W), wreath_sign_module(datum.W)]
-        inds = [datum.induce(M) for M in mods]
-        pairs = []
-        ok = True
-        for M, ind in zip(mods, inds):
-            reps = hom_ext_transfer(datum, M, mods, ind_m=ind, ind_targets=inds)
-            for N, rep in zip(mods, reps):
-                pairs.append({"M": M.name, "N": N.name, **rep})
-                ok = ok and rep["ok"]
+        datum = split_pair_datum(args, dalg)
+        failed = failed_certificates(datum)
+        pairs = hom_ext_transfer(datum, [wreath_trivial_module(datum.W),
+                                         wreath_sign_module(datum.W)])
+        ok = all(rep["ok"] for rep in pairs)
     return {"config": config_echo(args, field, params), "pairs": pairs, **failed,
             "ok": ok and not failed}
 
 
 def cmd_dominance_table(args, field):
-    A = trivial_input_algebra(field, field.parse(args.delta))
-    dalg = DiagramAlgebra(DiagramKind.walled(args.r, args.t), A)
-    big = diagram_fin_algebra(dalg, cap=args.cap)
-    datum = corner_split_datum(dalg, big, args.l)
-    failed = {key: rep for key, rep in datum.certificates().items() if not rep["ok"]}
-    rows = dominance_vanishing_experiment(datum)
-    ok = all(row["transferOK"] and not row["violation"] for row in rows)
+    dalg, params = make_context(args, field)
+    failed, rows = walled_table(args, field, dalg)
     return {
-        "config": config_echo(args, field, {"r": args.r, "t": args.t}),
+        "config": config_echo(args, field, params),
         "rows": rows,
         "strictReading": "the published implication is stated with strict dominance, "
                          "which fails on the diagonal; the table tests the non-strict form",
         **failed,
-        "ok": ok and not failed,
+        "ok": all(row["transferOK"] and not row["violation"] for row in rows) and not failed,
     }
 
 
@@ -314,7 +305,8 @@ def emit(report, fmt: str) -> bytes:
     """Deterministic serialization; identical reports give identical bytes.
 
     CSV writes the rows of a dominance table, the one report ``run`` allows
-    it for.
+    it for; when the run fails, ``main`` also writes the JSON report to
+    stderr, as the witness ``--replay`` reads.
     """
     if fmt == "json":
         return (json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n").encode()
@@ -392,6 +384,9 @@ def main(argv=None) -> int:
         if args.out:
             with open(args.out, "wb") as fh:
                 fh.write(payload)
+        if code and args.format == "csv":
+            # the table rows carry no witness; the report, with its argv, does
+            sys.stderr.write(emit(report, "json").decode())
     except (FieldError, DiagramError, AlgebraError, InputAlgebraError,
             SplitPairError, SpechtError, CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

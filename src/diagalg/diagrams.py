@@ -559,10 +559,11 @@ class DiagramAlgebra:
             entry_iadd(F, out, self.layer_assemble_key(top, bottom, key), c)
         return out
 
-    # -- FinAlgebra glue --------------------------------------------------------
-
     def label(self, d: Diagram):
+        """Text form of a basis diagram, as witnesses print it."""
         return format_diagram(self, d)
+
+    # -- FinAlgebra glue --------------------------------------------------------
 
     def generator_elements(self):
         """Swaps, cups and the labels of strand 1; a label generator equal to

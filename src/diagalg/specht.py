@@ -24,6 +24,7 @@ from .algebra_kernel import RightModule
 from .algebra_kernel import free_presentation  # noqa: F401
 from .input_algebra import invert_perm, perm_sign, trivial_input_algebra, wreath_product
 from .linalg import Echelon, entry_iadd
+from .split_pair import hom_ext_transfer
 
 
 class SpechtError(ValueError):
@@ -253,21 +254,25 @@ def walled_cell_labels(r, t, l):
     return [(lam, mu) for lam in partitions(r - l) for mu in partitions(t - l)]
 
 
+def table_with_ext(field):
+    """Whether a dominance table over the field tabulates Ext^1: it refuses
+    characteristic 2 outright, and skips Ext^1 in characteristic 3.  Read
+    from the field alone, so a command can refuse before it builds D."""
+    p = field.characteristic()
+    if p == 2:
+        raise SpechtError("dominance tables exclude characteristic 2")
+    return p != 3
+
+
 def dominance_vanishing_experiment(datum):
     """Hom and first-extension dimensions between all induced Specht pairs of
     one layer, against the componentwise dominance prediction.
 
     Returns a list of row dicts matching the CSV schema of the table command.
-    Characteristic 2 is refused outright; extensions are only tabulated away
-    from characteristics 2 and 3.
+    The field decides Ext^1 and the refusal (``table_with_ext``).
     """
-    from .split_pair import hom_ext_transfer
-
     F = datum.field
-    p = F.characteristic()
-    if p == 2:
-        raise SpechtError("dominance tables exclude characteristic 2")
-    with_ext = p != 3
+    with_ext = table_with_ext(F)
     kind = datum.dalg.kind
     if kind.family != "walled":
         raise SpechtError("the dominance experiment is a walled-family computation")
@@ -278,25 +283,21 @@ def dominance_vanishing_experiment(datum):
     labels = walled_cell_labels(r, t, l)
     modules = [outer_product(specht_module(lam, W=Wa), specht_module(mu, W=Wb), datum.W)
                for lam, mu in labels]
-    inductions = [datum.induce(M) for M in modules]
+    reps = hom_ext_transfer(datum, modules, with_ext=with_ext)
 
     rows = []
-    for x, M, ind in zip(labels, modules, inductions):
-        # one spin per source row serves every target of the row
-        reps = hom_ext_transfer(datum, M, modules, ind_m=ind,
-                                ind_targets=inductions, with_ext=with_ext)
-        for y, rep in zip(labels, reps):
-            dom_ok = dominates(x[0], y[0]) and dominates(x[1], y[1])
-            violation = (rep["homBig"] > 0 and not dom_ok) or \
-                        (with_ext and rep.get("extBig", 0) > 0 and not dom_ok)
-            rows.append({
-                "l": l,
-                "lambda": str(x[0]), "mu": str(x[1]),
-                "lambda'": str(y[0]), "mu'": str(y[1]),
-                "dimHom_big": rep["homBig"], "dimHom_small": rep["homSmall"],
-                "dimExt_big": rep.get("extBig", ""), "dimExt_small": rep.get("extSmall", ""),
-                "dominanceOK": dom_ok,
-                "violation": violation,
-                "transferOK": rep["ok"],
-            })
+    for (x, y), rep in zip(itertools.product(labels, repeat=2), reps):
+        dom_ok = dominates(x[0], y[0]) and dominates(x[1], y[1])
+        violation = (rep["homBig"] > 0 and not dom_ok) or \
+                    (with_ext and rep.get("extBig", 0) > 0 and not dom_ok)
+        rows.append({
+            "l": l,
+            "lambda": str(x[0]), "mu": str(x[1]),
+            "lambda'": str(y[0]), "mu'": str(y[1]),
+            "dimHom_big": rep["homBig"], "dimHom_small": rep["homSmall"],
+            "dimExt_big": rep.get("extBig", ""), "dimExt_small": rep.get("extSmall", ""),
+            "dominanceOK": dom_ok,
+            "violation": violation,
+            "transferOK": rep["ok"],
+        })
     return rows

@@ -44,8 +44,7 @@ def corner_algebra(alg, e_vec, name=""):
         return from_parent(alg.mul(rows[i], rows[j]))
 
     unit = from_parent(e_vec)
-    labels = [f"c{p}" for p in ech.pivots()]
-    corner_alg = FinAlgebra(F, labels, unit, pair_mul, name=name or f"e({alg.name})e")
+    corner_alg = FinAlgebra(F, ech.dim, unit, pair_mul, name=name or f"e({alg.name})e")
     return Corner(alg, dict(e_vec), corner_alg, rows, ech)
 
 

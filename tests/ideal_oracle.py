@@ -78,8 +78,7 @@ def quotient_algebra(alg, ideal_ech, name=""):
     def pair_mul(i, j):
         return project(alg.mul_basis(keep[i], keep[j]))
 
-    labels = [alg.labels[j] for j in keep]
-    quot = FinAlgebra(F, labels, project(alg.unit), pair_mul, name=name or f"{alg.name}/I")
+    quot = FinAlgebra(F, len(keep), project(alg.unit), pair_mul, name=name or f"{alg.name}/I")
     if alg.generators is not None:
         quot.generators = [project(g) for g in alg.generators]
     proj_rows = [project({i: F.one}) for i in range(alg.dim)]

@@ -6,16 +6,7 @@ from math import comb, factorial
 
 from diagalg.inflation import rank_v, small_algebra, verify_decomposition
 from diagalg.specht import dominance_vanishing_experiment
-from diagalg.split_pair import (
-    cell_head_sequence,
-    chain_ideal_sequence,
-    default_sample_modules,
-    presentation_sequence,
-    split_control_sequence,
-    verify_exact_split_pair,
-    wreath_sign_module,
-    wreath_trivial_module,
-)
+from diagalg.split_pair import verify_exact_split_pair
 
 
 def report(num, text, ok):
@@ -189,16 +180,7 @@ def test_criterion_06_exact_split_pair(cache):
         for l in layers:
             datum = cache.datum(fam, params, l, delta=delta or "1",
                                 field="fp:5", deltas=deltas)
-            W = datum.W
-            samples = default_sample_modules(W)
-            small_seqs = [presentation_sequence(wreath_trivial_module(W)),
-                          split_control_sequence(wreath_trivial_module(W),
-                                                 wreath_sign_module(W))]
-            big_seqs = [chain_ideal_sequence(datum.dalg, datum.big, l),
-                        cell_head_sequence(datum, wreath_trivial_module(W))]
-            rep = verify_exact_split_pair(datum, samples=samples,
-                                          small_sequences=small_seqs,
-                                          big_sequences=big_seqs)
+            rep = verify_exact_split_pair(datum)
             ok = ok and rep["ok"]
             ok = ok and len(rep["samples"]) >= 4
             if l in nonsplit_layers:
@@ -244,8 +226,6 @@ def test_criterion_08_dominance(cache):
 def test_criterion_09_delta_zero(cache):
     ok = True
     for family, params, layers in (("abrauer", 3, (0, 1)), ("walled", (2, 1), (0, 1))):
-        dalg = cache.dalg(family, params, delta="0", field="fp:5")
-        big = cache.big(family, params, delta="0", field="fp:5")
         for l in layers:
             datum = cache.datum(family, params, l, delta="0", field="fp:5")
             if l == 0:
@@ -254,15 +234,7 @@ def test_criterion_09_delta_zero(cache):
                 ok = ok and datum.verify_corner_iso()["ok"]
             ok = ok and datum.verify_alpha()["ok"]                       # criteria 3, 5
             ok = ok and datum.verify_transfer_bimodule()["ok"]
-            W = datum.W
-            rep = verify_exact_split_pair(                               # criterion 6
-                datum,
-                samples=default_sample_modules(W),
-                small_sequences=[presentation_sequence(wreath_trivial_module(W)),
-                                 split_control_sequence(wreath_trivial_module(W),
-                                                        wreath_sign_module(W))],
-                big_sequences=[chain_ideal_sequence(dalg, big, l),
-                               cell_head_sequence(datum, wreath_trivial_module(W))])
+            rep = verify_exact_split_pair(datum)                         # criterion 6
             ok = ok and rep["ok"]
     report(9, "delta = 0 idempotents: split quotient, corners, transfer "
               "bimodule and functor pair all verified", ok)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,53 @@ def test_diagram_generators_generate():
 
 
 # -- ideals and quotients ---------------------------------------------------------
+
+def associativity_triples(alg):
+    """Oracle: the first basis triple (i, j, k) with (b_i*b_j)*b_k !=
+    b_i*(b_j*b_k), or None; dim^3 cases, for small algebras."""
+    for i, j, k in itertools.product(range(alg.dim), repeat=3):
+        lhs = alg.mul(alg.mul_basis(i, j), alg.basis_vec(k))
+        if lhs != alg.mul(alg.basis_vec(i), alg.mul_basis(j, k)):
+            return (i, j, k)
+    return None
+
+
+@pytest.mark.parametrize("make", [
+    lambda: brauer_alg(3, "2")[1],
+    lambda: brauer_alg(3, "0", PrimeField(3))[1],
+    lambda: walled_alg(2, 2, "0")[1],
+    lambda: group_algebra_sn(3),
+    lambda: diagram_fin_algebra(DiagramAlgebra(DiagramKind.abrauer(2),
+                                               cyclic_group_algebra(Q, 2, [fr(1), fr(0)]))),
+], ids=["D3", "D3-delta0-F3", "walled22-delta0", "QS3", "D2-Z2"])
+def test_lights_test_agrees_with_the_triple_oracle(make):
+    alg = make()
+    assert alg.generators
+    assert alg.check_associative() is None
+    assert associativity_triples(alg) is None
+
+
+def test_both_associativity_checks_reject_a_tampered_structure_constant():
+    """D_3 with one product b_3*b_5, of two diagrams that are no generators,
+    given an extra term on the identity diagram."""
+    _, alg = brauer_alg(3, "2")
+    assert not {3, 5} & {b for g in alg.generators for b in g}
+    honest = alg.pair_mul
+
+    def tampered(i, j):
+        got = honest(i, j)
+        return {**got, 0: Q.from_int(7)} if (i, j) == (3, 5) else got
+
+    alg.pair_mul = tampered
+    assert alg.check_associative() is not None
+    assert associativity_triples(alg) is not None
+
+
+def test_associativity_names_generators_that_do_not_generate():
+    _, alg = walled_alg(2, 1, "2")
+    alg.generators = alg.generators[:1]
+    assert alg.check_associative() == ("generators", 2)
+
 
 def test_ideal_generated_by_cup_in_b2():
     dalg, alg = brauer_alg(2, "3")

@@ -441,3 +441,48 @@ def test_unit_map_through_a_twisted_class_of_e_fails(tmp_path, monkeypatch, left
     assert regular["module"] == "regular" and regular[failing] is False
     replay_report, replay_code = run_json(["--replay", str(out)])
     assert replay_report["stillFailing"] is True and replay_code == 1
+
+
+def test_failing_csv_table_leaves_its_report_on_stderr(tmp_path, monkeypatch, capsys):
+    """The csv rows of a run that fails on a certificate all look passing;
+    the JSON report on stderr names the failure and replays it."""
+    _tamper_every_datum(monkeypatch, _mu_row_with_a_second_term)
+    argv = ["--format", "csv", "dominance-table", "--r", "2", "--t", "1", "--l", "0",
+            "--field", "fp:5"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0].startswith("l,lambda,mu")
+    (line,) = [x for x in captured.err.splitlines() if x.startswith("{")]
+    report = json.loads(line)
+    assert report["argv"] == argv and not report["ok"]
+    assert report["cornerIso"]["failures"][0]["check"] == "mu_monomial"
+    witness = tmp_path / "witness.json"
+    witness.write_text(line)
+    replay_report, replay_code = run_json(["--replay", str(witness)])
+    assert replay_report["stillFailing"] is True and replay_code == 1
+
+
+def test_passing_csv_table_writes_no_report(capsys):
+    assert main(["--format", "csv", "dominance-table", "--r", "2", "--t", "1", "--l", "0",
+                 "--field", "fp:5"]) == 0
+    assert "{" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dominance-table", "--r", "3", "--t", "3", "--l", "0"],
+    ["hom-ext", "--kind", "walled", "--r", "3", "--t", "3", "--l", "0"],
+], ids=lambda argv: argv[0])
+def test_characteristic_2_refused_before_the_algebra_is_built(capsys, monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("diagram algebra built")
+
+    monkeypatch.setattr(cli, "diagram_fin_algebra", never)
+    assert main([*argv, "--field", "fp:2"]) == 2
+    assert "dominance tables exclude characteristic 2" in capsys.readouterr().err
+
+
+def test_dominance_table_over_the_cap_gets_the_cap_message_first(capsys):
+    started = time.monotonic()
+    assert main(["dominance-table", "--r", "4", "--t", "4", "--l", "0", "--field", "fp:2"]) == 2
+    assert time.monotonic() - started < 5
+    assert "40320 exceeds --cap 2000" in capsys.readouterr().err

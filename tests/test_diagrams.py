@@ -268,7 +268,7 @@ def test_non_monomial_input_takes_generic_path(n):
     assert A.label_table is None
     alg = diagram_fin_algebra(DiagramAlgebra(DiagramKind.abrauer(n), A))
     assert alg.check_unital() is None
-    assert alg.check_associative(exhaustive_limit=alg.dim) is None
+    assert alg.check_associative() is None
 
 
 def test_negative_columns_refused():

@@ -1,7 +1,8 @@
 """Exhaustive structural invariants at the largest desk-scale parameters.
 
-These run the full basis-triple loops (about half a minute in total); the
-quicker per-module spot checks live next to each module's own tests.
+These run every check exhaustively: the involution over all basis pairs,
+associativity by Light's test over all basis pairs and every generator;
+the quicker per-module spot checks live next to each module's own tests.
 """
 
 from diagalg.diagrams import DiagramAlgebra, DiagramKind, diagram_fin_algebra
@@ -16,7 +17,7 @@ def test_wreath_m3_dim2_associative_unital_involutive():
     W = wreath_product(A, 3)
     assert W.dim == 48
     assert W.check_unital() is None
-    assert W.check_associative(exhaustive_limit=48) is None
+    assert W.check_associative() is None
     assert W.check_involution_square() is None
     assert W.check_involution_antihom() is None
 
@@ -26,4 +27,4 @@ def test_three_strand_labeled_diagram_algebra_associative():
     big = diagram_fin_algebra(DiagramAlgebra(DiagramKind.abrauer(3), A))
     assert big.dim == 120
     assert big.check_unital() is None
-    assert big.check_associative(exhaustive_limit=120) is None
+    assert big.check_associative() is None

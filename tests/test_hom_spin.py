@@ -128,10 +128,8 @@ def _cyclotomic_hom_ext(field_spec, r, n):
     for l in range(dalg.layer_bound() + 1):
         datum = corner_split_datum(dalg, big, l)
         algebras.append(datum.W)
-        mods = [wreath_trivial_module(datum.W), wreath_sign_module(datum.W)]
-        inds = [datum.induce(M) for M in mods]
-        for M, ind in zip(mods, inds):
-            dims.append(hom_ext_transfer(datum, M, mods, ind_m=ind, ind_targets=inds))
+        dims.append(hom_ext_transfer(datum, [wreath_trivial_module(datum.W),
+                                             wreath_sign_module(datum.W)]))
     return algebras, dims
 
 

@@ -18,6 +18,7 @@ from diagalg.specht import (
     partitions,
     specht_module,
     standard_tableaux,
+    table_with_ext,
     walled_cell_labels,
 )
 from diagalg.split_pair import corner_split_datum
@@ -233,6 +234,16 @@ def test_experiment_charp_matches_char0_when_p_large():
 def test_experiment_refuses_char2():
     with pytest.raises(SpechtError):
         dominance_vanishing_experiment(walled_datum(2, 1, 0, field=PrimeField(2)))
+
+
+def test_table_field_rule_reads_the_field_alone():
+    """One rule, shared by the experiment and the command line: Ext^1 away
+    from characteristic 3, and characteristic 2 refused."""
+    assert table_with_ext(RationalField()) is True
+    assert table_with_ext(PrimeField(5)) is True
+    assert table_with_ext(PrimeField(3)) is False
+    with pytest.raises(SpechtError, match="dominance tables exclude characteristic 2"):
+        table_with_ext(PrimeField(2))
 
 
 def test_experiment_char3_drops_ext():

@@ -13,7 +13,6 @@ from diagalg.split_pair import (
     default_sample_modules,
     hom_ext_transfer,
     induce_sequence,
-    presentation_sequence,
     restrict_sequence,
     split_control_sequence,
     verify_exact_split_pair,
@@ -223,6 +222,52 @@ def test_alpha_onto_a_line_fails_only_alpha_splits():
     assert report["failures"] == [{"check": "alpha_splits", "basis": 1}]
 
 
+def _drop_a_relation(datum):
+    """S built from ker(alpha) without its first basis element: it comes out
+    too big.  The alpha certificate still sees the whole kernel."""
+    first_layer = datum._first_layer
+    datum._first_layer = first_layer[1:]
+    datum._build_transfer_bimodule()
+    datum._first_layer = first_layer
+
+
+def _read_a_diagram_above_the_layer(datum):
+    """The reading sends the first diagram above layer l to coordinate 0,
+    so it no longer kills the relations."""
+    above = datum._coords.index(-1)
+    datum._coords[above] = 0
+    datum._build_transfer_bimodule()
+
+
+def _swap_two_section_rows(datum):
+    """sigma of wreath basis elements 0 and 1 exchanged: mu(w)*(e_top, f,
+    identity) no longer reads as (e_top, f, w)."""
+    datum.section_big[0], datum.section_big[1] = datum.section_big[1], datum.section_big[0]
+    datum._build_left_basis()
+
+
+@pytest.mark.parametrize("l", [0, 1])
+@pytest.mark.parametrize("mutate, check", [
+    (_drop_a_relation, "S_dim"),
+    (_read_a_diagram_above_the_layer, "S_is_layer_part"),
+    (_swap_two_section_rows, "left_free"),
+], ids=["S_dim", "S_is_layer_part", "left_free"])
+def test_each_transfer_certificate_catches_its_defect(mutate, check, l):
+    """D_4 at l = 0 and 1: each mutation fails its own transfer certificate
+    and no other, and leaves the corner and alpha certificates passing."""
+    dalg, big = brauer(4, "2")
+    datum = corner_split_datum(dalg, big, l)
+    mutate(datum)
+    (got,) = datum.verify_transfer_bimodule()["failures"]
+    if check == "S_dim":
+        expected = datum.n_l * datum.W.dim
+        assert got == {"check": "S_dim", "got": datum.S_dim, "expected": expected}
+        assert datum.S_dim > expected
+    else:
+        assert got == {"check": check}
+    assert datum.verify_corner_iso()["ok"] and datum.verify_alpha()["ok"]
+
+
 # -- induction / restriction ------------------------------------------------------
 
 def test_induce_dimension_formula():
@@ -340,15 +385,13 @@ def test_chain_ideal_sequence_exact_and_res_exact():
 def test_verify_exact_split_pair(make, l):
     dalg, big = make()
     datum = corner_split_datum(dalg, big, l)
-    samples = default_sample_modules(datum.W)
-    small_seqs = [presentation_sequence(wreath_trivial_module(datum.W)),
-                  split_control_sequence(wreath_trivial_module(datum.W),
-                                         wreath_sign_module(datum.W))]
-    big_seqs = [chain_ideal_sequence(dalg, big, l)]
-    rep = verify_exact_split_pair(datum, samples=samples,
-                                  small_sequences=small_seqs,
-                                  big_sequences=big_seqs)
+    rep = verify_exact_split_pair(datum)
     assert rep["ok"], rep
+    assert [s["module"] for s in rep["samples"]] == [
+        M.name for M in default_sample_modules(datum.W)]
+    assert [s["name"] for s in rep["sequences"]] == [
+        "presentation(trivial)", "split-control", f"layer-chain({l})",
+        f"presentation(head(ind_{l}(trivial)))"]
 
 
 # -- hom/ext transfer -------------------------------------------------------------------
@@ -356,8 +399,7 @@ def test_verify_exact_split_pair(make, l):
 def test_hom_ext_transfer_char0_simples():
     dalg, big = walled(2, 2, "1")
     datum = corner_split_datum(dalg, big, 1)
-    M = wreath_trivial_module(datum.W)
-    [rep] = hom_ext_transfer(datum, M, [M])
+    [rep] = hom_ext_transfer(datum, [wreath_trivial_module(datum.W)])
     assert rep["ok"]
     assert rep["homSmall"] == 1 and rep["extSmall"] == 0
 
@@ -365,9 +407,11 @@ def test_hom_ext_transfer_char0_simples():
 def test_hom_ext_transfer_distinct_simples():
     dalg, big = brauer(4, "1")
     datum = corner_split_datum(dalg, big, 1)    # wreath algebra is RS_2
-    T = wreath_trivial_module(datum.W)
-    S = wreath_sign_module(datum.W)
-    [rep] = hom_ext_transfer(datum, T, [S])
+    reps = hom_ext_transfer(datum, [wreath_trivial_module(datum.W),
+                                    wreath_sign_module(datum.W)])
+    assert [(rep["M"], rep["N"]) for rep in reps] == [
+        ("trivial", "trivial"), ("trivial", "sign"), ("sign", "trivial"), ("sign", "sign")]
+    rep = reps[1]
     assert rep["ok"]
     assert rep["homBig"] == 0 and rep["extBig"] == 0
 
@@ -394,9 +438,9 @@ def test_naturality_checks_every_map_of_the_hom_basis():
     honest = datum.induce_map
     calls = []
 
-    def spy(f, src_ind=None, dst_ind=None):
+    def spy(f, src_ind, dst_ind):
         calls.append(f)
-        return honest(f, src_ind=src_ind, dst_ind=dst_ind)
+        return honest(f, src_ind, dst_ind)
 
     datum.induce_map = spy
     rep = verify_exact_split_pair(datum, samples=samples)
@@ -404,8 +448,8 @@ def test_naturality_checks_every_map_of_the_hom_basis():
     assert len(calls) == n_maps
 
     # a square that breaks only on the last basis map must be caught
-    def broken_last(f, src_ind=None, dst_ind=None):
-        got = spy(f, src_ind=src_ind, dst_ind=dst_ind)
+    def broken_last(f, src_ind, dst_ind):
+        got = spy(f, src_ind, dst_ind)
         if len(calls) < n_maps:
             return got
         return ModuleMap(got.source, got.target,
