@@ -58,7 +58,6 @@ from .specht import (
     outer_product,
     partitions,
     specht_module,
-    standard_tableaux,
 )
 
 __version__ = "0.1.0"

@@ -653,9 +653,7 @@ def quotient_module(M, vectors, name="quot"):
     """
     alg = M.algebra
     F = alg.field
-    ech = Echelon(F)
-    for v in vectors:
-        ech.insert(v)
+    ech = Echelon(F).insert_all(vectors)
     rows = ech.basis_rows()
     for b in _generator_support(alg):
         if not all(ech.contains(M.act_basis(r, b)) for r in rows):

@@ -160,6 +160,8 @@ def make_context(args, field):
     if kind_name == "walled":
         if args.r is None or args.t is None:
             raise CliError("walled kind needs --r and --t")
+        if args.deltas is not None:
+            raise CliError("walled kind takes --delta, not --deltas")
         A = trivial_input_algebra(field, field.parse(args.delta))
         dalg = DiagramAlgebra(DiagramKind.walled(args.r, args.t), A)
         params = {"r": args.r, "t": args.t}

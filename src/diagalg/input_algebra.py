@@ -23,6 +23,9 @@ from typing import NamedTuple
 
 from .algebra_kernel import FinAlgebra, algebra_from_mult_context
 
+# dimension cap of a wreath product algebra
+WREATH_CAP = 5000
+
 
 class InputAlgebraError(ValueError):
     pass
@@ -371,7 +374,7 @@ class _WreathContext:
         return gens
 
 
-def wreath_product(A, m, wall=None, cap=5000) -> FinAlgebra:
+def wreath_product(A, m, wall=None) -> FinAlgebra:
     """Wreath product algebra of A with the symmetric group on m points.
 
     With ``wall=w`` only wall-preserving permutations occur (requires A of
@@ -383,4 +386,4 @@ def wreath_product(A, m, wall=None, cap=5000) -> FinAlgebra:
         raise InputAlgebraError("walled variant requires the trivial input algebra")
     ctx = _WreathContext(A, m, wall)
     name = f"wreath({A.dim},{m})" if wall is None else f"perm2({wall},{m - wall})"
-    return algebra_from_mult_context(ctx, cap=cap, name=name)
+    return algebra_from_mult_context(ctx, cap=WREATH_CAP, name=name)

@@ -1,11 +1,13 @@
 """Partitions, dominance, Specht modules, and the dominance-vanishing tables.
 
-Specht modules are built inside the tabloid permutation module: the basis is
-the reduced echelon basis of the span of the polytabloids of standard
-tableaux, and the action matrices are the coordinates of permuted basis
-vectors, read from their pivot entries.  No straightening is implemented; at
-the desk-scale size cap this is the simplest construction that is exact over
-any field.
+A Specht module is the cyclic span of one polytabloid (James, The
+Representation Theory of the Symmetric Groups, LNM 682, 1978): the
+polytabloid of the row-reading tableau is spun inside the tabloid
+permutation module, and the module has the reduced echelon basis of the
+span, which a subspace determines.  The spin must reach the hook length
+dimension, so the hook length formula is certified in every run.  No
+straightening is implemented; at the desk-scale size cap this is the
+simplest construction that is exact over any field.
 
 The layered order on cell labels follows the published convention: labels
 with more horizontal edges sit lower, and within a layer the label that
@@ -18,13 +20,16 @@ import itertools
 from functools import lru_cache
 from math import factorial
 
-from .algebra_kernel import RightModule
+from .algebra_kernel import LazyAction, RightModule, Spin, _span_submodule
 # bound here because the benchmark harness checks that its tracer wraps and
 # restores this module's binding (benchmarks/test_harness.py)
 from .algebra_kernel import free_presentation  # noqa: F401
 from .input_algebra import invert_perm, perm_sign, trivial_input_algebra, wreath_product
-from .linalg import Echelon, entry_iadd
+from .linalg import entry_iadd
 from .split_pair import hom_ext_transfer
+
+# largest partition size a Specht module is built for
+MAX_SIZE = 5
 
 
 class SpechtError(ValueError):
@@ -116,54 +121,16 @@ def hook_length_dim(lam):
     return factorial(m) // denom
 
 
-def standard_tableaux(lam):
-    """All standard tableaux of the given shape, entries 0..m-1."""
-    lam = tuple(lam)
-    m = sum(lam)
-    if m == 0:
-        return [()]
-    out = []
-    for i, row in enumerate(lam):
-        if row and (i == len(lam) - 1 or lam[i + 1] < row):
-            smaller = list(lam)
-            smaller[i] -= 1
-            if smaller[i] == 0:
-                smaller.pop(i)
-            for t in standard_tableaux(tuple(smaller)):
-                rows = [list(r) for r in t]
-                while len(rows) <= i:
-                    rows.append([])
-                rows[i].append(m - 1)
-                out.append(tuple(tuple(r) for r in rows))
-    return out
-
-
 def tabloids(lam):
     """Row-membership keys: key[v] = row of value v, with row sizes lam."""
-    m = sum(lam)
-    if m == 0:
-        return [()]
-    keys = set()
-    symbols = []
-    for i, row in enumerate(lam):
-        symbols += [i] * row
-    for perm in itertools.permutations(symbols):
-        keys.add(tuple(perm))
-    return sorted(keys)
-
-
-def _column_group(tableau):
-    cols = []
-    width = len(tableau[0]) if tableau else 0
-    for j in range(width):
-        cols.append([row[j] for row in tableau if len(row) > j])
-    return cols
+    return sorted(set(itertools.permutations([i for i, row in enumerate(lam) for _ in range(row)])))
 
 
 def _polytabloid(tableau, m, tab_index, field):
     """Signed sum of tabloids over the column stabilizer, as a sparse vector."""
     F = field
-    cols = _column_group(tableau)
+    cols = [[row[j] for row in tableau if len(row) > j]
+            for j in range(len(tableau[0]) if tableau else 0)]
     vec = {}
     for perms in itertools.product(*(itertools.permutations(c) for c in cols)):
         image = list(range(m))
@@ -180,74 +147,54 @@ def _polytabloid(tableau, m, tab_index, field):
     return vec
 
 
-def specht_module(lam, W=None, field=None, max_size=5):
-    """Specht module over the group algebra of the symmetric group.
+def specht_module(lam, W):
+    """Specht module S^lam over the group algebra W of the symmetric group on
+    sum(lam) strands (the wreath algebra with trivial input).
 
-    ``W`` is the wreath algebra with trivial input on sum(lam) strands; it is
-    built on the fly when omitted (then ``field`` is required).
+    The cyclic span of the polytabloid of the row-reading tableau inside the
+    tabloid module M^lam, with its reduced echelon basis.  The spin must
+    reach the hook length dimension, and the span is certified stable.
     """
     lam = check_partition(lam) if lam else ()
     m = sum(lam)
-    if m > max_size:
-        raise SpechtError(f"partition size {m} exceeds the cap {max_size}")
-    if W is None:
-        if field is None:
-            raise SpechtError("need either the group algebra or a field")
-        W = wreath_product(trivial_input_algebra(field, field.one), m)
+    if m > MAX_SIZE:
+        raise SpechtError(f"partition size {m} exceeds the cap {MAX_SIZE}")
     F = W.field
     tabs = tabloids(lam)
     tab_index = {k: i for i, k in enumerate(tabs)}
-    std = standard_tableaux(lam)
-    span = Echelon(F).insert_all(_polytabloid(t, m, tab_index, F) for t in std)
-    if span.dim != len(std):
-        raise SpechtError(f"polytabloids of shape {lam} span {span.dim} dimensions, "
-                          f"not {len(std)}")
-    rows = span.basis_rows()
 
-    def act_key(vec, perm):
-        pinv = invert_perm(perm)
-        out = {}
-        for idx, c in vec.items():
-            key = tabs[idx]
-            moved = tuple(key[pinv[v]] for v in range(m))
-            entry_iadd(F, out, tab_index[moved], c)
-        return out
+    def rows_for(b):
+        pinv = invert_perm(W.basis_keys[b][1])
+        return [{tab_index[tuple(key[pinv[v]] for v in range(m))]: F.one} for key in tabs]
 
-    action = []
-    for (labels, perm) in W.basis_keys:
-        mat = []
-        for r in rows:
-            coords = span.coords(act_key(r, perm))
-            if coords is None:
-                raise SpechtError("permuted polytabloid left the span")
-            mat.append(coords)
-        action.append(mat)
-    return RightModule(W, len(std), action, name=f"S{lam}")
+    M = RightModule(W, len(tabs), LazyAction(W.dim, rows_for), name=f"M{lam}")
+    ends = itertools.accumulate(lam)
+    tableau = tuple(tuple(range(end - row, end)) for row, end in zip(lam, ends))
+    spin = Spin(M, starts=[_polytabloid(tableau, m, tab_index, F)],
+                span_dim=hook_length_dim(lam))
+    return _span_submodule(M, spin._ech, name=f"S{lam}")[0]
 
 
 def outer_product(Sa: RightModule, Sb: RightModule, Wab) -> RightModule:
     """Box product of modules over two symmetric group algebras, as a module
-    over the wall-preserving wreath algebra on the joined strands."""
+    over the wall-preserving wreath algebra on the joined strands: the matrix
+    of (sigma, tau) is the Kronecker product of the factors' matrices, built
+    on first read."""
     Wa, Wb = Sa.algebra, Sb.algebra
     F = Wab.field
-    a = len(Wa.basis_keys[0][1]) if Wa.dim else 0
-    dim = Sa.dim * Sb.dim
-    action = []
-    for (labels, perm) in Wab.basis_keys:
-        sigma = tuple(perm[:a])
+    a = len(Wa.basis_keys[0][1])
+
+    def rows_for(b):
+        perm = Wab.basis_keys[b][1]
         tau = tuple(v - a for v in perm[a:])
-        ra = Sa.action[Wa.key_index[((0,) * a, sigma)]]
+        ra = Sa.action[Wa.key_index[((0,) * a, tuple(perm[:a]))]]
         rb = Sb.action[Wb.key_index[((0,) * len(tau), tau)]]
-        rows = []
-        for i in range(Sa.dim):
-            for j in range(Sb.dim):
-                row = {}
-                for ii, ca in ra[i].items():
-                    for jj, cb in rb[j].items():
-                        row[ii * Sb.dim + jj] = F.mul(ca, cb)
-                rows.append(row)
-        action.append(rows)
-    return RightModule(Wab, dim, action, name=f"{Sa.name}x{Sb.name}")
+        return [{ii * Sb.dim + jj: F.mul(ca, cb) for ii, ca in row_a.items()
+                 for jj, cb in row_b.items()}
+                for row_a in ra for row_b in rb]
+
+    return RightModule(Wab, Sa.dim * Sb.dim, LazyAction(Wab.dim, rows_for),
+                       name=f"{Sa.name}x{Sb.name}")
 
 
 def walled_cell_labels(r, t, l):

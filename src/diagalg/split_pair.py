@@ -496,28 +496,15 @@ def coordinate_submodule(big, indices, name=""):
 
 
 def chain_ideal_sequence(dalg, big, l) -> ShortExactSequence:
-    """0 -> J_{l+1} -> J_l -> J_l / J_{l+1} -> 0 as right modules."""
-    F = big.field
+    """0 -> J_{l+1} -> J_l -> J_l / J_{l+1} -> 0 as right modules.  The
+    quotient and its projection come from ``quotient_module``, which
+    certifies that J_{l+1} is action-stable inside J_l."""
     upper = layer_ideal_indices(dalg, big, l)
     lower = set(layer_ideal_indices(dalg, big, l + 1))
-    posL = {i: t for t, i in enumerate(upper)}
-    exact = [i for i in upper if i not in lower]
-    posQ = {i: t for t, i in enumerate(exact)}
-
     J_l = coordinate_submodule(big, upper, name=f"J{l}")
-    J_next = coordinate_submodule(big, [i for i in upper if i in lower],
-                                  name=f"J{l + 1}")
-    incl = ModuleMap(J_next, J_l,
-                     [{posL[i]: F.one} for i in upper if i in lower])
-
-    def quot_rows(b):
-        return [{posQ[j]: c for j, c in big.mul_basis(i, b).items() if j in posQ}
-                for i in exact]
-
-    quot = RightModule(big, len(exact), LazyAction(big.dim, quot_rows),
-                       name=f"J{l}/J{l + 1}")
-    proj = ModuleMap(J_l, quot,
-                     [{posQ[i]: F.one} if i in posQ else {} for i in upper])
+    J_next = coordinate_submodule(big, [i for i in upper if i in lower], name=f"J{l + 1}")
+    incl = ModuleMap(J_next, J_l, [{t: big.field.one} for t, i in enumerate(upper) if i in lower])
+    _, proj = quotient_module(J_l, incl.rows, name=f"J{l}/J{l + 1}")
     return ShortExactSequence(incl, proj, name=f"layer-chain({l})")
 
 

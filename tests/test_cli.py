@@ -105,6 +105,27 @@ def test_csv_refused_before_any_computation(capsys, monkeypatch, argv):
     assert "csv format is only available for table reports" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["dims", "--kind", "walled"],
+    ["verify-inflation", "--kind", "walled"],
+    ["verify-split-pair", "--kind", "walled", "--l", "0"],
+    ["hom-ext", "--kind", "walled", "--l", "0"],
+    ["dominance-table", "--l", "0"],
+], ids=lambda command: command[0])
+def test_walled_kind_refuses_deltas(capsys, monkeypatch, command):
+    """A walled algebra is built over the trivial input algebra at --delta,
+    so --deltas, which the report would echo, is refused before D is built."""
+    def never(*args):
+        raise AssertionError("diagram algebra built")
+
+    monkeypatch.setattr(cli, "DiagramAlgebra", never)
+    argv = [*command, "--r", "2", "--t", "1", "--deltas", "3,1", "--field", "fp:5"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error: walled kind takes --delta, not --deltas" in captured.err
+    assert captured.out == ""
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     out = tmp_path / "missing" / "report.json"
     assert main(["--out", str(out), "dims", "--kind", "abrauer", "--n", "2"]) == 2

@@ -11,7 +11,7 @@ from diagalg.algebra_kernel import AlgebraError, regular_module
 from diagalg.diagrams import DiagramAlgebra, DiagramError, DiagramKind, diagram_fin_algebra
 from diagalg.fields import RationalField
 from diagalg.inflation import contraction_form, small_algebra, verify_layer
-from diagalg.input_algebra import trivial_input_algebra
+from diagalg.input_algebra import trivial_input_algebra, wreath_product
 from diagalg.split_pair import CornerSplitDatum, SplitPairError, corner_split_datum
 
 Q = RationalField()
@@ -46,9 +46,9 @@ def test_shifted_cups_with_misaligned_verticals_raise():
 
 
 def test_permuted_polytabloid_outside_the_span_raises(monkeypatch):
-    """With each polytabloid replaced by the tabloid of its tableau, the span
-    has the right dimension but misses the third tabloid of shape (2, 1),
-    which a transposition reaches."""
+    """With the polytabloid replaced by the tabloid of its tableau, the spin
+    of its permutations leaves the Specht module: it spans the whole tabloid
+    module of shape (2, 1), of dimension 3, not the hook length 2."""
     def tabloid(tableau, m, tab_index, F):
         key = [0] * m
         for i, row in enumerate(tableau):
@@ -57,8 +57,9 @@ def test_permuted_polytabloid_outside_the_span_raises(monkeypatch):
         return {tab_index[tuple(key)]: F.one}
 
     monkeypatch.setattr(specht, "_polytabloid", tabloid)
-    with pytest.raises(specht.SpechtError, match="permuted polytabloid left the span"):
-        specht.specht_module((2, 1), field=Q)
+    W = wreath_product(trivial_input_algebra(Q, Q.one), 3)
+    with pytest.raises(AlgebraError, match="the spin spans dimension 3, not 2"):
+        specht.specht_module((2, 1), W)
 
 
 def test_alpha_of_a_foreign_bottom_configuration_raises(monkeypatch):

@@ -3,7 +3,8 @@ from math import factorial
 
 import pytest
 
-from diagalg.algebra_kernel import hom_space, regular_module
+from diagalg import specht
+from diagalg.algebra_kernel import AlgebraError, hom_space, regular_module
 from diagalg.diagrams import DiagramAlgebra, DiagramKind, diagram_fin_algebra
 from diagalg.fields import PrimeField, RationalField
 from diagalg.input_algebra import trivial_input_algebra, wreath_product
@@ -17,11 +18,11 @@ from diagalg.specht import (
     outer_product,
     partitions,
     specht_module,
-    standard_tableaux,
     table_with_ext,
     walled_cell_labels,
 )
 from diagalg.split_pair import corner_split_datum
+from specht_oracle import polytabloid_specht_module, standard_tableaux
 
 Q = RationalField()
 
@@ -136,9 +137,31 @@ def test_specht_modules_are_modules_over_f5():
 
 
 def test_specht_size_guard():
-    with pytest.raises(SpechtError):
-        specht_module((6,), field=Q)
-    specht_module((6,), field=Q, max_size=6)   # override allowed
+    """The cap is a module constant, checked before the group algebra is read."""
+    with pytest.raises(SpechtError, match="partition size 6 exceeds the cap 5"):
+        specht_module((6,), W=None)
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(2), PrimeField(3), PrimeField(5)],
+                         ids=["Q", "F2", "F3", "F5"])
+def test_one_polytabloid_spin_matches_all_standard_polytabloids(field):
+    """A subspace has one reduced echelon basis, so the spin of one
+    polytabloid and the span of all standard ones give equal matrices, for
+    every basis element of the group algebra."""
+    for m in range(6):
+        W = sym_algebra(m, field=field)
+        for lam in partitions(m):
+            S, oracle = specht_module(lam, W), polytabloid_specht_module(lam, W)
+            assert S.dim == oracle.dim, lam
+            assert [S.action[b] for b in range(W.dim)] == oracle.action, lam
+
+
+def test_specht_module_raises_when_the_hook_dimension_is_off(monkeypatch):
+    """The spin must reach hook_length_dim exactly: one more than the span of
+    the polytabloid is refused."""
+    monkeypatch.setattr(specht, "hook_length_dim", lambda lam: hook_length_dim(lam) + 1)
+    with pytest.raises(AlgebraError, match="the spin spans dimension 2, not 3"):
+        specht_module((2, 1), sym_algebra(3))
 
 
 def test_specht_simples_pairwise_orthogonal_char0():

@@ -1,5 +1,6 @@
 """verify-split-pair and hom-ext over a grid of small configurations, at
-every layer and over Q, F_2 and F_3.
+every layer and over Q, F_2 and F_3, and verify-inflation once for each
+algebra of the grid.
 
 Every verify-split-pair run either passes every check, with the cell-head
 sequence among its big-side sequences in each characteristic, or is one of
@@ -7,8 +8,9 @@ the two known refusals of delta = 0 (exit 2 from the command line).  The
 hom-ext runs have the same outcomes, and two more that are pinned by argv
 so that they stay visible: the refusal of walled algebras in characteristic
 2, and the known Ext^1 mismatches at delta = 0, l = 0, which exit 1.  Any
-other outcome, a traceback included, fails the test.  Parameters that name
-the same field element twice (delta = -1 over F_2) run once.
+other outcome, a traceback included, fails the test.  Every verify-inflation
+run passes, delta = 0 included.  Parameters that name the same field element
+twice (delta = -1 over F_2) run once.
 """
 
 import pytest
@@ -103,3 +105,15 @@ def test_hom_ext_sweep_passes_or_has_a_pinned_outcome(family, field_spec):
         assert code == 0 and report["ok"], argv
         passed += 1
     assert refused if refused_in_characteristic_2 else passed
+
+
+@pytest.mark.parametrize("field_spec", FIELDS)
+@pytest.mark.parametrize("family", ["abrauer", "walled", "cyclotomic"])
+def test_inflation_sweep_passes(family, field_spec):
+    # each algebra of the grid once, without its --l
+    algebras = dict.fromkeys(tuple(argv[:-2])
+                             for argv in grid(family, field_spec, command="verify-inflation"))
+    for argv in algebras:
+        report, code = run(list(argv))
+        assert code == 0 and report["ok"], argv
+    assert algebras
