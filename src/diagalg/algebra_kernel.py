@@ -208,7 +208,7 @@ class FinAlgebra:
         return None
 
 
-def algebra_from_mult_context(ctx, cap=2000, name=""):
+def algebra_from_mult_context(ctx, cap, name):
     """FinAlgebra over the basis of a multiplication context.
 
     ``ctx`` provides ``field``, ``basis()`` (canonical list of hashable keys),
@@ -627,7 +627,7 @@ def submodule(M, vectors, name="sub"):
     return _span_submodule(M, Echelon(M.algebra.field).insert_all(vectors), name)
 
 
-def _span_submodule(M, ech, name="sub"):
+def _span_submodule(M, ech, name):
     """Submodule of M on the span of an Echelon over M's coordinates, with
     the echelon rows as its basis; as ``submodule``."""
     rows = ech.basis_rows()

@@ -186,7 +186,7 @@ def make_context(args, field):
     return dalg, params
 
 
-def config_echo(args, field, params=None):
+def config_echo(args, field, params):
     cfg = {
         "command": args.command,
         "field": field.descriptor(),
@@ -196,8 +196,7 @@ def config_echo(args, field, params=None):
     }
     if args.deltas is not None:
         cfg["deltas"] = [field.format(x) for x in parse_deltas(field, args.deltas)]
-    if params:
-        cfg.update(params)
+    cfg.update(params)
     for name in ("kind", "l"):
         v = getattr(args, name.replace("-", "_"), None)
         if v is not None:
@@ -251,19 +250,17 @@ def cmd_verify_split_pair(args, field):
     return report
 
 
-def walled_table(args, field, dalg):
+def walled_table(args, dalg, with_ext):
     """(failing certificates, dominance rows) of a walled algebra at --l: the
-    one path of hom-ext --kind walled and dominance-table.  The field is
-    refused before D is built."""
-    table_with_ext(field)
+    one path of hom-ext --kind walled and dominance-table."""
     datum = split_pair_datum(args, dalg)
-    return failed_certificates(datum), dominance_vanishing_experiment(datum)
+    return failed_certificates(datum), dominance_vanishing_experiment(datum, with_ext)
 
 
 def cmd_hom_ext(args, field):
     dalg, params = make_context(args, field)
     if dalg.kind.family == "walled":
-        failed, rows = walled_table(args, field, dalg)
+        failed, rows = walled_table(args, dalg, True)
         pairs = [{k: row[k] for k in ("lambda", "mu", "lambda'", "mu'",
                                       "dimHom_big", "dimHom_small",
                                       "dimExt_big", "dimExt_small", "transferOK")}
@@ -281,7 +278,7 @@ def cmd_hom_ext(args, field):
 
 def cmd_dominance_table(args, field):
     dalg, params = make_context(args, field)
-    failed, rows = walled_table(args, field, dalg)
+    failed, rows = walled_table(args, dalg, table_with_ext(field))
     return {
         "config": config_echo(args, field, params),
         "rows": rows,

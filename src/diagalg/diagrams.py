@@ -292,71 +292,43 @@ class DiagramAlgebra:
         return out
 
     def layer_idempotent(self, l):
-        """The idempotent with l cups.
+        """The idempotent with l unit-labeled cups in each row.
 
-        For invertible delta: identical nested (walled) or adjacent (abrauer)
-        cups top and bottom, prefactor delta^{-l}.  For delta = 0 the bottom
-        cups are shifted by one column against the top cups and a single
-        slanted strand closes the pattern, so squaring produces a single
-        zig-zag chain instead of closed loops; no prefactor is needed.
+        The top cups are adjacent (abrauer) or nested across the wall
+        (walled).  For invertible delta the bottom cups are the top cups and
+        the prefactor is delta^{-l}.  For delta = 0 the bottom cups are the
+        top cups shifted by one column, so that squaring produces a single
+        zig-zag chain instead of closed loops, and no prefactor is needed:
+        pairing the free columns in order then leaves one slanted strand,
+        and every other strand vertical.
         """
         n = self.kind.n
         F = self.field
         if l == 0:
             return self.identity()
-        delta = self.A.delta()
+        if not 0 <= l <= self.layer_bound():
+            raise DiagramError(f"layer {l} out of range")
         if self.kind.family == "abrauer":
-            if not 0 <= l <= n // 2:
-                raise DiagramError(f"layer {l} out of range")
-            if not F.is_zero(delta):
-                cups = tuple((n - 2 * l + 2 * i, n - 2 * l + 2 * i + 1) for i in range(l))
-                return vec_scale(F, _inv_power(F, delta, l),
-                                 self._cup_diagram_element(cups, cups))
+            top = tuple((n - 2 * l + 2 * i, n - 2 * l + 2 * i + 1) for i in range(l))
+        else:
+            r, t = self.kind.wall, n - self.kind.wall
+            top = tuple((r - l + i, r + l - 1 - i) for i in range(l))
+        delta = self.A.delta()
+        if not F.is_zero(delta):
+            return vec_scale(F, _inv_power(F, delta, l), self._cup_diagram_element(top, top))
+        if self.kind.family == "abrauer":
             if n % 2 == 0:
                 raise DiagramError("delta = 0 with an even number of strands is excluded")
-            top = tuple((n - 2 * l + 2 * i, n - 2 * l + 2 * i + 1) for i in range(l))
-            bottom = tuple((n - 2 * l - 1 + 2 * i, n - 2 * l + 2 * i) for i in range(l))
-            return self._shifted_cup_element(top, bottom,
-                                             strand=(n - 2 * l - 1, n - 1))
-        # walled
-        r = self.kind.wall
-        t = n - r
-        if not 0 <= l <= min(r, t):
-            raise DiagramError(f"layer {l} out of range")
-        top = tuple((r - l + i, r + l - 1 - i) for i in range(l))
-        if not F.is_zero(delta):
-            return vec_scale(F, _inv_power(F, delta, l),
-                             self._cup_diagram_element(top, top))
-        if l < t:
-            bottom = tuple((r - l + i, r + l - i) for i in range(l))
-            strand = (r + l, r)
+            shift = (-1, -1)
+        elif l < t:
+            shift = (0, 1)
         elif l < r:
-            bottom = tuple((r - l - 1 + i, r + l - 1 - i) for i in range(l))
-            strand = (r - l - 1, r - 1)
+            shift = (-1, 0)
         else:
             raise DiagramError("delta = 0 idempotent needs a free column "
                                "(one of r, t must exceed the layer)")
-        return self._shifted_cup_element(top, bottom, strand=strand)
-
-    def _shifted_cup_element(self, top_pairs, bottom_pairs, strand):
-        """Delta = 0 idempotent: cups plus one slanted strand, rest vertical."""
-        n = self.kind.n
-        top_used = {w for p in top_pairs for w in p} | {strand[0]}
-        bot_used = {w for p in bottom_pairs for w in p} | {strand[1]}
-        top_free = [i for i in range(n) if i not in top_used]
-        bot_free = [i for i in range(n) if i not in bot_used]
-        if top_free != bot_free:
-            raise DiagramError("delta=0 idempotent: verticals must align")
-        u0 = self.A.unit_basis_index()
-        if u0 is None:
-            raise DiagramError("delta = 0 idempotent needs the unit as a basis label")
-        edges = [(u, v, u0) for (u, v) in top_pairs]
-        edges += [(n + u, n + v, u0) for (u, v) in bottom_pairs]
-        edges.append((strand[0], n + strand[1], u0))
-        edges += [(i, n + i, u0) for i in top_free]
-        d = Diagram(tuple(sorted(edges)))
-        self.check_diagram(d)
-        return {d: self.field.one}
+        return self._cup_diagram_element(top, tuple((u + shift[0], v + shift[1])
+                                                    for u, v in top))
 
     # -- multiplication ------------------------------------------------------
 
@@ -607,7 +579,7 @@ def format_diagram(dalg: DiagramAlgebra, d: Diagram) -> str:
     return f"[{body}] @ {_kind_suffix(dalg.kind)}"
 
 
-def _perfect_matchings(verts, legal=None):
+def _perfect_matchings(verts, legal):
     """Perfect matchings of the vertex tuple, using only edges (a, b) with
     legal(a, b) when a predicate is given: an illegal edge prunes every
     matching through it."""

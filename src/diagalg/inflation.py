@@ -18,19 +18,23 @@ involution swaps the two configurations and stars the wreath part.
 ``verify_decomposition`` runs every layer, the ideal chain and the global
 dimension identity.
 
-The checks share their work, so that a run computes each product of two
-basis diagrams once (a pair that sampling draws twice is multiplied twice).
-A product is one walk, ``DiagramAlgebra.product``, read as its edges, its
-coefficient and the edge count of its top row, which is its layer: no
-check builds a ``Diagram`` or an element dict for a monomial product it
-only compares or locates.  Each layer check returns the lowest layer of
-every product it computed at l >= 1, and the ideal chain reads that one
-table, shared by every l, computing each other product once.  The layer
-checks read the diagrams the roundtrip assembled; the contraction form of
-(f, e) is read from the product of the layer diagrams (f, f, 1) and
-(e, e, 1), which the check of that pair reuses; wreath products used by
-one pair stay out of the wreath algebra's product cache, and a wreath side
-b_k1 * phi * b_k2 that can repeat is formed once.
+The form of layer l is one table, ``contraction_forms``: every pair of
+configurations through ``contraction_form``.  The layer check and the
+cell-head Gram matrix of ``split_pair`` read it; its P^2 products, for P
+configurations, are the only ones ``verify_decomposition`` may compute
+twice.
+
+Otherwise the checks share their work, so that a run computes each product
+of two basis diagrams once (a pair that sampling draws twice is multiplied
+twice).  A product is one walk, ``DiagramAlgebra.product``, read as its
+edges, its coefficient and the edge count of its top row, which is its
+layer: no check builds a ``Diagram`` or an element dict for a monomial
+product it only compares or locates.  Each layer check returns the lowest
+layer of every product it computed at l >= 1, and the ideal chain reads
+that one table, shared by every l, computing each other product once.  The
+layer checks read the diagrams the roundtrip assembled; wreath products
+used by one pair stay out of the wreath algebra's product cache, and a
+wreath side b_k1 * phi * b_k2 that can repeat is formed once.
 ``diagram_fin_algebra``'s cache is not used: it is built at setup and
 caches whole product vectors, which costs memory the checks do not need.
 Which pairs are checked, and the bounds between exhaustive and sampled,
@@ -57,10 +61,6 @@ def rank_v(dalg: DiagramAlgebra, l: int) -> int:
     return len(dalg.enumerate_partials(l))
 
 
-def _to_key_vec(W, idx_vec):
-    return {W.basis_keys[i]: c for i, c in idx_vec.items()}
-
-
 def contraction_form(dalg: DiagramAlgebra, W, f_pd, e_pd):
     """Value of the layer bilinear form on (bottom config, top config).
 
@@ -69,22 +69,24 @@ def contraction_form(dalg: DiagramAlgebra, W, f_pd, e_pd):
     the result modulo the next layer; loops contribute their label traces,
     and any strand returning to its own row kills the product.
     """
-    unit_keys = _to_key_vec(W, W.unit)
-    df = dalg.layer_assemble(f_pd, f_pd, unit_keys)
-    de = dalg.layer_assemble(e_pd, e_pd, unit_keys)
-    return _read_contraction(dalg, W, f_pd, e_pd, dalg.mul(df, de))
-
-
-def _read_contraction(dalg, W, f_pd, e_pd, prod):
-    """The wreath part of a product of the contraction form's diagrams."""
+    unit_keys = {W.basis_keys[i]: c for i, c in W.unit.items()}
+    prod = dalg.mul(dalg.layer_assemble(f_pd, f_pd, unit_keys),
+                    dalg.layer_assemble(e_pd, e_pd, unit_keys))
     out = {}
-    F = dalg.field
     for d, c in dalg.truncate_above_layer(prod, len(f_pd.edges)).items():
         top, bottom, key = dalg.layer_factorize(d)
         if top != f_pd or bottom != e_pd:
             raise AlgebraError("contraction changed the configurations")
-        entry_iadd(F, out, W.key_index[key], c)
+        entry_iadd(dalg.field, out, W.key_index[key], c)
     return out
+
+
+def contraction_forms(dalg: DiagramAlgebra, W, l: int):
+    """The table of the layer-l form: row f, column e holds
+    ``contraction_form`` of the f-th and e-th configurations of
+    ``enumerate_partials(l)``."""
+    partials = dalg.enumerate_partials(l)
+    return [[contraction_form(dalg, W, f, e) for e in partials] for f in partials]
 
 
 def _lowest(dalg, result):
@@ -187,9 +189,7 @@ def verify_layer(dalg: DiagramAlgebra, l: int, W=None, seed=0) -> LayerReport:
     Configurations and wreath keys are read as ints.  Each checked pair
     costs one ``DiagramAlgebra.product``; a single-term product is compared
     with a single-term prediction by edges and coefficient, and any other
-    case by element dicts.  When the wreath unit is one basis element, the
-    contraction form of (f, e) is read from the product of the layer
-    diagrams (f, f, 1) and (e, e, 1), which the pair of them reuses.
+    case by element dicts.  The forms phi come from ``contraction_forms``.
 
     b_k1 * phi(bot1, top2) is formed once per (k1, bot1, top2), through W's
     product cache.  Its product with b_k2 goes through ``W.pair_mul``, which
@@ -246,38 +246,7 @@ def verify_layer(dalg: DiagramAlgebra, l: int, W=None, seed=0) -> LayerReport:
 
     n_layer = len(layer)
     lowest = {}
-    held = {}        # i * n_layer + j -> product of layer[i] and layer[j]
-
-    def product(i, j):
-        got = held.pop(i * n_layer + j, None) if held else None
-        if got is None:
-            got = dalg.product(layer[i], layer[j])
-            if l:
-                lowest[at[i] * dim + at[j]] = _lowest(dalg, got)
-        return got
-
-    # the contraction form's diagrams are layer diagrams when W's unit is a
-    # basis element; their product is then shared with the pair check
-    unit_k = next(iter(W.unit)) if list(W.unit.values()) == [F.one] else None
-    index_of = {d: i for i, d in enumerate(layer)}
-    phi_cache = {}
-
-    def phi(bottom, top):
-        key = bottom * P + top
-        got = phi_cache.get(key)
-        if got is None:
-            f, e = partials[bottom], partials[top]
-            i = j = None
-            if unit_k is not None:
-                i = index_of.get(assemble(bottom, bottom, unit_k))
-                j = index_of.get(assemble(top, top, unit_k))
-            if i is None or j is None:
-                got = contraction_form(dalg, W, f, e)
-            else:
-                prod = held[i * n_layer + j] = product(i, j)
-                got = _read_contraction(dalg, W, f, e, dalg.element(prod))
-            phi_cache[key] = got
-        return got
+    forms = contraction_forms(dalg, W, l)
 
     left_cache = {}   # (k1 * P + bot1) * P + top2 -> b_k1 * phi(bot1, top2)
     wreath_cache = {}   # ((k1 * P + bot1) * P + top2) * Wd + k2 -> wreath side
@@ -287,7 +256,7 @@ def verify_layer(dalg: DiagramAlgebra, l: int, W=None, seed=0) -> LayerReport:
         key = (k1 * P + bot1) * P + top2
         left = left_cache.get(key)
         if left is None:
-            left = left_cache[key] = W.mul(W.basis_vec(k1), phi(bot1, top2))
+            left = left_cache[key] = W.mul(W.basis_vec(k1), forms[bot1][top2])
         if len(left) == 1:
             (m, c), = left.items()
             got = W.pair_mul(m, k2)
@@ -309,7 +278,9 @@ def verify_layer(dalg: DiagramAlgebra, l: int, W=None, seed=0) -> LayerReport:
             wprod = wreath_cache.get(key)
             if wprod is None:
                 wprod = wreath_cache[key] = wreath_side(k1, bot1, top2, k2)
-        got = product(i, j)
+        got = dalg.product(layer[i], layer[j])
+        if l:
+            lowest[at[i] * dim + at[j]] = _lowest(dalg, got)
         edges, c, top = got
         if edges is not None and len(wprod) <= 1:
             if wprod:

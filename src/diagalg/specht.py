@@ -202,24 +202,25 @@ def walled_cell_labels(r, t, l):
 
 
 def table_with_ext(field):
-    """Whether a dominance table over the field tabulates Ext^1: it refuses
-    characteristic 2 outright, and skips Ext^1 in characteristic 3.  Read
-    from the field alone, so a command can refuse before it builds D."""
+    """Whether a dominance table over the field tabulates Ext^1.  Its
+    prediction fails in characteristic 2, which is refused, and for Ext^1 in
+    characteristic 3, where Ext^1 is skipped.  Read from the field alone, so
+    that ``dominance-table`` refuses before it builds D; ``hom-ext``, whose
+    transfer needs no dominance, tabulates Ext^1 in every characteristic."""
     p = field.characteristic()
     if p == 2:
         raise SpechtError("dominance tables exclude characteristic 2")
     return p != 3
 
 
-def dominance_vanishing_experiment(datum):
+def dominance_vanishing_experiment(datum, with_ext):
     """Hom and first-extension dimensions between all induced Specht pairs of
     one layer, against the componentwise dominance prediction.
 
-    Returns a list of row dicts matching the CSV schema of the table command.
-    The field decides Ext^1 and the refusal (``table_with_ext``).
+    Returns a list of row dicts matching the CSV schema of the table command;
+    the Ext^1 columns are empty unless ``with_ext``.
     """
     F = datum.field
-    with_ext = table_with_ext(F)
     kind = datum.dalg.kind
     if kind.family != "walled":
         raise SpechtError("the dominance experiment is a walled-family computation")

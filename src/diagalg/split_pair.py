@@ -68,7 +68,7 @@ from .algebra_kernel import (
     stable_action,
 )
 from .diagrams import Diagram, DiagramAlgebra, diagram_fin_algebra
-from .inflation import contraction_form, layer_ideal_indices, small_algebra
+from .inflation import contraction_forms, layer_ideal_indices, small_algebra
 from .input_algebra import perm_sign
 from .linalg import (
     Echelon,
@@ -481,7 +481,7 @@ def split_control_sequence(M, M2) -> ShortExactSequence:
     return ShortExactSequence(incl, proj, name="split-control")
 
 
-def coordinate_submodule(big, indices, name=""):
+def coordinate_submodule(big, indices, name):
     """Right module on a subset of basis coordinates closed under the action."""
     pos = {i: t for t, i in enumerate(indices)}
 
@@ -526,11 +526,9 @@ def cell_head_sequence(datum, char_module) -> ShortExactSequence:
         """The character on w_vec, as a vector with no term or one nonzero."""
         return char_module.act({0: F.one}, w_vec)
 
-    configs = datum.bottom_configs
-    gram = [{j: c for j, e in enumerate(configs)
-             for c in char(contraction_form(datum.dalg, datum.W, f, e)).values()}
-            for f in configs]
-    rad = kernel_basis(F, transpose_rows(gram, len(configs)), len(configs))
+    gram = [{j: c for j, phi in enumerate(row) for c in char(phi).values()}
+            for row in contraction_forms(datum.dalg, datum.W, datum.layer)]
+    rad = kernel_basis(F, transpose_rows(gram, len(gram)), len(gram))
     head, _ = quotient_module(ind, rad, name=f"head({ind.name})")
     return presentation_sequence(head)
 
@@ -556,7 +554,7 @@ def restrict_sequence(datum, seq) -> ShortExactSequence:
 # sample modules over wreath algebras
 # ---------------------------------------------------------------------------
 
-def character_module(W, scalar_of_key, name=""):
+def character_module(W, scalar_of_key, name):
     F = W.field
     action = []
     for key in W.basis_keys:

@@ -201,7 +201,7 @@ def test_criterion_07_hom_ext_transfer(cache):
     for field in ("q", "fp:5"):
         for l in (0, 1):
             datum = cache.datum("walled", (2, 2), l, delta="1", field=field)
-            rows = dominance_vanishing_experiment(datum)
+            rows = dominance_vanishing_experiment(datum, True)
             ok = ok and all(row["transferOK"] for row in rows)
             ok = ok and len(rows) == (16 if l == 0 else 1)
     report(7, "hom and first-extension dimensions agree across the pair "
@@ -216,7 +216,7 @@ def test_criterion_08_dominance(cache):
         for field in ("q", "fp:5"):
             for l in range(0, min(r, t) + 1):
                 datum = cache.datum("walled", (r, t), l, delta="1", field=field)
-                rows = dominance_vanishing_experiment(datum)
+                rows = dominance_vanishing_experiment(datum, True)
                 ok = ok and all(not row["violation"] for row in rows)
     report(8, "no nonzero hom/ext where componentwise dominance fails", ok)
 

@@ -491,7 +491,6 @@ def test_passing_csv_table_writes_no_report(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["dominance-table", "--r", "3", "--t", "3", "--l", "0"],
-    ["hom-ext", "--kind", "walled", "--r", "3", "--t", "3", "--l", "0"],
 ], ids=lambda argv: argv[0])
 def test_characteristic_2_refused_before_the_algebra_is_built(capsys, monkeypatch, argv):
     def never(*args, **kwargs):
@@ -500,6 +499,16 @@ def test_characteristic_2_refused_before_the_algebra_is_built(capsys, monkeypatc
     monkeypatch.setattr(cli, "diagram_fin_algebra", never)
     assert main([*argv, "--field", "fp:2"]) == 2
     assert "dominance tables exclude characteristic 2" in capsys.readouterr().err
+
+
+def test_walled_hom_ext_compares_ext_in_characteristic_2():
+    """The Hom/Ext transfer needs no dominance, so hom-ext takes the field
+    the dominance table refuses: Ext^1 is 2 on both sides of every pair."""
+    report, code = run_json(["hom-ext", "--kind", "walled", "--r", "2", "--t", "2",
+                             "--l", "0", "--field", "fp:2"])
+    assert code == 0 and report["ok"]
+    assert len(report["pairs"]) == 16
+    assert all(p["dimExt_small"] == p["dimExt_big"] == 2 for p in report["pairs"])
 
 
 def test_dominance_table_over_the_cap_gets_the_cap_message_first(capsys):

@@ -12,6 +12,7 @@ from diagalg.input_algebra import (cyclic_group_algebra, input_algebra_from_json
                                    trivial_input_algebra)
 from diagalg.linalg import vec_scale
 
+import idempotent_oracle
 from diagram_oracle import oracle_product
 from test_input_algebra import DUAL_NUMBERS, SIGNED
 
@@ -310,6 +311,18 @@ def test_involution_antihomomorphism_random():
 
 # -- idempotents ----------------------------------------------------------------
 
+# Q[Z/2] on its primitive idempotents, traces 1 and -1: delta = 0, and the
+# unit e1 + e2 is no basis element, so unit labels expand into a sum
+IDEMPOTENT_BASIS = {
+    "dim": 2,
+    "basis": ["e1", "e2"],
+    "unit": ["1", "1"],
+    "structconsts": [[0, 0, 0, "1"], [1, 1, 1, "1"]],
+    "involution": [["1", "0"], ["0", "1"]],
+    "trace": ["1", "-1"],
+}
+
+
 def idempotent_cases():
     yield brauer(2, delta="2"), [0, 1]
     yield brauer(3, delta="-1"), [0, 1]
@@ -323,6 +336,9 @@ def idempotent_cases():
     yield walled(1, 2, delta="0"), [0, 1]
     yield walled(3, 3, delta="0"), [0, 1, 2]
     yield walled(2, 2, delta="0"), [0, 1]
+    for n in (3, 5):
+        A = input_algebra_from_json(IDEMPOTENT_BASIS, Q)
+        yield DiagramAlgebra(DiagramKind.abrauer(n), A), range(n // 2 + 1)
 
 
 def test_layer_idempotents_square_to_themselves():
@@ -352,6 +368,36 @@ def test_prefactor_example():
     (d, c), = e.items()
     assert c == Fraction(1, 2)
     assert d == Diagram(((0, 1, 0), (2, 3, 0)))
+
+
+def _idempotent_grid():
+    """Brauer n <= 7 and walled r, t <= 4 at delta in {0, 1, 2, -1}, and
+    Brauer n <= 5 over Z/2 with traces (0, 1), over Q, F_2, F_3 and F_5."""
+    for field in (Q, PrimeField(2), PrimeField(3), PrimeField(5)):
+        for delta in ("0", "1", "2", "-1"):
+            yield from (brauer(n, delta, field) for n in range(8))
+            yield from (walled(r, t, delta, field) for r in range(5) for t in range(5))
+        yield from (cyclo(n, 2, ["0", "1"], field) for n in range(6))
+
+
+def _outcome(build, dalg, l):
+    try:
+        return build(dalg, l)
+    except DiagramError as exc:
+        return str(exc)
+
+
+def test_layer_idempotent_matches_the_hand_built_oracle():
+    """One cup-diagram builder against cups and strands placed by hand, the
+    delta = 0 slanted strand included: the same element or the same refusal
+    at every layer up to one past the bound."""
+    compared = 0
+    for dalg in _idempotent_grid():
+        for l in range(dalg.layer_bound() + 2):
+            got = _outcome(DiagramAlgebra.layer_idempotent, dalg, l)
+            assert got == _outcome(idempotent_oracle.layer_idempotent, dalg, l), (dalg.kind, l)
+            compared += 1
+    assert compared > 1000
 
 
 # -- layer factorization ----------------------------------------------------------

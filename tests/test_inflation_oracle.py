@@ -184,21 +184,32 @@ def test_non_monomial_algebra_matches_oracle(how):
 def test_ideal_chain_multiplies_each_ordered_pair_once(monkeypatch):
     """Over one verify_decomposition, every ordered pair the ideal chain
     visits at l >= 1 is multiplied exactly once, by a layer check or by the
-    chain; no pair of basis diagrams is multiplied twice, the chain
-    multiplies only visited pairs, and none at l = 0, where no pair can be
-    a witness."""
+    chain; the checks and the chain multiply no pair of basis diagrams
+    twice, the chain multiplies only visited pairs, and none at l = 0, where
+    no pair can be a witness.  The only other products are the contraction
+    forms', one per pair of configurations of a layer: 1 + 6^2 on D3_Z2."""
     dalg = _build("D3_Z2")
-    products = Counter()            # every product of the run
+    products = Counter()            # every product of the checks and the chain
+    in_forms = Counter()            # the products of the contraction forms
     in_chain = {}                   # chain layer l -> its products
     layers = []
+    forming = []
     product = dalg.product
     check = inflation.check_layer_ideal_closed
+    form = inflation.contraction_form
 
     def counting_product(d1, d2):
-        products[d1, d2] += 1
+        (in_forms if forming else products)[d1, d2] += 1
         if layers:
             in_chain.setdefault(layers[-1], set()).add((d1, d2))
         return product(d1, d2)
+
+    def counting_form(*args):
+        forming.append(True)
+        try:
+            return form(*args)
+        finally:
+            forming.pop()
 
     def chain_check(dalg, l, **kwargs):
         layers.append(l)
@@ -209,8 +220,10 @@ def test_ideal_chain_multiplies_each_ordered_pair_once(monkeypatch):
 
     monkeypatch.setattr(dalg, "product", counting_product)
     monkeypatch.setattr(inflation, "check_layer_ideal_closed", chain_check)
+    monkeypatch.setattr(inflation, "contraction_form", counting_form)
     assert verify_decomposition(dalg)["ok"]
     n, basis = dalg.kind.n, dalg.basis()
+    assert sum(in_forms.values()) == 1 + 6 ** 2
     assert len(basis) == 120   # at most 150: the chain is exhaustive
     visited = set()
     for l in range(1, dalg.layer_bound() + 1):

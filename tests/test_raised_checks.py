@@ -40,9 +40,16 @@ def test_cups_with_unequal_free_columns_raise():
         brauer(3)._cup_diagram_element(((0, 1),), ())
 
 
-def test_shifted_cups_with_misaligned_verticals_raise():
-    with pytest.raises(DiagramError, match="verticals must align"):
-        brauer(3, "0")._shifted_cup_element(((1, 2),), ((0, 1),), strand=(0, 0))
+def test_delta_zero_cups_without_their_shift_raise(monkeypatch):
+    """At delta = 0 the cup diagram with its bottom cups under its top cups
+    squares to zero, the trace of the closed loop, so without the shift of
+    its bottom cups the layer idempotent is not idempotent."""
+    dalg = brauer(3, "0")
+    cups = ((1, 2),)
+    monkeypatch.setattr(dalg, "layer_idempotent",
+                        lambda l: dalg._cup_diagram_element(cups, cups))
+    with pytest.raises(SplitPairError, match="element is not idempotent"):
+        corner_split_datum(dalg, diagram_fin_algebra(dalg), 1)
 
 
 def test_permuted_polytabloid_outside_the_span_raises(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from diagalg import specht
 from diagalg.algebra_kernel import AlgebraError, hom_space, regular_module
+from diagalg.cli import run
 from diagalg.diagrams import DiagramAlgebra, DiagramKind, diagram_fin_algebra
 from diagalg.fields import PrimeField, RationalField
 from diagalg.input_algebra import trivial_input_algebra, wreath_product
@@ -229,7 +230,7 @@ def test_cell_labels():
 
 
 def test_experiment_char0_l0_diagonal():
-    rows = dominance_vanishing_experiment(walled_datum(2, 2, 0))
+    rows = dominance_vanishing_experiment(walled_datum(2, 2, 0), True)
     assert len(rows) == 16
     for row in rows:
         assert row["transferOK"]
@@ -240,14 +241,14 @@ def test_experiment_char0_l0_diagonal():
 
 
 def test_experiment_char0_l1_single_label():
-    rows = dominance_vanishing_experiment(walled_datum(2, 2, 1))
+    rows = dominance_vanishing_experiment(walled_datum(2, 2, 1), True)
     assert len(rows) == 1
     assert rows[0]["dimHom_big"] == 1
     assert not rows[0]["violation"]
 
 
 def test_experiment_charp_matches_char0_when_p_large():
-    rows = dominance_vanishing_experiment(walled_datum(2, 2, 0, field=PrimeField(5)))
+    rows = dominance_vanishing_experiment(walled_datum(2, 2, 0, field=PrimeField(5)), True)
     for row in rows:
         diagonal = row["lambda"] == row["lambda'"] and row["mu"] == row["mu'"]
         assert row["dimHom_big"] == (1 if diagonal else 0)
@@ -255,13 +256,15 @@ def test_experiment_charp_matches_char0_when_p_large():
 
 
 def test_experiment_refuses_char2():
-    with pytest.raises(SpechtError):
-        dominance_vanishing_experiment(walled_datum(2, 1, 0, field=PrimeField(2)))
+    """The experiment's one refusing caller is the dominance table, which
+    refuses characteristic 2, where its prediction fails."""
+    with pytest.raises(SpechtError, match="dominance tables exclude characteristic 2"):
+        run(["dominance-table", "--r", "2", "--t", "1", "--l", "0", "--field", "fp:2"])
 
 
 def test_table_field_rule_reads_the_field_alone():
-    """One rule, shared by the experiment and the command line: Ext^1 away
-    from characteristic 3, and characteristic 2 refused."""
+    """The dominance table's rule, read before D is built: Ext^1 away from
+    characteristic 3, and characteristic 2 refused."""
     assert table_with_ext(RationalField()) is True
     assert table_with_ext(PrimeField(5)) is True
     assert table_with_ext(PrimeField(3)) is False
@@ -270,5 +273,10 @@ def test_table_field_rule_reads_the_field_alone():
 
 
 def test_experiment_char3_drops_ext():
-    rows = dominance_vanishing_experiment(walled_datum(2, 1, 1, field=PrimeField(3)))
+    """The dominance table leaves Ext^1 out in characteristic 3; hom-ext,
+    which asks for it in every characteristic, gets it."""
+    datum = walled_datum(2, 1, 1, field=PrimeField(3))
+    rows = dominance_vanishing_experiment(datum, table_with_ext(datum.field))
     assert rows[0]["dimExt_big"] == ""
+    rows = dominance_vanishing_experiment(datum, True)
+    assert rows[0]["dimExt_big"] == rows[0]["dimExt_small"] == 0

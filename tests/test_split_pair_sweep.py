@@ -1,16 +1,17 @@
 """verify-split-pair and hom-ext over a grid of small configurations, at
-every layer and over Q, F_2 and F_3, and verify-inflation once for each
-algebra of the grid.
+every layer and over Q, F_2, F_3 and F_5, and verify-inflation once for
+each algebra of the grid.
 
 Every verify-split-pair run either passes every check, with the cell-head
 sequence among its big-side sequences in each characteristic, or is one of
 the two known refusals of delta = 0 (exit 2 from the command line).  The
-hom-ext runs have the same outcomes, and two more that are pinned by argv
-so that they stay visible: the refusal of walled algebras in characteristic
-2, and the known Ext^1 mismatches at delta = 0, l = 0, which exit 1.  Any
-other outcome, a traceback included, fails the test.  Every verify-inflation
-run passes, delta = 0 included.  Parameters that name the same field element
-twice (delta = -1 over F_2) run once.
+hom-ext runs have the same outcomes, walled ones with Ext^1 in every
+characteristic, and one more that is pinned by argv so that it stays
+visible: the known Ext^1 mismatches of Brauer n = 2 and walled(1,1) at
+delta = 0, l = 0, which exit 1 over every field.  Any other outcome, a
+traceback included, fails the test.  Every verify-inflation run passes,
+delta = 0 included.  Parameters that name the same field element twice
+(delta = -1 over F_2) run once.
 """
 
 import pytest
@@ -18,18 +19,16 @@ import pytest
 from diagalg.cli import run
 from diagalg.diagrams import DiagramError
 from diagalg.fields import make_field
-from diagalg.specht import SpechtError
 
-FIELDS = ["q", "fp:2", "fp:3"]
+FIELDS = ["q", "fp:2", "fp:3", "fp:5"]
 KNOWN_REFUSALS = ("delta = 0 with an even number of strands is excluded",
                   "delta = 0 idempotent needs a free column")
-# hom-ext runs where Ext^1(trivial, trivial) differs across the pair: 0 on
-# the small side, 1 on the big side
+# hom-ext runs where Ext^1 differs across the pair, the small side below
+# the big side
 KNOWN_EXT_MISMATCHES = [
-    ["--field", field, "--kind", "abrauer", "--n", "2", "--delta", "0", "--l", "0"]
-    for field in FIELDS] + [
-    ["--field", "q", "--kind", "walled", "--r", "1", "--t", "1", "--delta", "0", "--l", "0"]]
-CHARACTERISTIC_2_REFUSAL = "dominance tables exclude characteristic 2"
+    ["--field", field, "--kind", *algebra, "--delta", "0", "--l", "0"]
+    for field in FIELDS
+    for algebra in (["abrauer", "--n", "2"], ["walled", "--r", "1", "--t", "1"])]
 
 
 def _distinct(field, specs):
@@ -85,26 +84,19 @@ def test_split_pair_sweep_passes_or_refuses_delta_zero(family, field_spec):
 @pytest.mark.parametrize("field_spec", FIELDS)
 @pytest.mark.parametrize("family", ["abrauer", "walled", "cyclotomic"])
 def test_hom_ext_sweep_passes_or_has_a_pinned_outcome(family, field_spec):
-    refused_in_characteristic_2 = family == "walled" and field_spec == "fp:2"
-    passed = refused = 0
+    passed = 0
     for argv in grid(family, field_spec, command="hom-ext"):
         try:
             report, code = run(argv)
         except DiagramError as exc:
             assert str(exc).startswith(KNOWN_REFUSALS), (argv, str(exc))
             continue
-        except SpechtError as exc:
-            assert refused_in_characteristic_2, (argv, str(exc))
-            assert str(exc) == CHARACTERISTIC_2_REFUSAL, (argv, str(exc))
-            refused += 1
-            continue
-        assert not refused_in_characteristic_2, argv
         if argv[1:] in KNOWN_EXT_MISMATCHES:
             assert code == 1 and not report["ok"], argv
             continue
         assert code == 0 and report["ok"], argv
         passed += 1
-    assert refused if refused_in_characteristic_2 else passed
+    assert passed
 
 
 @pytest.mark.parametrize("field_spec", FIELDS)
