@@ -51,10 +51,9 @@ from .split_pair import (
     verify_exact_split_pair,
 )
 from .specht import (
-    dominance,
     dominance_vanishing_experiment,
+    dominates,
     hook_length_dim,
-    layer_order,
     outer_product,
     partitions,
     specht_module,

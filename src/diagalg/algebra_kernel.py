@@ -54,7 +54,6 @@ from .linalg import (
     Echelon,
     entry_iadd,
     identity_rows,
-    invert_rows,
     vec_iadd,
     vec_times_diag_kron,
     vec_times_rows,
@@ -268,7 +267,7 @@ class RightModule:
     first use, and check action stability on the generators only.
     """
 
-    def __init__(self, algebra, dim, action, name=""):
+    def __init__(self, algebra, dim, action, name):
         self.algebra = algebra
         self.dim = dim
         self.action = action
@@ -300,16 +299,14 @@ class RightModule:
         every run of len(rows) coordinates (one run here)."""
         return [self.action_rows(g) for g in _generating_vectors(self.algebra)]
 
-    def check(self, pairs=None):
+    def check(self):
         """Witness that the action is not a unital right action, or None."""
         alg = self.algebra
         F = alg.field
         id_rows = identity_rows(F, self.dim)
         if self.action_rows(alg.unit) != id_rows:
             return ("unit",)
-        if pairs is None:
-            pairs = [(i, j) for i in range(alg.dim) for j in range(alg.dim)]
-        for i, j in pairs:
+        for i, j in itertools.product(range(alg.dim), repeat=2):
             prod = alg.mul_basis(i, j)
             lhs = self.action_rows(prod)
             rhs = [self.act(self.action[i][k], {j: F.one}) for k in range(self.dim)]
@@ -371,8 +368,7 @@ class ModuleMap:
         return Echelon(self.source.algebra.field).insert_all(self.rows).dim
 
     def is_iso(self):
-        return (self.source.dim == self.target.dim
-                and invert_rows(self.source.algebra.field, self.rows) is not None)
+        return self.source.dim == self.target.dim == self.image_rank()
 
 
 def _generating_vectors(alg):
@@ -576,15 +572,6 @@ class Spin:
                 for N, rows_t in zip(self.targets, maps)]
 
 
-def module_generators(M):
-    """Indices of basis vectors that generate M: the M part of a spin.
-
-    Scans the basis in order and keeps a vector only when it lies outside the
-    submodule generated so far, so a cyclic module gets a single generator.
-    """
-    return Spin(M).generators
-
-
 def hom_spaces(M, targets):
     """A basis of Hom(M, N) for each target N, from one spin of M.
 
@@ -619,7 +606,7 @@ def direct_sum(M, N):
                        name=f"{M.name}+{N.name}")
 
 
-def submodule(M, vectors, name="sub"):
+def submodule(M, vectors, name):
     """Submodule spanned by the given vectors (must be action-stable).
 
     Returns (module, inclusion map); AlgebraError if the span is not stable.
@@ -646,7 +633,7 @@ def _span_submodule(M, ech, name):
     return sub, ModuleMap(sub, M, rows)
 
 
-def quotient_module(M, vectors, name="quot"):
+def quotient_module(M, vectors, name):
     """Quotient of M by the action-stable span of the vectors.
 
     Returns (module, projection map); AlgebraError if the span is not stable.

@@ -141,15 +141,15 @@ def make_input_algebra(args, field, validate=True):
     with open(args.input_algebra) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InputAlgebraError(f"input algebra is not JSON: {exc}") from exc
     A = input_algebra_from_json(obj, field)
     if validate:
-        failed = next((c for c in validate_input_algebra(A) if not c.ok), None)
+        failed = next((c for c in validate_input_algebra(A) if not c["ok"]), None)
         if failed is not None:
             raise InputAlgebraError(
                 f"input algebra {args.input_algebra} fails the check "
-                f"'{failed.name}' with witness {list(failed.witness)}")
+                f"'{failed['name']}' with witness {failed['witness']}")
     return A, args.input_algebra
 
 
@@ -198,7 +198,7 @@ def config_echo(args, field, params):
         cfg["deltas"] = [field.format(x) for x in parse_deltas(field, args.deltas)]
     cfg.update(params)
     for name in ("kind", "l"):
-        v = getattr(args, name.replace("-", "_"), None)
+        v = getattr(args, name, None)
         if v is not None:
             cfg[name] = v
     return cfg
@@ -294,9 +294,9 @@ def cmd_validate_input_algebra(args, field):
     checks = validate_input_algebra(A)
     return {
         "config": config_echo(args, field, {"inputAlgebra": label, "dimA": A.dim}),
-        "checks": [c.as_dict() for c in checks],
+        "checks": checks,
         "delta": field.format(A.delta()),
-        "ok": all(c.ok for c in checks),
+        "ok": all(c["ok"] for c in checks),
     }
 
 
@@ -324,7 +324,7 @@ def run_replay(path):
     with open(path) as fh:
         try:
             witness = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CliError(f"witness is not JSON: {exc}") from exc
     argv = witness.get("argv") if isinstance(witness, dict) else None
     if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):

@@ -124,15 +124,18 @@ class DiagramAlgebra:
         self.kind = kind
         self.A = A
         self.field = A.field
-        if kind.n < 0:
-            raise DiagramError(f"number of columns must be non-negative, got {kind.n}")
         if kind.family == "walled":
+            if kind.wall is None:
+                raise DiagramError("walled kind needs a wall position")
+            r, t = kind.wall, kind.n - kind.wall
+            if r < 0 or t < 0:
+                raise DiagramError(f"walled sides must be non-negative, got r = {r}, t = {t}")
             if A.dim != 1:
                 raise DiagramError("walled diagrams carry no labels: input algebra must be the base field")
-            if kind.wall is None or not (0 <= kind.wall <= kind.n):
-                raise DiagramError("walled kind needs a wall position")
         elif kind.family != "abrauer":
             raise DiagramError(f"unknown diagram family {kind.family!r}")
+        if kind.n < 0:
+            raise DiagramError(f"number of columns must be non-negative, got {kind.n}")
         self._basis = None
         self._compiled = {}
         self._layers = {}
@@ -482,9 +485,6 @@ class DiagramAlgebra:
     def truncate_above_layer(self, x, l):
         """Kill every diagram with more than l horizontal edges (mod J_{l+1})."""
         return {d: c for d, c in x.items() if self.layer(d) <= l}
-
-    def layer_basis(self, l):
-        return [d for d in self.basis() if self.layer(d) == l]
 
     def layer_factorize(self, d: Diagram):
         """Split an exactly-l-edge diagram into (top, bottom, wreath key).

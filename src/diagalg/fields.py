@@ -134,9 +134,6 @@ class Field:
     def inv(self, a):
         raise NotImplementedError
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def is_zero(self, a) -> bool:
         return a == self.zero
 

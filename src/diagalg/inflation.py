@@ -29,12 +29,13 @@ of two basis diagrams once (a pair that sampling draws twice is multiplied
 twice).  A product is one walk, ``DiagramAlgebra.product``, read as its
 edges, its coefficient and the edge count of its top row, which is its
 layer: no check builds a ``Diagram`` or an element dict for a monomial
-product it only compares or locates.  Each layer check returns the lowest
-layer of every product it computed at l >= 1, and the ideal chain reads
-that one table, shared by every l, computing each other product once.  The
-layer checks read the diagrams the roundtrip assembled; wreath products
-used by one pair stay out of the wreath algebra's product cache, and a
-wreath side b_k1 * phi * b_k2 that can repeat is formed once.
+product it only compares or locates.  ``verify_decomposition`` passes one
+table to every check: each layer check writes the lowest layer of every
+product it computed at l >= 1, and the ideal chain reads it, computing each
+other product once.  The layer checks read the diagrams the roundtrip
+assembled; wreath products used by one pair stay out of the wreath
+algebra's product cache, and a wreath side b_k1 * phi * b_k2 that can
+repeat is formed once.
 ``diagram_fin_algebra``'s cache is not used: it is built at setup and
 caches whole product vectors, which costs memory the checks do not need.
 Which pairs are checked, and the bounds between exhaustive and sampled,
@@ -42,8 +43,6 @@ do not depend on this sharing.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from .algebra_kernel import AlgebraError, FinAlgebra, index_cases
 from .diagrams import DiagramAlgebra
@@ -102,7 +101,7 @@ def layer_ideal_indices(dalg: DiagramAlgebra, big: FinAlgebra, l: int):
     return [i for i, d in enumerate(big.basis_keys) if dalg.layer(d) >= l]
 
 
-def check_layer_ideal_closed(dalg: DiagramAlgebra, l: int, seed=0, table=None):
+def check_layer_ideal_closed(dalg: DiagramAlgebra, l: int, seed, table):
     """Closure of the layer span under diagram multiplication.
 
     Uses the support of products directly: every product diagram must again
@@ -124,8 +123,6 @@ def check_layer_ideal_closed(dalg: DiagramAlgebra, l: int, seed=0, table=None):
         return None
     basis = dalg.basis()
     dim = len(basis)
-    if table is None:
-        table = {}
     members = [i for i, d in enumerate(basis) if dalg.layer(d) >= l]
 
     def lowest(i, j):
@@ -143,46 +140,13 @@ def check_layer_ideal_closed(dalg: DiagramAlgebra, l: int, seed=0, table=None):
     return None
 
 
-class LayerReport(NamedTuple):
-    layer: int
-    rank_v: int
-    dim_small: int
-    layer_dim: int
-    psi_bijective: bool
-    psi_multiplicative: bool
-    involution_ok: bool
-    pairs_checked: int
-    sampled: bool
-    failures: list
-    # i * dim + j -> fewest horizontal edges of b_i * b_j, over basis indices,
-    # for each product the check computed at l >= 1; read by the ideal chain
-    # and not reported
-    lowest: dict
-
-    @property
-    def ok(self):
-        return self.psi_bijective and self.psi_multiplicative and self.involution_ok
-
-    def as_dict(self):
-        return {
-            "l": self.layer,
-            "rankV": self.rank_v,
-            "dimSmall": self.dim_small,
-            "layerDim": self.layer_dim,
-            "psiBijective": self.psi_bijective,
-            "psiMultiplicative": self.psi_multiplicative,
-            "involutionOK": self.involution_ok,
-            "pairsChecked": self.pairs_checked,
-            "sampled": self.sampled,
-            "failures": self.failures,
-        }
-
-
-def verify_layer(dalg: DiagramAlgebra, l: int, W=None, seed=0) -> LayerReport:
-    """Checks (a)-(c) of the module docstring at layer l; multiplication is
-    checked on every pair of layer diagrams up to 200 of them, on 600 seeded
-    pairs above; sharing the work below changes neither the pairs nor the
-    bounds.
+def verify_layer(dalg: DiagramAlgebra, l: int, seed, table, W=None) -> dict:
+    """Checks (a)-(c) of the module docstring at layer l, as the layer's
+    report dict; multiplication is checked on every pair of layer diagrams
+    up to 200 of them, on 600 seeded pairs above; sharing the work below
+    changes neither the pairs nor the bounds.  At l >= 1 the lowest layer of
+    each product computed is written into ``table``, as
+    ``check_layer_ideal_closed`` reads it.
 
     The roundtrip check assembles every layer diagram from its factors, and
     the involution and multiplication checks read those assemblies back.
@@ -245,7 +209,6 @@ def verify_layer(dalg: DiagramAlgebra, l: int, W=None, seed=0) -> LayerReport:
             break
 
     n_layer = len(layer)
-    lowest = {}
     forms = contraction_forms(dalg, W, l)
 
     left_cache = {}   # (k1 * P + bot1) * P + top2 -> b_k1 * phi(bot1, top2)
@@ -280,7 +243,7 @@ def verify_layer(dalg: DiagramAlgebra, l: int, W=None, seed=0) -> LayerReport:
                 wprod = wreath_cache[key] = wreath_side(k1, bot1, top2, k2)
         got = dalg.product(layer[i], layer[j])
         if l:
-            lowest[at[i] * dim + at[j]] = _lowest(dalg, got)
+            table[at[i] * dim + at[j]] = _lowest(dalg, got)
         edges, c, top = got
         if edges is not None and len(wprod) <= 1:
             if wprod:
@@ -298,32 +261,40 @@ def verify_layer(dalg: DiagramAlgebra, l: int, W=None, seed=0) -> LayerReport:
             if len(failures) > 5:
                 break
 
-    return LayerReport(l, P, Wd, expected, bijective, multiplicative, involution_ok,
-                       pairs_checked, sampled, failures, lowest)
+    return {
+        "l": l,
+        "rankV": P,
+        "dimSmall": Wd,
+        "layerDim": expected,
+        "psiBijective": bijective,
+        "psiMultiplicative": multiplicative,
+        "involutionOK": involution_ok,
+        "pairsChecked": pairs_checked,
+        "sampled": sampled,
+        "failures": failures,
+    }
 
 
 def verify_decomposition(dalg: DiagramAlgebra, seed=0) -> dict:
     basis = dalg.basis()
     bound = dalg.layer_bound()
-    layers = [verify_layer(dalg, l, seed=seed) for l in range(bound + 1)]
+    # one table for the run: the chain reads the products the layer checks
+    # computed, and computes each other product once for every l
+    table = {}
+    layers = [verify_layer(dalg, l, seed, table) for l in range(bound + 1)]
 
     chain_ok = True
     ideal_witnesses = []
-    # one table for the run: the chain reads the products the layer checks
-    # computed, and computes each other product once for every l
-    lowest_layer = {}
-    for rep in layers:
-        lowest_layer.update(rep.lowest)
     counts = [sum(1 for d in basis if dalg.layer(d) >= l) for l in range(bound + 2)]
     for l in range(bound + 1):
         if counts[l + 1] >= counts[l]:   # every layer is nonempty, so strictly nested
             chain_ok = False
-        w = check_layer_ideal_closed(dalg, l, seed=seed, table=lowest_layer)
+        w = check_layer_ideal_closed(dalg, l, seed, table)
         if w is not None:
             chain_ok = False
             ideal_witnesses.append({"l": l, "pair": [dalg.label(w[0]), dalg.label(w[1])]})
 
-    layer_sum = sum(rep.layer_dim for rep in layers)
+    layer_sum = sum(rep["layerDim"] for rep in layers)
     dim_ok = layer_sum == len(basis)
     return {
         "kind": dalg.kind.family,
@@ -333,11 +304,12 @@ def verify_decomposition(dalg: DiagramAlgebra, seed=0) -> dict:
         "dimensionIdentity": dim_ok,
         "idealChainOK": chain_ok,
         "idealWitnesses": ideal_witnesses,
-        "layers": [rep.as_dict() for rep in layers],
+        "layers": layers,
         "rankVConvention": "(dim A)^l * n!/(l!(n-2l)!2^l): one label per "
                            "horizontal edge; exponent n in place of l would "
                            "contradict the dimension identity verified above",
-        "ok": dim_ok and chain_ok and all(rep.ok for rep in layers),
+        "ok": dim_ok and chain_ok and all(rep[flag] for rep in layers for flag in
+                                          ("psiBijective", "psiMultiplicative", "involutionOK")),
     }
 
 

@@ -19,7 +19,6 @@ symmetric groups, as needed for the walled family.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
 
 from .algebra_kernel import FinAlgebra, algebra_from_mult_context
 
@@ -214,18 +213,9 @@ def input_algebra_from_json(obj, field):
     return InputAlgebra(F, labels, unit, struct, invo, trace)
 
 
-class CheckResult(NamedTuple):
-    name: str
-    ok: bool
-    witness: tuple | None = None
-
-    def as_dict(self):
-        return {"name": self.name, "ok": self.ok,
-                "witness": list(self.witness) if self.witness else None}
-
-
 def validate_input_algebra(A) -> list:
-    """Exhaustive basis validation; failures carry a witness tuple.
+    """Exhaustive basis validation: one {"name", "ok", "witness"} dict per
+    check, the witness a list of basis indices for a failure, else None.
 
     Unit, associativity and involution go through the kernel's checks; the
     trace must be *-invariant and tracial on basis elements.
@@ -243,7 +233,8 @@ def validate_input_algebra(A) -> list:
          next(((i, j) for i, j in pairs
                if A.trace_vec(A.mul_basis(i, j)) != A.trace_vec(A.mul_basis(j, i))), None)),
     ]
-    return [CheckResult(name, w is None, w) for name, w in checks]
+    return [{"name": name, "ok": w is None, "witness": None if w is None else list(w)}
+            for name, w in checks]
 
 
 def label_choices(F, vecs, scalar=None):

@@ -245,19 +245,3 @@ def kernel_basis(F, rows, ncols):
     """Basis of the null space {x : sum_j x_j row[., j] = 0} of the matrix
     whose rows are equations over unknowns 0..ncols-1."""
     return Echelon(F).insert_all(rows).null_space(ncols)
-
-
-def invert_rows(F, rows):
-    """Inverse of a square matrix given as rows; None if singular."""
-    n = len(rows)
-    ech = Echelon(F)
-    for i, r in enumerate(rows):
-        ech.insert({**r, n + i: F.one})
-    if set(ech.rows) != set(range(n)):
-        return None
-    inv = []
-    for i in range(n):
-        row = ech.rows[i]
-        inv.append({j - n: c for j, c in row.items() if j >= n})
-    return inv
-

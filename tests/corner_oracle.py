@@ -8,6 +8,8 @@ rows.  ``CornerSplitDatum`` reads the corner through the small algebra's
 basis and the corner isomorphism instead, so the tests can compare the two.
 ``corner_iso_pair_witness`` compares mu(b_i)*mu(b_j) with mu(b_i*b_j) for
 all dim^2 pairs, where ``verify_corner_iso`` checks the generators only.
+``invert_rows`` inverts a square matrix, for the tests that need a map's
+inverse and not only its rank.
 """
 
 from typing import NamedTuple
@@ -59,3 +61,18 @@ def corner_iso_pair_witness(datum):
             if big.mul(rows[i], rows[j]) != vec_times_rows(F, small.mul_basis(i, j), rows):
                 return (i, j)
     return None
+
+
+def invert_rows(F, rows):
+    """Inverse of a square matrix given as rows; None if singular."""
+    n = len(rows)
+    ech = Echelon(F)
+    for i, r in enumerate(rows):
+        ech.insert({**r, n + i: F.one})
+    if set(ech.rows) != set(range(n)):
+        return None
+    inv = []
+    for i in range(n):
+        row = ech.rows[i]
+        inv.append({j - n: c for j, c in row.items() if j >= n})
+    return inv

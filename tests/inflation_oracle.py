@@ -12,12 +12,17 @@ and flags.
 """
 
 from diagalg.algebra_kernel import index_cases
-from diagalg.inflation import LayerReport, contraction_form, small_algebra
+from diagalg.inflation import contraction_form, small_algebra
 
 
 def horizontal(d, n):
     """Horizontal edges per row of a diagram on n columns."""
     return sum(1 for (_, v, _) in d.edges if v < n)
+
+
+def layer_diagrams(dalg, l):
+    """The basis diagrams with exactly l horizontal edges per row."""
+    return [d for d in dalg.basis() if horizontal(d, dalg.kind.n) == l]
 
 
 def _to_key_vec(W, idx_vec):
@@ -40,9 +45,9 @@ def ideal_witness_by_pairs(dalg, l, seed=0):
 
 
 def layer_report_by_pairs(dalg, l, seed=0):
-    """LayerReport of checks (a)-(c) at layer l, every product recomputed."""
+    """Report dict of checks (a)-(c) at layer l, every product recomputed."""
     W = small_algebra(dalg, l)
-    layer = dalg.layer_basis(l)
+    layer = layer_diagrams(dalg, l)
     partials = dalg.enumerate_partials(l)
     failures = []
 
@@ -84,8 +89,10 @@ def layer_report_by_pairs(dalg, l, seed=0):
             if len(failures) > 5:
                 break
 
-    return LayerReport(l, len(partials), W.dim, expected, bijective,
-                       multiplicative, involution_ok, pairs_checked, sampled, failures, {})
+    return {"l": l, "rankV": len(partials), "dimSmall": W.dim, "layerDim": expected,
+            "psiBijective": bijective, "psiMultiplicative": multiplicative,
+            "involutionOK": involution_ok, "pairsChecked": pairs_checked,
+            "sampled": sampled, "failures": failures}
 
 
 def decomposition_by_pairs(dalg, seed=0):
@@ -96,5 +103,5 @@ def decomposition_by_pairs(dalg, seed=0):
         w = ideal_witness_by_pairs(dalg, l, seed)
         if w is not None:
             witnesses.append({"l": l, "pair": [dalg.label(w[0]), dalg.label(w[1])]})
-    layers = [layer_report_by_pairs(dalg, l, seed).as_dict() for l in range(bound + 1)]
+    layers = [layer_report_by_pairs(dalg, l, seed) for l in range(bound + 1)]
     return witnesses, layers

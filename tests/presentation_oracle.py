@@ -7,7 +7,7 @@ kernel is the null space of that projection, inserted as a submodule, and
 Ext^1 comes from a spin of the kernel module from its own basis vectors.
 """
 
-from diagalg.algebra_kernel import Spin, free_module, module_generators, submodule
+from diagalg.algebra_kernel import Spin, free_module, submodule
 from diagalg.linalg import kernel_basis, transpose_rows
 
 
@@ -18,7 +18,7 @@ class KernelPresentation:
         alg = M.algebra
         F = alg.field
         self.module = M
-        gens = module_generators(M)
+        gens = Spin(M).generators
         self.cover_rank = len(gens)
         self.cover = free_module(alg, self.cover_rank)
         self.proj_rows = [M.act_basis({g: F.one}, i) for g in gens for i in range(alg.dim)]

@@ -1,13 +1,18 @@
-"""Specht modules from the polytabloids of all standard tableaux.
+"""Specht modules and box products built the ways ``diagalg.specht`` replaced.
 
-This is the construction that ``diagalg.specht`` replaced by a spin of one
-polytabloid: the span of every standard polytabloid inside the tabloid
-module, with its reduced echelon basis, and one action matrix built eagerly
-for every basis element of the group algebra.  A subspace has one reduced
-echelon basis, so the two constructions must give equal matrices.
+``polytabloid_specht_module`` is the span of every standard polytabloid
+inside the tabloid module, with its reduced echelon basis, and one action
+matrix built eagerly for every basis element of the group algebra.  A
+subspace has one reduced echelon basis, so it and the spin of one
+polytabloid must give equal matrices.
+
+``kronecker_outer_product`` builds S^lam x S^mu from Specht modules over the
+two sides' own symmetric group algebras: the matrix of (sigma, tau) is the
+Kronecker product of the sides' matrices.  The box product spun over the
+walled group algebra must be isomorphic to it.
 """
 
-from diagalg.algebra_kernel import RightModule
+from diagalg.algebra_kernel import LazyAction, RightModule
 from diagalg.input_algebra import invert_perm
 from diagalg.linalg import Echelon, entry_iadd
 from diagalg.specht import _polytabloid, check_partition, tabloids
@@ -40,10 +45,10 @@ def polytabloid_specht_module(lam, W):
     lam = check_partition(lam) if lam else ()
     m = sum(lam)
     F = W.field
-    tabs = tabloids(lam)
+    tabs = tabloids((lam,))
     tab_index = {k: i for i, k in enumerate(tabs)}
     std = standard_tableaux(lam)
-    span = Echelon(F).insert_all(_polytabloid(t, m, tab_index, F) for t in std)
+    span = Echelon(F).insert_all(_polytabloid([t], m, tab_index, F) for t in std)
     assert span.dim == len(std), lam
     rows = span.basis_rows()
 
@@ -61,3 +66,23 @@ def polytabloid_specht_module(lam, W):
         assert None not in mat, (lam, perm)
         action.append(mat)
     return RightModule(W, len(std), action, name=f"S{lam}")
+
+
+def kronecker_outer_product(Sa, Sb, Wab):
+    """Box product of modules over two symmetric group algebras, as a module
+    over the wall-preserving wreath algebra on the joined strands."""
+    Wa, Wb = Sa.algebra, Sb.algebra
+    F = Wab.field
+    a = len(Wa.basis_keys[0][1])
+
+    def rows_for(b):
+        perm = Wab.basis_keys[b][1]
+        tau = tuple(v - a for v in perm[a:])
+        ra = Sa.action[Wa.key_index[((0,) * a, tuple(perm[:a]))]]
+        rb = Sb.action[Wb.key_index[((0,) * len(tau), tau)]]
+        return [{ii * Sb.dim + jj: F.mul(ca, cb) for ii, ca in row_a.items()
+                 for jj, cb in row_b.items()}
+                for row_a in ra for row_b in rb]
+
+    return RightModule(Wab, Sa.dim * Sb.dim, LazyAction(Wab.dim, rows_for),
+                       name=f"{Sa.name}x{Sb.name}")

@@ -12,6 +12,7 @@ from diagalg.algebra_kernel import (
     free_presentation,
     generated_subalgebra_dim,
     hom_space,
+    ModuleMap,
     regular_module,
     RightModule,
     submodule,
@@ -59,7 +60,7 @@ def one_dim_module(W, scalar_of_key):
     for key in W.basis_keys:
         c = scalar_of_key(key)
         action.append([{0: c}] if not F.is_zero(c) else [{}])
-    return RightModule(W, 1, action)
+    return RightModule(W, 1, action, name="one-dim")
 
 
 def trivial_module(W):
@@ -283,6 +284,18 @@ def test_presentation_of_trivial_module_over_fp_cyclic():
     assert pres.kernel.check() is None
 
 
+def test_is_iso_reads_the_rank_and_both_dimensions():
+    W = group_algebra_sn(2)
+    R, T = regular_module(W), trivial_module(W)
+    one_plus_s = {0: Q.one, 1: Q.one}
+    assert ModuleMap(R, R, [{0: Q.one}, {1: Q.one}]).is_iso()
+    # left multiplication by 1 + s: a square module map of rank 1
+    assert not ModuleMap(R, R, [one_plus_s, one_plus_s]).is_iso()
+    # onto the trivial module, and into R: full rank on one side only
+    assert not ModuleMap(R, T, [{0: Q.one}, {0: Q.one}]).is_iso()
+    assert not ModuleMap(T, R, [one_plus_s]).is_iso()
+
+
 def test_rank_nullity():
     W = group_algebra_sn(2)
     for M in (regular_module(W), direct_sum(trivial_module(W), regular_module(W))):
@@ -390,9 +403,9 @@ def test_submodule_and_quotient_split_regular_s2():
     # span of (1 + s): a copy of the trivial module inside the regular module
     F = W.field
     v = {0: F.one, 1: F.one}
-    sub, incl = submodule(R, [v, R.act(v, W.basis_vec(1))])
+    sub, incl = submodule(R, [v, R.act(v, W.basis_vec(1))], name="sub")
     assert sub.dim == 1
-    quot, proj = quotient_module(R, [v])
+    quot, proj = quotient_module(R, [v], name="quot")
     assert quot.dim == 1
     assert incl.is_module_map() and proj.is_module_map()
 

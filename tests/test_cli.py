@@ -313,6 +313,25 @@ def test_replay_refuses_malformed_witness(tmp_path, capsys, text):
     assert "witness" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["validate-input-algebra", "--input-algebra"], "input algebra is not JSON: "),
+    (["dims", "--kind", "abrauer", "--n", "2", "--input-algebra"], "input algebra is not JSON: "),
+    (["--replay"], "witness is not JSON: "),
+], ids=["validate-input-algebra", "dims", "replay"])
+def test_non_utf8_file_exits_2(tmp_path, capsys, argv, message):
+    path = tmp_path / "input.json"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    assert main(argv + [str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("r, t", [(-1, 2), (3, -1)])
+def test_negative_walled_side_is_named(capsys, r, t):
+    assert main(["verify-inflation", "--kind", "walled", "--r", str(r), "--t", str(t)]) == 2
+    assert f"walled sides must be non-negative, got r = {r}, t = {t}" in capsys.readouterr().err
+
+
 def test_verify_inflation_honours_cap(capsys):
     assert main(["verify-inflation", "--kind", "abrauer", "--n", "4", "--cap", "10"]) == 2
     assert "105 exceeds --cap 10" in capsys.readouterr().err

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from corner_oracle import corner_algebra, corner_iso_pair_witness
+from corner_oracle import corner_algebra, corner_iso_pair_witness, invert_rows
 from diagalg.algebra_kernel import AlgebraError, check_algebra_map, regular_module
 from diagalg.diagrams import DiagramAlgebra, DiagramKind, diagram_fin_algebra
 from diagalg.fields import RationalField
@@ -28,7 +28,6 @@ from diagalg.input_algebra import (
 )
 from diagalg.linalg import (
     Echelon,
-    invert_rows,
     kernel_basis,
     transpose_rows,
     vec_scale,

@@ -21,8 +21,8 @@ from diagalg.algebra_kernel import (
     free_presentation,
     hom_space,
     hom_spaces,
-    module_generators,
     regular_module,
+    Spin,
 )
 from diagalg.diagrams import DiagramAlgebra, DiagramKind, diagram_fin_algebra
 from diagalg.fields import make_field
@@ -101,7 +101,7 @@ def test_module_generators_generate(field_spec, side, index):
     pool = module_pools(field_spec)[side]
     M = pool[index % len(pool)]
     F = M.algebra.field
-    gens = module_generators(M)
+    gens = Spin(M).generators
     assert gens == sorted(set(gens))
     # the submodule spanned by the generators times every basis element is M
     ech = Echelon(F)

@@ -51,7 +51,7 @@ def test_layer_ideal_dims():
 def test_layer_ideal_closed_exhaustive_small():
     for dalg in (brauer(3, "2"), walled(2, 1, "3"), cyclo(2, 2, ["1", "1"])):
         for l in range(dalg.layer_bound() + 1):
-            assert check_layer_ideal_closed(dalg, l) is None
+            assert check_layer_ideal_closed(dalg, l, 0, {}) is None
 
 
 # -- contraction form ---------------------------------------------------------------
@@ -109,14 +109,14 @@ def test_contraction_with_cyclic_labels_traces_loops():
     (lambda: walled(2, 2, "1"), 1),
 ])
 def test_verify_layer_passes(make, l):
-    rep = verify_layer(make(), l)
-    assert rep.ok, rep.failures
+    rep = verify_layer(make(), l, 0, {})
+    assert rep["psiBijective"] and rep["psiMultiplicative"] and rep["involutionOK"], rep["failures"]
 
 
 def test_verify_layer_zero_is_wreath_iso():
-    rep = verify_layer(brauer(3, "2"), 0)
-    assert rep.ok
-    assert rep.rank_v == 1 and rep.dim_small == 6
+    rep = verify_layer(brauer(3, "2"), 0, 0, {})
+    assert rep["psiBijective"] and rep["psiMultiplicative"] and rep["involutionOK"]
+    assert rep["rankV"] == 1 and rep["dimSmall"] == 6
 
 
 # -- full decomposition ------------------------------------------------------------------

@@ -26,7 +26,7 @@ from diagalg.inflation import small_algebra, verify_decomposition, verify_layer
 from diagalg.input_algebra import (cyclic_group_algebra, input_algebra_from_json,
                                    trivial_input_algebra)
 
-from inflation_oracle import decomposition_by_pairs, horizontal
+from inflation_oracle import decomposition_by_pairs, horizontal, layer_diagrams
 from test_input_algebra import DUAL_NUMBERS
 
 Q = RationalField()
@@ -97,7 +97,7 @@ def _candidates(dalg, how, seed):
     h = 1
     if how in LAYER_TAMPERS:
         l, h, contraction_ok = LAYER_TAMPERS[how]
-        layer = dalg.layer_basis(l)
+        layer = layer_diagrams(dalg, l)
         pairs, _, _ = index_cases((len(layer), len(layer)), 200, 600, seed)
         ordered = ((layer[i], layer[j]) for i, j in pairs
                    if contraction_ok or not _contraction_pair(dalg, layer[i], layer[j]))
@@ -123,9 +123,9 @@ def _tampered(name, how, seed):
         return _build(name, pair, lambda prod: {d: 2 * c for d, c in prod.items()})
     if how == "wrong-diagram":
         (right,) = plain.mul_diagrams(*pair)
-        other = next(d for d in plain.layer_basis(1) if d != right)
+        other = next(d for d in layer_diagrams(plain, 1) if d != right)
         return _build(name, pair, lambda prod: {other: c for c in prod.values()})
-    target = plain.layer_basis(1 if how in ("raise", "lower") else 0)[0]
+    target = layer_diagrams(plain, 1 if how in ("raise", "lower") else 0)[0]
     return _build(name, pair, lambda prod: {target: c for c in prod.values()})
 
 
@@ -211,10 +211,10 @@ def test_ideal_chain_multiplies_each_ordered_pair_once(monkeypatch):
         finally:
             forming.pop()
 
-    def chain_check(dalg, l, **kwargs):
+    def chain_check(dalg, l, *args):
         layers.append(l)
         try:
-            return check(dalg, l, **kwargs)
+            return check(dalg, l, *args)
         finally:
             layers.pop()
 
@@ -256,8 +256,9 @@ def test_layer_check_forms_each_wreath_side_once():
         return pair_mul(i, j)
 
     W.pair_mul = counting_pair_mul
-    rep = verify_layer(dalg, 1, W=W)
-    assert rep.ok and not rep.sampled and rep.pairs_checked == 5184
+    rep = verify_layer(dalg, 1, 0, {}, W=W)
+    assert rep["psiBijective"] and rep["psiMultiplicative"] and rep["involutionOK"]
+    assert not rep["sampled"] and rep["pairsChecked"] == 5184
     assert (len(dalg.enumerate_partials(1)), W.dim) == (6, 2)
     assert sum(calls.values()) <= 148
 
@@ -271,11 +272,12 @@ def test_verify_layer_keeps_used_once_wreath_products_out_of_the_cache():
     dalg.basis()
     tracemalloc.start()
     try:
-        rep = verify_layer(dalg, 0, W=W)
+        rep = verify_layer(dalg, 0, 0, {}, W=W)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rep.ok and not rep.sampled and rep.pairs_checked == 14400
+    assert rep["psiBijective"] and rep["psiMultiplicative"] and rep["involutionOK"]
+    assert not rep["sampled"] and rep["pairsChecked"] == 14400
     assert len(W._cache) <= W.dim
     # a table with one entry per pair would take over 90 bytes a pair
     assert peak < 14400 * 72

@@ -48,15 +48,15 @@ def test_cyclic_r3_star_invariance_enforced():
 
 def test_validation_passes_on_cyclic():
     A = cyclic_group_algebra(Q, 3, [fr(2), fr(1), fr(1)])
-    assert all(c.ok for c in validate_input_algebra(A))
+    assert all(c["ok"] for c in validate_input_algebra(A))
 
 
 def test_validation_catches_broken_associativity():
     A = cyclic_group_algebra(Q, 3, [fr(1), fr(1), fr(1)])
     A.structconsts[(1, 1)] = {1: Q.one}  # tamper: h*h = h, then (hh)h^2 != h(hh^2)
-    report = {c.name: c for c in validate_input_algebra(A)}
+    report = {c["name"]: c for c in validate_input_algebra(A)}
     bad = report["associative"]
-    assert not bad.ok and bad.witness is not None
+    assert not bad["ok"] and bad["witness"] is not None
 
 
 def test_validation_catches_nontracial_trace():
@@ -64,8 +64,8 @@ def test_validation_catches_nontracial_trace():
     struct = {(0, 0): {0: Q.one}, (0, 1): {1: Q.one}, (1, 0): {}, (1, 1): {}}
     invo = [{0: Q.one}, {1: Q.one}]
     A = InputAlgebra(Q, ["1", "x"], {0: Q.one}, struct, invo, [fr(1), fr(1)])
-    report = {c.name: c for c in validate_input_algebra(A)}
-    assert not report["trace is tracial"].ok
+    report = {c["name"]: c for c in validate_input_algebra(A)}
+    assert not report["trace is tracial"]["ok"]
 
 
 def test_wreath_dims():
@@ -162,7 +162,7 @@ def test_input_algebra_from_json_roundtrip():
         "trace": ["3", "1"],
     }
     A = input_algebra_from_json(obj, Q)
-    assert all(c.ok for c in validate_input_algebra(A))
+    assert all(c["ok"] for c in validate_input_algebra(A))
     assert A.delta() == fr(3)
 
 
@@ -194,7 +194,7 @@ def test_wreath_label_table_matches_generic_reduction():
     for algebra, monomial in ((SIGNED, True), (DUAL_NUMBERS, False)):
         A = input_algebra_from_json(algebra, Q)
         assert (A.label_table is not None) == monomial
-        assert all(c.ok for c in validate_input_algebra(A))
+        assert all(c["ok"] for c in validate_input_algebra(A))
         for m in range(4):
             W = wreath_product(A, m)
 

@@ -17,8 +17,8 @@ from diagalg.algebra_kernel import (
     free_module,
     free_presentation,
     hom_space,
-    module_generators,
     quotient_module,
+    Spin,
     submodule,
 )
 from diagalg.diagrams import DiagramAlgebra, DiagramKind, diagram_fin_algebra
@@ -91,12 +91,12 @@ def test_unstable_span_raises_at_construction():
     M = free_module(alg, 1)
     # the unit spans a line that the algebra moves
     with pytest.raises(AlgebraError):
-        submodule(M, [alg.unit])
+        submodule(M, [alg.unit], name="sub")
     with pytest.raises(AlgebraError):
-        quotient_module(M, [alg.unit])
+        quotient_module(M, [alg.unit], name="quot")
     # the whole module is stable, and so is the zero span
-    assert submodule(M, [{i: Q.one} for i in range(alg.dim)])[0].dim == alg.dim
-    assert quotient_module(M, [])[0].dim == alg.dim
+    assert submodule(M, [{i: Q.one} for i in range(alg.dim)], name="sub")[0].dim == alg.dim
+    assert quotient_module(M, [], name="quot")[0].dim == alg.dim
 
 
 def test_ext1_builds_only_the_generator_matrices_of_the_kernel():
@@ -127,7 +127,7 @@ def test_spin_builds_only_the_generator_matrices():
     ind = datum.induce(wreath_trivial_module(datum.W))
     other = datum.induce(wreath_sign_module(datum.W))
     support = generator_support(big)
-    assert module_generators(ind) == [0]
+    assert Spin(ind).generators == [0]
     assert ind.action.built_indices() == support
     assert len(hom_space(ind, other)) == 0 and len(hom_space(ind, ind)) == 1
     assert ind.action.built_indices() == support

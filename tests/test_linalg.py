@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
 
+from corner_oracle import invert_rows
 from diagalg.fields import PrimeField, RationalField
 from diagalg.linalg import (
     Echelon,
     identity_rows,
-    invert_rows,
     kernel_basis,
     mat_mul,
     entry_iadd,
@@ -87,6 +87,7 @@ def test_kernel_dimension_rank_nullity():
 
 
 def test_invert_rows():
+    # the inverse the corner oracle uses
     rows = fr([{0: 2, 1: 1}, {1: 1}])
     inv = invert_rows(Q, rows)
     assert mat_mul(Q, rows, inv) == identity_rows(Q, 2)

@@ -27,12 +27,13 @@ def test_contraction_that_changes_the_configurations_raises():
     dalg = brauer(4)
     W = small_algebra(dalg, 1)
     f, e = dalg.enumerate_partials(1)[:2]
-    foreign = next(d for d in dalg.layer_basis(1) if dalg.layer_factorize(d)[0] not in (f, e))
+    foreign = next(d for d in dalg.basis()
+                   if dalg.layer(d) == 1 and dalg.layer_factorize(d)[0] not in (f, e))
     dalg.product = lambda d1, d2: (foreign.edges, Q.one, 1)
     with pytest.raises(AlgebraError, match="contraction changed the configurations"):
         contraction_form(dalg, W, f, e)
     with pytest.raises(AlgebraError, match="contraction changed the configurations"):
-        verify_layer(dalg, 1, W=W)
+        verify_layer(dalg, 1, 0, {}, W=W)
 
 
 def test_cups_with_unequal_free_columns_raise():
@@ -56,9 +57,9 @@ def test_permuted_polytabloid_outside_the_span_raises(monkeypatch):
     """With the polytabloid replaced by the tabloid of its tableau, the spin
     of its permutations leaves the Specht module: it spans the whole tabloid
     module of shape (2, 1), of dimension 3, not the hook length 2."""
-    def tabloid(tableau, m, tab_index, F):
+    def tabloid(tableaux, m, tab_index, F):
         key = [0] * m
-        for i, row in enumerate(tableau):
+        for i, row in enumerate(row for tableau in tableaux for row in tableau):
             for v in row:
                 key[v] = i
         return {tab_index[tuple(key)]: F.one}

@@ -11,11 +11,9 @@ from diagalg.fields import PrimeField, RationalField
 from diagalg.input_algebra import trivial_input_algebra, wreath_product
 from diagalg.specht import (
     SpechtError,
-    dominance,
     dominance_vanishing_experiment,
     dominates,
     hook_length_dim,
-    layer_order,
     outer_product,
     partitions,
     specht_module,
@@ -23,7 +21,8 @@ from diagalg.specht import (
     walled_cell_labels,
 )
 from diagalg.split_pair import corner_split_datum
-from specht_oracle import polytabloid_specht_module, standard_tableaux
+from isomorphism import find_isomorphism
+from specht_oracle import kronecker_outer_product, polytabloid_specht_module, standard_tableaux
 
 Q = RationalField()
 
@@ -40,12 +39,15 @@ def test_partition_counts():
 
 
 def test_dominance_examples():
-    assert dominance((2,), (1, 1)) == "greater"
-    assert dominance((2, 1), (2, 1)) == "equal"
-    assert dominance((3, 1, 1), (2, 2, 1)) == "greater"
-    assert dominance((3, 1, 1, 1), (2, 2, 2)) == "incomparable"
-    with pytest.raises(SpechtError):
-        dominance((2,), (1, 1, 1))
+    # strictly greater: one way only
+    assert dominates((2,), (1, 1)) and not dominates((1, 1), (2,))
+    assert dominates((3, 1, 1), (2, 2, 1)) and not dominates((2, 2, 1), (3, 1, 1))
+    # equal: both ways
+    assert dominates((2, 1), (2, 1))
+    # incomparable: neither way
+    assert not dominates((3, 1, 1, 1), (2, 2, 2)) and not dominates((2, 2, 2), (3, 1, 1, 1))
+    with pytest.raises(SpechtError, match=r"sizes differ: \(2,\) vs \(1, 1, 1\)"):
+        dominates((2,), (1, 1, 1))
 
 
 def test_dominance_is_partial_order_up_to_six():
@@ -59,31 +61,6 @@ def test_dominance_is_partial_order_up_to_six():
                 for c in parts:
                     if dominates(a, b) and dominates(b, c):
                         assert dominates(a, c)
-
-
-def test_layer_order_layer_comparison():
-    # deeper layers (more horizontal edges) sit lower in the order
-    x = (1, ((1,), (1,)))
-    y = (0, ((2,), (2,)))
-    assert layer_order(x, y) == "less"
-    assert layer_order(y, x) == "greater"
-    assert layer_order(x, x) == "equal"
-
-
-def test_layer_order_within_layer_reverses_dominance():
-    x = (0, ((2,), (2,)))
-    y = (0, ((1, 1), (2,)))
-    # x dominates componentwise, so x is the smaller label
-    assert layer_order(x, y) == "less"
-    z = (0, ((1, 1), (2, 1)))
-    with pytest.raises(SpechtError):
-        layer_order(x, (0, ((2,),)))
-
-
-def test_layer_order_incomparable():
-    x = (0, ((3, 1, 1, 1), (1,)))
-    y = (0, ((2, 2, 2), (1,)))
-    assert layer_order(x, y) == "incomparable"
 
 
 def test_standard_tableaux_counts_match_hooks():
@@ -184,35 +161,55 @@ def test_regular_decomposes_with_specht_multiplicities_char0():
 
 # -- outer products -----------------------------------------------------------------
 
+def walled_sym_algebra(a, b, field=Q):
+    return wreath_product(trivial_input_algebra(field, field.one), a + b, wall=a)
+
+
 def test_outer_product_dims():
-    Wab = wreath_product(trivial_input_algebra(Q, Q.one), 5, wall=3)
-    Sa = specht_module((2, 1), W=sym_algebra(3))
-    Sb = specht_module((1, 1), W=sym_algebra(2))
-    M = outer_product(Sa, Sb, Wab)
+    M = outer_product((2, 1), (1, 1), walled_sym_algebra(3, 2))
     assert M.dim == 2
     assert M.check() is None
 
 
 def test_outer_trivial_times_trivial():
-    Wab = wreath_product(trivial_input_algebra(Q, Q.one), 2, wall=1)
-    Sa = specht_module((1,), W=sym_algebra(1))
-    Sb = specht_module((1,), W=sym_algebra(1))
-    M = outer_product(Sa, Sb, Wab)
+    M = outer_product((1,), (1,), walled_sym_algebra(1, 1))
     assert M.dim == 1
 
 
 def test_outer_hom_is_product_of_homs():
-    Wab = wreath_product(trivial_input_algebra(Q, Q.one), 4, wall=2)
-    Wa, Wb = sym_algebra(2), sym_algebra(2)
+    Wab = walled_sym_algebra(2, 2)
     mods = {}
     for lam in partitions(2):
         for mu in partitions(2):
-            mods[(lam, mu)] = outer_product(specht_module(lam, W=Wa),
-                                            specht_module(mu, W=Wb), Wab)
+            mods[(lam, mu)] = outer_product(lam, mu, Wab)
     for x in mods:
         for y in mods:
             expected = 1 if x == y else 0
             assert len(hom_space(mods[x], mods[y])) == expected
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(2), PrimeField(3), PrimeField(5)],
+                         ids=["Q", "F2", "F3", "F5"])
+def test_spun_box_product_is_the_kronecker_product(field):
+    """The box product spun from one polytabloid over the walled group
+    algebra is isomorphic to the Kronecker product of the sides' Specht
+    modules, for every lam |- a and mu |- b with a, b <= 3."""
+    for a in range(4):
+        for b in range(4):
+            Wab = walled_sym_algebra(a, b, field)
+            Wa, Wb = sym_algebra(a, field), sym_algebra(b, field)
+            for lam in partitions(a):
+                for mu in partitions(b):
+                    spun = outer_product(lam, mu, Wab)
+                    oracle = kronecker_outer_product(specht_module(lam, Wa),
+                                                     specht_module(mu, Wb), Wab)
+                    assert spun.dim == oracle.dim == hook_length_dim(lam) * hook_length_dim(mu)
+                    assert find_isomorphism(spun, oracle) is not None, (lam, mu)
+
+
+def test_box_product_refuses_each_side_above_the_cap():
+    with pytest.raises(SpechtError, match="partition size 6 exceeds the cap 5"):
+        outer_product((1,), (6,), None)
 
 
 # -- dominance experiment ---------------------------------------------------------------
