@@ -76,11 +76,8 @@ def index_cases(sizes, limit, samples, seed):
     if max(sizes, default=0) <= limit:
         return itertools.product(*map(range, sizes)), population, False
     picks = random.Random(seed).sample(range(population), min(samples, population))
-
-    def unravel(p):
-        return tuple(p // math.prod(sizes[k + 1:]) % size for k, size in enumerate(sizes))
-
-    return map(unravel, picks), len(picks), True
+    axes = [(math.prod(sizes[k + 1:]), size) for k, size in enumerate(sizes)]
+    return (tuple([p // stride % size for stride, size in axes]) for p in picks), len(picks), True
 
 
 class FinAlgebra:
@@ -211,8 +208,9 @@ def algebra_from_mult_context(ctx, cap, name):
     """FinAlgebra over the basis of a multiplication context.
 
     ``ctx`` provides ``field``, ``basis()`` (canonical list of hashable keys),
-    ``mul_diagrams(x, y)``, ``identity()``, ``involution_key(x)`` (each
-    element a dict {key: scalar}) and ``generator_elements()``.
+    ``identity()``, ``involution_key(x)`` (each element a dict {key:
+    scalar}), ``generator_elements()`` and ``index_product(basis, index)``,
+    the algebra's ``pair_mul``: b_i * b_j as {index: scalar}.
     """
     basis = ctx.basis()
     if len(basis) > cap:
@@ -222,12 +220,10 @@ def algebra_from_mult_context(ctx, cap, name):
     def to_vec(d):
         return {index[k]: c for k, c in d.items()}
 
-    def pair_mul(i, j):
-        return to_vec(ctx.mul_diagrams(basis[i], basis[j]))
-
     invo = [to_vec(ctx.involution_key(k)) for k in basis]
     gens = [to_vec(g) for g in ctx.generator_elements()]
-    alg = FinAlgebra(ctx.field, len(basis), to_vec(ctx.identity()), pair_mul, invo, gens, name)
+    alg = FinAlgebra(ctx.field, len(basis), to_vec(ctx.identity()),
+                     ctx.index_product(basis, index), invo, gens, name)
     alg.basis_keys = basis
     alg.key_index = index
     return alg

@@ -11,17 +11,18 @@ structural check downstream compares structure constants, not pictures, so
 nothing depends on the choice.
 
 Multiplication stacks X over Y, identifying the bottom row of X with the
-top row of Y.  Each basis diagram is compiled once, on first use, into flat
-per-vertex arrays: the partner of every vertex, as a middle column or a
-vertex of the product's own rows, and the letter read when leaving it (b_k,
-or b_k* against the orientation).  One walk over the two compiled diagrams
-follows every through-path and every closed middle loop and reduces its
-label as it goes, one lookup in the input algebra's ``walk_table`` per
-letter.  When the input algebra is monomial (every b_i b_j and every b_i* is
-one basis element times a nonzero scalar, as for the base field and cyclic
-group algebras), a product of basis diagrams is one diagram times a scalar,
-and field operations remain only for loop traces and coefficients other
-than 1.  Otherwise the walk collects words, and ``InputAlgebra.expand_words``
+top row of Y.  Each basis diagram is compiled once, on first use, into one
+step table per factor: for every vertex, the letter read when leaving it
+(b_k, or b_k* against the orientation) and where the walk goes on, a middle
+column or a vertex of the product's own rows.  One walk over the two tables
+follows every through-path and every closed middle loop, one lookup in the
+input algebra's ``walk_table`` per letter, and stops once every result
+vertex is matched and every middle column crossed.  When the input
+algebra is monomial (every b_i b_j and every b_i* is one basis element
+times a nonzero scalar, as for the base field and cyclic group algebras), a
+product of basis diagrams is one diagram times a scalar, and field
+operations remain only for loop traces and coefficients other than 1.
+Otherwise the walk collects words, and ``InputAlgebra.expand_words``
 reduces them into a linear combination over the label choices.
 
 The walk (``DiagramAlgebra.product``) returns the product's edge tuple, its
@@ -45,7 +46,7 @@ from typing import NamedTuple
 
 from .algebra_kernel import AlgebraError, algebra_from_mult_context
 from .input_algebra import InputAlgebra, identity_perm, label_choices
-from .linalg import entry_iadd, vec_iadd, vec_scale
+from .linalg import vec_iadd, vec_scale
 
 
 class DiagramError(ValueError):
@@ -98,10 +99,6 @@ class PartialDiagram(NamedTuple):
     n: int
     edges: tuple  # sorted triples (u, v, label) within one row, u < v
 
-    def free(self):
-        used = {w for (u, v, _) in self.edges for w in (u, v)}
-        return tuple(i for i in range(self.n) if i not in used)
-
 
 def _inv_power(F, delta, l):
     scale = F.one
@@ -139,11 +136,20 @@ class DiagramAlgebra:
         self._basis = None
         self._compiled = {}
         self._layers = {}
+        self._basis_layers = None
+        self._configs = {}
+        self._units = {}
         # (walk position, seen marks) of each start: result vertices r, then
         # middle columns c, whose loops are read from the upper factor
         n = kind.n
-        self._starts = ([(r if r < n else 2 * n + r, 4 * n + r, 4 * n + r) for r in range(2 * n)]
-                        + [(n + c, n + c, 2 * n + c) for c in range(n)])
+        self._ends = [(r if r < n else 2 * n + r, 4 * n + r) for r in range(2 * n)]
+        self._columns = [(n + c, n + c, 2 * n + c) for c in range(n)]
+        self._crossings = range(n + 1)
+        # the step of a vertex joined to p, by letter code: as upper, as lower factor
+        codes, ends = range(2 * A.dim), range(2 * n)
+        self._step_pairs = (
+            [[(code, 4 * n + p if p < n else n + p) for p in ends] for code in codes],
+            [[(code, 4 * n + p if p >= n else n + p) for p in ends] for code in codes])
 
     # -- structural helpers ------------------------------------------------
 
@@ -200,8 +206,7 @@ class DiagramAlgebra:
         legal = self.check_edge_legal if self.kind.family == "walled" else None
         for matching in _perfect_matchings(verts, legal):
             for labels in itertools.product(range(self.A.dim), repeat=len(matching)):
-                edges = tuple(sorted((u, v, k) for (u, v), k in zip(matching, labels)))
-                diagrams.append(Diagram(edges))
+                diagrams.append(Diagram(tuple([(u, v, k) for (u, v), k in zip(matching, labels)])))
         return sorted(diagrams)
 
     def enumerate_partials(self, l):
@@ -336,23 +341,21 @@ class DiagramAlgebra:
     # -- multiplication ------------------------------------------------------
 
     def _compile(self, d: Diagram):
-        """Flat arrays of d for the walk: (as upper factor, as lower factor, letter codes).
+        """Step tables of d for the walk: (as upper factor, as lower factor).
 
-        Walk positions: vertex w of the upper factor is w, vertex w of the
-        lower factor is 2n + w.  A partner p is stored as the position the
-        walk continues from, n + p, when the edge ends in the middle row, and
-        as 4n + p when it ends at vertex p of the product's own rows.  The
-        letter code of a vertex is k when its edge is left from the canonical
-        end u, and dim A + k (the starred label) when left from v.
+        Vertex w of the upper factor is walk position w, of the lower 2n + w.
+        Entry w is (letter code, partner): code k when the edge is left from
+        its canonical end u, dim A + k (b_k*) when left from v; the partner
+        is the position the walk goes on from, n + p for an edge ending at
+        vertex p in the middle row, 4n + p for vertex p of the result.
         """
         n, dim = self.kind.n, self.A.dim
-        upper, lower, code = [0] * (2 * n), [0] * (2 * n), [0] * (2 * n)
+        up, low = self._step_pairs
+        upper, lower = [None] * (2 * n), [None] * (2 * n)
         for (u, v, k) in d.edges:
-            code[u], code[v] = k, dim + k
-            for w, p in ((u, v), (v, u)):
-                upper[w] = 4 * n + p if p < n else n + p
-                lower[w] = 4 * n + p if p >= n else n + p
-        got = self._compiled[d] = (tuple(upper), tuple(lower), tuple(code))
+            upper[u], lower[u] = up[k][v], low[k][v]
+            upper[v], lower[v] = up[dim + k][u], low[dim + k][u]
+        got = self._compiled[d] = (tuple(upper), tuple(lower))
         return got
 
     def _from_words(self, edges, loops=()):
@@ -365,9 +368,13 @@ class DiagramAlgebra:
 
         One walk over the compiled pair: every through-path from its smaller
         result vertex, then every closed middle loop from its leftmost column
-        into d1.  Each step reduces the path's label by one table lookup,
-        b_k times the next letter; coefficients other than 1 are multiplied
-        as they appear, and loop traces at the end.
+        into d1.  Each step reads its position once, its letter and where
+        the walk goes on, and reduces the path's label by one table lookup,
+        b_k times that letter; coefficients other than 1 are multiplied as
+        they appear, and loop traces at the end.  The walk stops once all 2n
+        result vertices are matched and all n middle columns crossed: on a
+        permutation diagram after the n paths from the top row.  A loop
+        leaves a column uncrossed, so loops are still walked.
 
         ``top`` counts the horizontal edges of the product's top row: every
         diagram of the product has this matching, so it is their layer.
@@ -378,43 +385,57 @@ class DiagramAlgebra:
         """
         n = self.kind.n
         compiled = self._compiled
-        upper, _, code1 = compiled.get(d1) or self._compile(d1)
-        _, lower, code2 = compiled.get(d2) or self._compile(d2)
-        part, code = upper + lower, code1 + code2
+        step = ((compiled.get(d1) or self._compile(d1))[0]
+                + (compiled.get(d2) or self._compile(d2))[1])
         letters, products = self.A.walk_table
-        mul = self.field.mul
+        F = self.field
         out = 4 * n                   # partners from here on are result vertices
         top_end = 5 * n               # and below this, top-row vertices
         seen = [False] * (6 * n)      # middle positions crossed, result vertices reached
         edges, loops = [], []
         top = 0
         c = None
-        for w0, mark, mark2 in self._starts:
-            if seen[mark] or seen[mark2]:
+        left = 3 * n                  # result vertices to match and columns to cross
+        crossings = self._crossings
+        for w0, mark in self._ends:
+            if seen[mark]:
                 continue
-            w = w0
-            k, y = letters[code[w]]
-            while True:
+            code, x = step[w0]
+            k, y = letters[code]
+            for s in crossings:       # s columns crossed so far
                 if y is not None:
-                    c = y if c is None else mul(c, y)
-                x = part[w]
-                if x >= out or x == w0:
+                    c = y if c is None else F.mul(c, y)
+                if x >= out:
                     break
                 seen[x] = True
-                w = x
-                k, y = products[k][code[w]]
-            if x == w0:
-                loops.append(k)
-            else:
+                code, x = step[x]
+                k, y = products[k][code]
+            seen[x] = True
+            if x < top_end:
+                top += 1
+            edges.append((mark - out, x - out, k))
+            left -= s + 2
+            if not left:
+                break
+        for w0, mark, mark2 in self._columns if left else ():
+            if seen[mark] or seen[mark2]:
+                continue
+            code, x = step[w0]
+            k, y = letters[code]
+            while True:
+                if y is not None:
+                    c = y if c is None else F.mul(c, y)
+                if x == w0:
+                    break
                 seen[x] = True
-                if x < top_end:
-                    top += 1
-                edges.append((mark - out, x - out, k))
+                code, x = step[x]
+                k, y = products[k][code]
+            loops.append(k)
         if self.A.label_table is None:
             return None, self._from_words(edges, loops), top
-        F, trace = self.field, self.A.trace
+        trace = self.A.trace
         for k in loops:
-            c = trace[k] if c is None else mul(c, trace[k])
+            c = trace[k] if c is None else F.mul(c, trace[k])
         return tuple(edges), F.one if c is None else c, top
 
     def element(self, result):
@@ -428,6 +449,10 @@ class DiagramAlgebra:
         """Product of two basis diagrams as an element dict (see ``product``)."""
         return self.element(self.product(d1, d2))
 
+    def index_product(self, basis, index):
+        """b_i * b_j as {index: c}: the ``pair_mul`` of ``diagram_fin_algebra``."""
+        return lambda i, j: {index[d]: c for d, c in self.mul_diagrams(basis[i], basis[j]).items()}
+
     def mul(self, x, y):
         F = self.field
         out = {}
@@ -439,18 +464,14 @@ class DiagramAlgebra:
     # -- involution ----------------------------------------------------------
 
     def involution_key(self, d: Diagram):
-        """Flip across the horizontal axis and star the labels."""
-        n = self.kind.n
-        dim = self.A.dim
-
-        def flip(w):
-            return w + n if w < n else w - n
-
+        """Flip across the horizontal axis and star the labels: a vertical
+        edge is read from its other end, a horizontal one keeps its ends."""
+        n, dim = self.kind.n, self.A.dim
         letters = self.A.walk_table[0]
         F = self.field
         edges, c = [], None
-        for u, v, code in sorted((flip(u), flip(v), k) if flip(u) < flip(v)
-                                 else (flip(v), flip(u), dim + k) for (u, v, k) in d.edges):
+        for u, v, code in sorted((u + n, v + n, k) if v < n else (u - n, v - n, k) if u >= n
+                                 else (v - n, u + n, dim + k) for (u, v, k) in d.edges):
             k, y = letters[code]
             if y is not None:
                 c = y if c is None else F.mul(c, y)
@@ -458,13 +479,6 @@ class DiagramAlgebra:
         if self.A.label_table is None:
             return self._from_words(edges)
         return {Diagram(tuple(edges)): F.one if c is None else c}
-
-    def involution(self, x):
-        F = self.field
-        out = {}
-        for d, c in x.items():
-            vec_iadd(F, out, c, self.involution_key(d))
-        return out
 
     # -- layer structure -------------------------------------------------------
 
@@ -482,16 +496,44 @@ class DiagramAlgebra:
             got = self._layers[d] = sum(1 for e in d.edges if e[1] < n)
         return got
 
+    def basis_layers(self):
+        """The layer of each basis diagram, in basis order, listed once."""
+        if self._basis_layers is None:
+            self._basis_layers = [self.layer(d) for d in self.basis()]
+        return self._basis_layers
+
     def truncate_above_layer(self, x, l):
         """Kill every diagram with more than l horizontal edges (mod J_{l+1})."""
         return {d: c for d, c in x.items() if self.layer(d) <= l}
+
+    def configuration(self, pd: PartialDiagram):
+        """(free vertices, their slots {vertex: i}) of a one-row
+        configuration, built once per algebra."""
+        got = self._configs.get(pd)
+        if got is None:
+            used = {w for (u, v, _) in pd.edges for w in (u, v)}
+            free = tuple(i for i in range(self.kind.n) if i not in used)
+            got = self._configs[pd] = (free, {w: i for i, w in enumerate(free)})
+        return got
+
+    def unit_assembly(self, pd: PartialDiagram):
+        """The element (pd, pd, 1): pd in both rows and a strand labeled 1
+        of A on each free column, built once per algebra."""
+        got = self._units.get(pd)
+        if got is None:
+            n, free = self.kind.n, self.configuration(pd)[0]
+            rows = list(pd.edges) + [(n + u, n + v, k) for u, v, k in pd.edges]
+            got = self._units[pd] = {
+                Diagram(tuple(sorted(rows + [(w, n + w, k) for w, k in zip(free, ks)]))): c
+                for ks, c in label_choices(self.field, [self.A.unit] * len(free))}
+        return got
 
     def layer_factorize(self, d: Diagram):
         """Split an exactly-l-edge diagram into (top, bottom, wreath key).
 
         Free vertices are renumbered left to right on each row; the wreath
         key is (label tuple, perm tuple) with the label attached at the top
-        slot of its strand.
+        slot of its strand.  The edges of d are sorted, so each row's are.
         """
         n = self.kind.n
         tops, bottoms, strands = [], [], []
@@ -502,10 +544,8 @@ class DiagramAlgebra:
                 bottoms.append((u - n, v - n, k))
             else:
                 strands.append((u, v - n, k))
-        top = PartialDiagram(n, tuple(sorted(tops)))
-        bottom = PartialDiagram(n, tuple(sorted(bottoms)))
-        top_pos = {w: i for i, w in enumerate(top.free())}
-        bot_pos = {w: i for i, w in enumerate(bottom.free())}
+        top, bottom = PartialDiagram(n, tuple(tops)), PartialDiagram(n, tuple(bottoms))
+        top_pos, bot_pos = self.configuration(top)[1], self.configuration(bottom)[1]
         m = len(top_pos)
         perm = [0] * m
         labels = [0] * m
@@ -517,19 +557,11 @@ class DiagramAlgebra:
     def layer_assemble_key(self, top: PartialDiagram, bottom: PartialDiagram, key):
         labels, perm = key
         n = self.kind.n
-        tf, bf = top.free(), bottom.free()
+        tf, bf = self.configuration(top)[0], self.configuration(bottom)[0]
         edges = list(top.edges)
         edges += [(n + u, n + v, k) for (u, v, k) in bottom.edges]
         edges += [(tf[i], n + bf[perm[i]], labels[i]) for i in range(len(perm))]
         return Diagram(tuple(sorted(edges)))
-
-    def layer_assemble(self, top, bottom, wreath_vec):
-        """Linear extension of assembly over a wreath-algebra element."""
-        F = self.field
-        out = {}
-        for key, c in wreath_vec.items():
-            entry_iadd(F, out, self.layer_assemble_key(top, bottom, key), c)
-        return out
 
     def label(self, d: Diagram):
         """Text form of a basis diagram, as witnesses print it."""
@@ -580,20 +612,18 @@ def format_diagram(dalg: DiagramAlgebra, d: Diagram) -> str:
 
 
 def _perfect_matchings(verts, legal):
-    """Perfect matchings of the vertex tuple, using only edges (a, b) with
-    legal(a, b) when a predicate is given: an illegal edge prunes every
-    matching through it."""
+    """Perfect matchings of the vertex tuple, each a tuple of edges (a, b)
+    sorted by a, using only edges with legal(a, b) when a predicate is
+    given: an illegal edge prunes every matching through it."""
     if not verts:
-        yield ()
-        return
+        return [()]
     a = verts[0]
+    out = []
     for i in range(1, len(verts)):
         b = verts[i]
-        if legal is not None and not legal(a, b):
-            continue
-        rest = verts[1:i] + verts[i + 1:]
-        for m in _perfect_matchings(rest, legal):
-            yield ((a, b),) + m
+        if legal is None or legal(a, b):
+            out += [((a, b),) + m for m in _perfect_matchings(verts[1:i] + verts[i + 1:], legal)]
+    return out
 
 
 def _partial_matchings(verts, l):

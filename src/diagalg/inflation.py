@@ -19,27 +19,27 @@ involution swaps the two configurations and stars the wreath part.
 dimension identity.
 
 The form of layer l is one table, ``contraction_forms``: every pair of
-configurations through ``contraction_form``.  The layer check and the
-cell-head Gram matrix of ``split_pair`` read it; its P^2 products, for P
-configurations, are the only ones ``verify_decomposition`` may compute
-twice.
+configurations through ``contraction_form``, one product of the diagrams
+(f, f, 1) and (e, e, 1) that ``DiagramAlgebra.unit_assembly`` builds once
+per configuration.  The layer check and the cell-head Gram matrix of
+``split_pair`` read it; its P^2 products, for P configurations, are the
+only ones ``verify_decomposition`` may compute twice.
 
-Otherwise the checks share their work, so that a run computes each product
-of two basis diagrams once (a pair that sampling draws twice is multiplied
-twice).  A product is one walk, ``DiagramAlgebra.product``, read as its
-edges, its coefficient and the edge count of its top row, which is its
-layer: no check builds a ``Diagram`` or an element dict for a monomial
-product it only compares or locates.  ``verify_decomposition`` passes one
-table to every check: each layer check writes the lowest layer of every
-product it computed at l >= 1, and the ideal chain reads it, computing each
-other product once.  The layer checks read the diagrams the roundtrip
-assembled; wreath products used by one pair stay out of the wreath
-algebra's product cache, and a wreath side b_k1 * phi * b_k2 that can
-repeat is formed once.
-``diagram_fin_algebra``'s cache is not used: it is built at setup and
-caches whole product vectors, which costs memory the checks do not need.
-Which pairs are checked, and the bounds between exhaustive and sampled,
-do not depend on this sharing.
+Otherwise a run computes each product of two basis diagrams once (a pair
+that sampling draws twice is multiplied twice).  A product is one walk,
+``DiagramAlgebra.product``, read as its edges, its coefficient and the edge
+count of its top row, which is its layer, so no check builds a ``Diagram``
+or an element dict for a monomial product it only compares or locates.
+The layer checks write the lowest layer of every product they computed at
+l >= 1 into one table per run, and the ideal chain reads it.  A layer check
+assembles each of its P^2 dim W diagrams once and compares every pair's
+walk with the wreath product ``W.pair_mul``, by basis index: b_k1 * b_k2
+when P = 1 and the form is 1, else through b_k1 * phi, formed once per
+(k1, bot1, top2), and each wreath side that can repeat formed once.
+``diagram_fin_algebra``'s cache is not used: it caches whole product
+vectors, which costs memory the checks do not need.  Which pairs are
+checked, and the bounds between exhaustive and sampled, do not depend on
+this sharing.
 """
 
 from __future__ import annotations
@@ -64,13 +64,11 @@ def contraction_form(dalg: DiagramAlgebra, W, f_pd, e_pd):
     """Value of the layer bilinear form on (bottom config, top config).
 
     Computed, as in the defining construction, by multiplying the diagrams
-    assembled from (f, f, id) and (e, e, id) and reading the wreath part of
-    the result modulo the next layer; loops contribute their label traces,
-    and any strand returning to its own row kills the product.
+    (f, f, 1) and (e, e, 1), built once per configuration, and reading the
+    wreath part of the result modulo the next layer; loops contribute their
+    label traces, and any strand returning to its own row kills the product.
     """
-    unit_keys = {W.basis_keys[i]: c for i, c in W.unit.items()}
-    prod = dalg.mul(dalg.layer_assemble(f_pd, f_pd, unit_keys),
-                    dalg.layer_assemble(e_pd, e_pd, unit_keys))
+    prod = dalg.mul(dalg.unit_assembly(f_pd), dalg.unit_assembly(e_pd))
     out = {}
     for d, c in dalg.truncate_above_layer(prod, len(f_pd.edges)).items():
         top, bottom, key = dalg.layer_factorize(d)
@@ -88,12 +86,11 @@ def contraction_forms(dalg: DiagramAlgebra, W, l: int):
     return [[contraction_form(dalg, W, f, e) for e in partials] for f in partials]
 
 
-def _lowest(dalg, result):
+def _lowest(F, n, result):
     """Fewest horizontal edges in the support of a ``product`` result (n when
     the product is zero)."""
     edges, c, top = result
-    zero = not c if edges is None else dalg.field.is_zero(c)
-    return dalg.kind.n if zero else top
+    return n if (not c if edges is None else F.is_zero(c)) else top
 
 
 def layer_ideal_indices(dalg: DiagramAlgebra, big: FinAlgebra, l: int):
@@ -123,13 +120,14 @@ def check_layer_ideal_closed(dalg: DiagramAlgebra, l: int, seed, table):
         return None
     basis = dalg.basis()
     dim = len(basis)
-    members = [i for i, d in enumerate(basis) if dalg.layer(d) >= l]
+    members = [i for i, h in enumerate(dalg.basis_layers()) if h >= l]
+    F, n, product = dalg.field, dalg.kind.n, dalg.product
 
     def lowest(i, j):
         key = i * dim + j
         got = table.get(key)
         if got is None:
-            got = table[key] = _lowest(dalg, dalg.product(basis[i], basis[j]))
+            got = table[key] = _lowest(F, n, product(basis[i], basis[j]))
         return got
 
     pairs, _, _ = index_cases((dim, len(members)), 150, 1000, seed)
@@ -143,30 +141,25 @@ def check_layer_ideal_closed(dalg: DiagramAlgebra, l: int, seed, table):
 def verify_layer(dalg: DiagramAlgebra, l: int, seed, table, W=None) -> dict:
     """Checks (a)-(c) of the module docstring at layer l, as the layer's
     report dict; multiplication is checked on every pair of layer diagrams
-    up to 200 of them, on 600 seeded pairs above; sharing the work below
-    changes neither the pairs nor the bounds.  At l >= 1 the lowest layer of
-    each product computed is written into ``table``, as
+    up to 200 of them, on 600 seeded pairs above.  At l >= 1 the lowest
+    layer of each product computed is written into ``table``, as
     ``check_layer_ideal_closed`` reads it.
 
-    The roundtrip check assembles every layer diagram from its factors, and
-    the involution and multiplication checks read those assemblies back.
-    Configurations and wreath keys are read as ints.  Each checked pair
-    costs one ``DiagramAlgebra.product``; a single-term product is compared
-    with a single-term prediction by edges and coefficient, and any other
-    case by element dicts.  The forms phi come from ``contraction_forms``.
-
-    b_k1 * phi(bot1, top2) is formed once per (k1, bot1, top2), through W's
-    product cache.  Its product with b_k2 goes through ``W.pair_mul``, which
-    caches nothing: once per (k1, bot1, top2, k2) when there is more than
-    one configuration, so that such a key can repeat, and once per pair
-    otherwise, when no key repeats.
+    Each slot (top, bottom, wreath key) is assembled once, and the
+    roundtrip, involution and multiplication checks read the assemblies.
+    Each checked pair costs one ``DiagramAlgebra.product``, compared by
+    edges and coefficient with a single-term wreath side, and as element
+    dicts otherwise.  The wreath side is ``W.pair_mul(k1, k2)`` when P = 1
+    and the form is 1.  Otherwise b_k1 * phi(bot1, top2) is formed once per
+    (k1, bot1, top2) through W's product cache, and its product with b_k2,
+    through ``W.pair_mul``, once per (k1, bot1, top2, k2).
     """
     if W is None:
         W = small_algebra(dalg, l)
     F = dalg.field
     basis = dalg.basis()
     dim = len(basis)
-    at = [i for i, d in enumerate(basis) if dalg.layer(d) == l]
+    at = [i for i, h in enumerate(dalg.basis_layers()) if h == l]
     layer = [basis[i] for i in at]
     partials = dalg.enumerate_partials(l)
     P, Wd = len(partials), W.dim
@@ -174,81 +167,66 @@ def verify_layer(dalg: DiagramAlgebra, l: int, seed, table, W=None) -> dict:
     failures = []
 
     expected = P * P * Wd
-    assembled = {}   # (top * P + bottom) * Wd + k -> diagram
-
-    def assemble(top, bottom, k):
-        slot = (top * P + bottom) * Wd + k
-        got = assembled.get(slot)
-        if got is None:
-            got = assembled[slot] = dalg.layer_assemble_key(
-                partials[top], partials[bottom], W.basis_keys[k])
-        return got
+    # slot (top * P + bottom) * Wd + k: the diagram assembled from its factors
+    assembled = [dalg.layer_assemble_key(top, bottom, key)
+                 for top in partials for bottom in partials for key in W.basis_keys]
 
     def assemble_vec(top, bottom, wreath_vec):
-        out = {}
-        for k, c in wreath_vec.items():
-            entry_iadd(F, out, assemble(top, bottom, k), c)
-        return out
+        base = (top * P + bottom) * Wd
+        return {assembled[base + k]: c for k, c in wreath_vec.items()}
 
     factored = [dalg.layer_factorize(d) for d in layer]
     fac = [(config[top], config[bottom], W.key_index[key]) for top, bottom, key in factored]
     bijective = (len(layer) == expected and len(set(factored)) == len(layer))
     for d, (top, bottom, k) in zip(layer, fac):
-        if assemble(top, bottom, k) != d:
+        if assembled[(top * P + bottom) * Wd + k] != d:
             bijective = False
             failures.append({"check": "roundtrip", "diagram": dalg.label(d)})
             break
 
     involution_ok = True
     for d, (top, bottom, k) in zip(layer, fac):
-        lhs = dalg.involution({d: F.one})
-        rhs = assemble_vec(bottom, top, W.involve(W.basis_vec(k)))
-        if lhs != rhs:
+        if dalg.involution_key(d) != assemble_vec(bottom, top, W.involution_rows[k]):
             involution_ok = False
             failures.append({"check": "involution", "diagram": dalg.label(d)})
             break
 
-    n_layer = len(layer)
     forms = contraction_forms(dalg, W, l)
-
     left_cache = {}   # (k1 * P + bot1) * P + top2 -> b_k1 * phi(bot1, top2)
     wreath_cache = {}   # ((k1 * P + bot1) * P + top2) * Wd + k2 -> wreath side
-    one = F.one
 
     def wreath_side(k1, bot1, top2, k2):
         key = (k1 * P + bot1) * P + top2
         left = left_cache.get(key)
         if left is None:
             left = left_cache[key] = W.mul(W.basis_vec(k1), forms[bot1][top2])
-        if len(left) == 1:
-            (m, c), = left.items()
-            got = W.pair_mul(m, k2)
-            return got if c == one else {m2: F.mul(c, c2) for m2, c2 in got.items()}
         got = {}
         for m, c in left.items():
             vec_iadd(F, got, c, W.pair_mul(m, k2))
         return got
 
-    pairs, pairs_checked, sampled = index_cases((n_layer, n_layer), 200, 600, seed)
+    # one configuration and phi = 1: the wreath side is b_k1 * b_k2
+    unit_form = P == 1 and forms[0][0] == W.unit
+    pairs, pairs_checked, sampled = index_cases((len(layer), len(layer)), 200, 600, seed)
     multiplicative = True
+    pair_mul, product, n = W.pair_mul, dalg.product, dalg.kind.n
     for i, j in pairs:
         top1, bot1, k1 = fac[i]
         top2, bot2, k2 = fac[j]
-        if P == 1:
-            wprod = wreath_side(k1, bot1, top2, k2)
+        if unit_form:
+            wprod = pair_mul(k1, k2)
         else:
             key = ((k1 * P + bot1) * P + top2) * Wd + k2
             wprod = wreath_cache.get(key)
             if wprod is None:
                 wprod = wreath_cache[key] = wreath_side(k1, bot1, top2, k2)
-        got = dalg.product(layer[i], layer[j])
+        edges, c, top = got = product(layer[i], layer[j])
         if l:
-            table[at[i] * dim + at[j]] = _lowest(dalg, got)
-        edges, c, top = got
+            table[at[i] * dim + at[j]] = _lowest(F, n, got)
         if edges is not None and len(wprod) <= 1:
             if wprod:
                 (m, cw), = wprod.items()
-                ok = edges == assemble(top1, bot2, m).edges and c == cw
+                ok = edges == assembled[(top1 * P + bot2) * Wd + m].edges and c == cw
             else:
                 ok = top > l or F.is_zero(c)
         else:
@@ -261,18 +239,10 @@ def verify_layer(dalg: DiagramAlgebra, l: int, seed, table, W=None) -> dict:
             if len(failures) > 5:
                 break
 
-    return {
-        "l": l,
-        "rankV": P,
-        "dimSmall": Wd,
-        "layerDim": expected,
-        "psiBijective": bijective,
-        "psiMultiplicative": multiplicative,
-        "involutionOK": involution_ok,
-        "pairsChecked": pairs_checked,
-        "sampled": sampled,
-        "failures": failures,
-    }
+    return {"l": l, "rankV": P, "dimSmall": Wd, "layerDim": expected,
+            "psiBijective": bijective, "psiMultiplicative": multiplicative,
+            "involutionOK": involution_ok, "pairsChecked": pairs_checked,
+            "sampled": sampled, "failures": failures}
 
 
 def verify_decomposition(dalg: DiagramAlgebra, seed=0) -> dict:
@@ -285,7 +255,7 @@ def verify_decomposition(dalg: DiagramAlgebra, seed=0) -> dict:
 
     chain_ok = True
     ideal_witnesses = []
-    counts = [sum(1 for d in basis if dalg.layer(d) >= l) for l in range(bound + 2)]
+    counts = [sum(h >= l for h in dalg.basis_layers()) for l in range(bound + 2)]
     for l in range(bound + 1):
         if counts[l + 1] >= counts[l]:   # every layer is nonempty, so strictly nested
             chain_ok = False

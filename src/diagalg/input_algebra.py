@@ -290,10 +290,10 @@ class _WreathContext:
     """Multiplication context whose basis keys (labels, perm) are decorated
     permutation diagrams.
 
-    A product is one pass over the slots: slot i of (a, s)(b, t) is one
-    lookup in the input algebra's walk table, b_{a[i]} times b_{b[s[i]]},
-    and the permutation is composed in the same pass.  The involution reads
-    the starred letter of each slot from the same table.
+    A product, by basis index, is one pass over the slots: slot i of
+    (a, s)(b, t) is one lookup in the input algebra's walk table, b_{a[i]}
+    times b_{b[s[i]]}, and the permutation is composed in the same pass.
+    The involution reads the starred letter of each slot from the same table.
     """
 
     def __init__(self, A, m, wall):
@@ -310,23 +310,26 @@ class _WreathContext:
     def _expand(self, slot_vectors, perm):
         return {(lab, perm): c for lab, c in label_choices(self.field, slot_vectors)}
 
-    def _element(self, labels, perm, c):
-        """The element of slot labels read from the walk table, coefficient c."""
-        if self.A.label_table is None:
-            return {(lab, perm): x for lab, x in self.A.expand_words(labels)}
-        return {(tuple(labels), perm): self.field.one if c is None else c}
+    def index_product(self, basis, index):
+        """b_i * b_j as {index: c}, read from the two keys by index.  Over a
+        word table (a non-monomial A) ``expand_words`` reduces the slots."""
+        A, mul, one = self.A, self.field.mul, self.field.one
+        products, words = A.walk_table[1], A.label_table is None
 
-    def mul_diagrams(self, x, y):
-        (a, s), (b, t) = x, y
-        products, mul = self.A.walk_table[1], self.field.mul
-        labels, perm, c = [], [], None
-        for i, j in enumerate(s):
-            k, z = products[a[i]][b[j]]
-            labels.append(k)
-            perm.append(t[j])
-            if z is not None:
-                c = z if c is None else mul(c, z)
-        return self._element(labels, tuple(perm), c)
+        def pair_mul(i, j):
+            (a, s), (b, t) = basis[i], basis[j]
+            labels, perm, c = [], [], None
+            for x, y in zip(a, s):
+                k, z = products[x][b[y]]
+                labels.append(k)
+                perm.append(t[y])
+                if z is not None:
+                    c = z if c is None else mul(c, z)
+            if words:
+                perm = tuple(perm)
+                return {index[lab, perm]: x for lab, x in A.expand_words(labels)}
+            return {index[tuple(labels), tuple(perm)]: one if c is None else c}
+        return pair_mul
 
     def identity(self):
         return self._expand([self.A.unit] * self.m, identity_perm(self.m))
@@ -341,25 +344,23 @@ class _WreathContext:
             labels.append(k)
             if y is not None:
                 c = y if c is None else mul(c, y)
-        return self._element(labels, sinv, c)
-
-    def decorated_perm_element(self, perm, label_vecs=None):
-        vecs = label_vecs if label_vecs is not None else [self.A.unit] * self.m
-        return self._expand(vecs, perm)
+        if self.A.label_table is None:
+            return {(lab, sinv): x for lab, x in self.A.expand_words(labels)}
+        return {(tuple(labels), sinv): self.field.one if c is None else c}
 
     def generator_elements(self):
+        m, units = self.m, [self.A.unit] * self.m
         gens = []
-        for i in range(self.m - 1):
+        for i in range(m - 1):
             if self.wall is not None and i == self.wall - 1:
                 continue
-            p = list(range(self.m))
+            p = list(range(m))
             p[i], p[i + 1] = p[i + 1], p[i]
-            gens.append(self.decorated_perm_element(tuple(p)))
-        if self.m > 0 and self.A.dim > 1:
+            gens.append(self._expand(units, tuple(p)))
+        if m > 0 and self.A.dim > 1:
             unit = self.identity()
             for k in range(self.A.dim):
-                vecs = [{k: self.field.one}] + [self.A.unit] * (self.m - 1)
-                g = self.decorated_perm_element(identity_perm(self.m), vecs)
+                g = self._expand([{k: self.field.one}] + units[1:], identity_perm(m))
                 if g != unit:
                     gens.append(g)
         return gens
@@ -369,7 +370,9 @@ def wreath_product(A, m, wall=None) -> FinAlgebra:
     """Wreath product algebra of A with the symmetric group on m points.
 
     With ``wall=w`` only wall-preserving permutations occur (requires A of
-    dimension 1); at m = 0 the result is the base field.
+    dimension 1); at m = 0 the result is the base field.  Its ``pair_mul``
+    reads the two keys by basis index and returns {index: c} from one pass
+    over the slots, for monomial and word tables alike.
     """
     if m < 0:
         raise InputAlgebraError("strand count must be non-negative")

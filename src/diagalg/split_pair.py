@@ -292,7 +292,7 @@ class CornerSplitDatum:
         of S is w * (left basis slot), and S is left-free on this basis.
         """
         F, big, W = self.field, self.big, self.W
-        m = len(self.e_top.free())
+        m = len(self.dalg.configuration(self.e_top)[0])
         id_key = (tuple([self.unit_label] * m), tuple(range(m)))
         self.left_basis = [self.dalg.layer_assemble_key(self.e_top, f, id_key)
                            for f in self.bottom_configs]

@@ -25,8 +25,9 @@ def layer_diagrams(dalg, l):
     return [d for d in dalg.basis() if horizontal(d, dalg.kind.n) == l]
 
 
-def _to_key_vec(W, idx_vec):
-    return {W.basis_keys[i]: c for i, c in idx_vec.items()}
+def _assemble(dalg, W, top, bottom, idx_vec):
+    """The element of the wreath vector idx_vec between two configurations."""
+    return {dalg.layer_assemble_key(top, bottom, W.basis_keys[i]): c for i, c in idx_vec.items()}
 
 
 def ideal_witness_by_pairs(dalg, l, seed=0):
@@ -62,9 +63,9 @@ def layer_report_by_pairs(dalg, l, seed=0):
 
     involution_ok = True
     for d, (top, bottom, key) in zip(layer, factored):
-        lhs = dalg.involution({d: dalg.field.one})
-        starred = _to_key_vec(W, W.involve(W.basis_vec(W.key_index[key])))
-        if lhs != dalg.layer_assemble(bottom, top, starred):
+        lhs = dalg.involution_key(d)
+        starred = W.involve(W.basis_vec(W.key_index[key]))
+        if lhs != _assemble(dalg, W, bottom, top, starred):
             involution_ok = False
             failures.append({"check": "involution", "diagram": dalg.label(d)})
             break
@@ -82,7 +83,7 @@ def layer_report_by_pairs(dalg, l, seed=0):
         lhs = dalg.truncate_above_layer(dalg.mul_diagrams(d1, d2), l)
         wprod = W.mul(W.mul(W.basis_vec(W.key_index[key1]), phi),
                       W.basis_vec(W.key_index[key2]))
-        if lhs != dalg.layer_assemble(top1, bot2, _to_key_vec(W, wprod)):
+        if lhs != _assemble(dalg, W, top1, bot2, wprod):
             multiplicative = False
             failures.append({"check": "multiplicative",
                              "pair": [dalg.label(d1), dalg.label(d2)]})

@@ -54,6 +54,7 @@ class TamperedProduct(DiagramAlgebra):
 KINDS = {
     "walled22": (DiagramKind.walled(2, 2), lambda: trivial_input_algebra(Q, Q.parse("1"))),
     "D3_Z2": (DiagramKind.abrauer(3), lambda: cyclic_group_algebra(Q, 2, [Q.one, Q.one])),
+    "D4": (DiagramKind.abrauer(4), lambda: trivial_input_algebra(Q, Q.parse("2"))),
     "D5": (DiagramKind.abrauer(5), lambda: trivial_input_algebra(Q, Q.parse("2"))),
     # not monomial: products are read as element dicts
     "D3_dual": (DiagramKind.abrauer(3), lambda: input_algebra_from_json(DUAL_NUMBERS, Q)),
@@ -281,3 +282,37 @@ def test_verify_layer_keeps_used_once_wreath_products_out_of_the_cache():
     assert len(W._cache) <= W.dim
     # a table with one entry per pair would take over 90 bytes a pair
     assert peak < 14400 * 72
+
+
+@pytest.mark.parametrize("name, l", [("D3_Z2", 0), ("D3_Z2", 1), ("D4", 0), ("D4", 1)])
+def test_a_corrupted_wreath_product_is_the_witness(name, l):
+    """The first wreath product the layer check asks W for, doubled whenever
+    it is asked for again.  At l = 0 (one configuration) it is the wreath
+    side of the first pair; at l = 1 it enters the first pair with a
+    nonzero form.  The walk is untouched, so that pair is the first
+    failure: the check compares the wreath product with the walk and does
+    not read it off the walk."""
+    dalg = _build(name)
+    assert verify_layer(dalg, l, 0, {})["psiMultiplicative"]
+    W = small_algebra(dalg, l)
+    pair_mul, product = W.pair_mul, dalg.product
+    corrupted, witness = [], []
+
+    def corrupt(i, j):
+        got = pair_mul(i, j)
+        if not corrupted:
+            corrupted.append((i, j))
+        return {m: 2 * c for m, c in got.items()} if (i, j) == corrupted[0] else got
+
+    def product_after_corruption(d1, d2):
+        if corrupted and not witness:
+            witness.append([dalg.label(d1), dalg.label(d2)])
+        return product(d1, d2)
+
+    W.pair_mul = corrupt
+    dalg.product = product_after_corruption
+    rep = verify_layer(dalg, l, 0, {}, W=W)
+    assert (len(dalg.enumerate_partials(l)) == 1) == (l == 0)
+    assert rep["psiBijective"] and rep["involutionOK"]
+    assert not rep["psiMultiplicative"]
+    assert rep["failures"][0] == {"check": "multiplicative", "pair": witness[0]}

@@ -189,19 +189,26 @@ DUAL_NUMBERS = {
 
 
 def test_wreath_label_table_matches_generic_reduction():
-    """Wreath products and involutions, on the monomial table and on the
-    word table, equal the oracle that multiplies slot labels through A.mul."""
-    for algebra, monomial in ((SIGNED, True), (DUAL_NUMBERS, False)):
-        A = input_algebra_from_json(algebra, Q)
-        assert (A.label_table is not None) == monomial
-        assert all(c["ok"] for c in validate_input_algebra(A))
-        for m in range(4):
-            W = wreath_product(A, m)
+    """Wreath products by index and involutions, on the monomial table and
+    on the word table, equal the oracle that multiplies slot labels through
+    A.mul: the signed and dual-number algebras and Z/3 on m <= 3 strands,
+    and the walled perm2(r, t) with r + t <= 4."""
+    cases = []
+    for algebra, monomial in ((input_algebra_from_json(SIGNED, Q), True),
+                              (input_algebra_from_json(DUAL_NUMBERS, Q), False),
+                              (cyclic_group_algebra(Q, 3, [fr(2), fr(1), fr(1)]), True)):
+        assert (algebra.label_table is not None) == monomial
+        assert all(c["ok"] for c in validate_input_algebra(algebra))
+        cases += [(algebra, m, None) for m in range(4)]
+    trivial = trivial_input_algebra(Q, fr(2))
+    cases += [(trivial, r + t, r) for r in range(5) for t in range(5 - r)]
+    for A, m, wall in cases:
+        W = wreath_product(A, m, wall=wall)
 
-            def vec(element):
-                return {W.key_index[k]: c for k, c in element.items()}
+        def vec(element):
+            return {W.key_index[k]: c for k, c in element.items()}
 
-            for i, x in enumerate(W.basis_keys):
-                assert W.involution_rows[i] == vec(oracle_wreath_involution(A, x)), x
-                for j, y in enumerate(W.basis_keys):
-                    assert W.mul_basis(i, j) == vec(oracle_wreath_product(A, x, y)), (x, y)
+        for i, x in enumerate(W.basis_keys):
+            assert W.involution_rows[i] == vec(oracle_wreath_involution(A, x)), x
+            for j, y in enumerate(W.basis_keys):
+                assert W.pair_mul(i, j) == vec(oracle_wreath_product(A, x, y)), (x, y)

@@ -103,7 +103,7 @@ class TransferOracle:
 
         dalg = datum.dalg
         e_top = dalg.layer_factorize(next(iter(datum.idem)))[0]
-        m = len(e_top.free())
+        m = e_top.n - 2 * len(e_top.edges)   # free columns of the configuration
         id_key = (tuple([datum.unit_label] * m), tuple(range(m)))
         self.left_basis = [self.to_S({big.key_index[dalg.layer_assemble_key(e_top, f, id_key)]: F.one})
                            for f in dalg.enumerate_partials(datum.layer)]
