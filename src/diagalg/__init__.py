@@ -25,6 +25,7 @@ from .algebra_kernel import (
     FinAlgebra,
     ModuleMap,
     RightModule,
+    ShortExactSequence,
     direct_sum,
     ext1,
     free_module,
@@ -44,7 +45,6 @@ from .inflation import (
 )
 from .split_pair import (
     CornerSplitDatum,
-    ShortExactSequence,
     SplitPairError,
     corner_split_datum,
     hom_ext_transfer,

@@ -40,6 +40,13 @@ Omega M is spun inside P from them, carrying images in the targets, with no
 kernel solved and no matrix of M read beyond the generators'; reaching
 dimension b*dim A - dim M certifies that the spin is all of Omega M.  These
 certificates raise AlgebraError, so ``python -O`` keeps them.
+
+``ShortExactSequence`` is the one type of 0 -> A -> B -> C -> 0, given by
+its inclusion and projection: ``free_presentation(M)`` returns
+0 -> Omega M -> A^b -> M -> 0 as one, and the split-pair report carries
+every sequence it checks through the functors as one.  It decides exactness
+by ranks and splitting by whether the identity of C lies in the span of
+the maps h*proj, h in Hom(C, B) (``in_span``).
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ from .linalg import (
     Echelon,
     entry_iadd,
     identity_rows,
+    mat_mul,
     vec_iadd,
     vec_times_diag_kron,
     vec_times_rows,
@@ -374,20 +382,13 @@ def _generating_vectors(alg):
     return [alg.basis_vec(i) for i in range(alg.dim)]
 
 
-def _generator_support(alg):
-    """Basis elements in the support of the generating vectors.
-
-    A span stable under these is stable under every word in the generators,
-    hence under the whole algebra.
-    """
-    return sorted({b for g in _generating_vectors(alg) for b in g})
-
-
 def stable_action(alg, action):
-    """The action, with the matrices of the generators' basis elements built,
-    so that a lazy action whose ``rows_for`` raises on a span that is not
-    action-stable raises here, at construction."""
-    for b in _generator_support(alg):
+    """The action, with the matrices of the basis elements in the support of
+    the generating vectors built, so that a lazy action whose ``rows_for``
+    raises on a span that is not action-stable raises here, at construction.
+    A span stable under these is stable under every word in the generators,
+    hence under the whole algebra."""
+    for b in sorted({b for g in _generating_vectors(alg) for b in g}):
         action[b]
     return action
 
@@ -637,10 +638,7 @@ def quotient_module(M, vectors, name):
     alg = M.algebra
     F = alg.field
     ech = Echelon(F).insert_all(vectors)
-    rows = ech.basis_rows()
-    for b in _generator_support(alg):
-        if not all(ech.contains(M.act_basis(r, b)) for r in rows):
-            raise AlgebraError("span is not action-stable")
+    _span_submodule(M, ech, name)   # raises if the span is not action-stable
     keep = [j for j in range(M.dim) if j not in ech.rows]
     pos = {j: t for t, j in enumerate(keep)}
 
@@ -656,22 +654,54 @@ def quotient_module(M, vectors, name):
     return quot, proj
 
 
-class Presentation(NamedTuple):
-    """Start of a free resolution: 0 -> kernel -> cover -> M -> 0.
-
-    ``relations`` are elements of the kernel, in cover coordinates, that
-    generate it as a module: those the spin of M meets (see ``Spin``).
-    """
-    module: RightModule
-    cover: RightModule
-    proj: ModuleMap
-    kernel: RightModule
+class ShortExactSequence(NamedTuple):
+    """0 -> sub -> mid -> quot -> 0, given by the inclusion and the projection."""
     incl: ModuleMap
-    cover_rank: int
-    relations: list
+    proj: ModuleMap
+    name: str
+
+    @property
+    def sub(self):
+        return self.incl.source
+
+    @property
+    def mid(self):
+        return self.incl.target
+
+    @property
+    def quot(self):
+        return self.proj.target
+
+    def is_exact(self):
+        F = self.mid.algebra.field
+        if self.mid.dim != self.sub.dim + self.quot.dim:
+            return False
+        if self.incl.image_rank() != self.sub.dim:
+            return False
+        if self.proj.image_rank() != self.quot.dim:
+            return False
+        comp = mat_mul(F, self.incl.rows, self.proj.rows)
+        return all(not r for r in comp)
+
+    def is_split(self):
+        """Does the projection admit a module section?"""
+        F = self.mid.algebra.field
+        q = self.quot.dim
+        if q == 0:
+            return True
+        composites = [mat_mul(F, h.rows, self.proj.rows) for h in hom_space(self.quot, self.mid)]
+        return in_span(F, identity_rows(F, q), composites, q)
 
 
-def _omega_spin(M, cover, relations, targets=()):
+def in_span(F, matrix, matrices, width):
+    """Whether the matrix lies in the span of the matrices, all given as rows
+    over ``width`` columns: each is flattened to one vector."""
+    def flat(rows):
+        return {i * width + j: c for i, r in enumerate(rows) for j, c in r.items()}
+    return Echelon(F).insert_all(map(flat, matrices)).contains(flat(matrix))
+
+
+def _omega_spin(M, cover, relations, targets):
     """Spin of the kernel of cover -> M from its relations, carrying images
     in the targets.  The spin's span lies in the kernel, so reaching
     dim cover - dim M certifies that it is the kernel; AlgebraError if not."""
@@ -679,7 +709,8 @@ def _omega_spin(M, cover, relations, targets=()):
 
 
 def free_presentation(M):
-    """Free cover on the spin generators of M, with its kernel Omega M.
+    """0 -> Omega M -> A^b -> M -> 0, free on the spin generators of M, as
+    the sequence ``presentation(<name of M>)``.
 
     The spin of M carrying preimages gives the generators and the relations;
     the kernel's basis is the echelon of the spin of Omega M from them.
@@ -687,18 +718,17 @@ def free_presentation(M):
     alg = M.algebra
     F = alg.field
     spin = Spin(M, cover=True)
-    b = len(spin.generators)
-    cover = free_module(alg, b)
-    omega = _omega_spin(M, cover, spin.relations)
-    kernel, incl = _span_submodule(cover, omega._ech, name=f"Omega({M.name})")
+    cover = free_module(alg, len(spin.generators))
+    omega = _omega_spin(M, cover, spin.relations, [])
+    _, incl = _span_submodule(cover, omega._ech, name=f"Omega({M.name})")
     proj_rows = [M.act_basis({g: F.one}, i) for g in spin.generators for i in range(alg.dim)]
     proj = ModuleMap(cover, M, proj_rows)
     if proj.image_rank() != M.dim:
         raise AlgebraError("the free cover does not surject")
-    return Presentation(M, cover, proj, kernel, incl, b, spin.relations)
+    return ShortExactSequence(incl, proj, f"presentation({M.name})")
 
 
-def ext1_dims(M, targets, hom_dims, presentation=None):
+def ext1_dims(M, targets, hom_dims):
     """dim Ext^1(M, N) for each target N, given each dim Hom(M, N).
 
     From a free presentation 0 -> Omega M -> P0 -> M -> 0 with P0 free of
@@ -708,20 +738,16 @@ def ext1_dims(M, targets, hom_dims, presentation=None):
     that the spin of M meets, once for every target; of M, only the action
     matrices of the algebra generators are read.
     """
-    if presentation is None:
-        spin = Spin(M, cover=True)
-        cover, relations = free_module(M.algebra, len(spin.generators)), spin.relations
-    else:
-        cover, relations = presentation.cover, presentation.relations
-    b = cover.dim // M.algebra.dim
-    omega = _omega_spin(M, cover, relations, targets).solutions
+    spin = Spin(M, cover=True)
+    b = len(spin.generators)
+    omega = _omega_spin(M, free_module(M.algebra, b), spin.relations, targets).solutions
     return [len(sols) - b * N.dim + hom
             for sols, N, hom in zip(omega, targets, hom_dims)]
 
 
-def ext1(M, N, presentation=None):
+def ext1(M, N):
     """dim Ext^1(M, N) computed from a free presentation."""
-    return ext1_dims(M, [N], [len(hom_space(M, N))], presentation)[0]
+    return ext1_dims(M, [N], [len(hom_space(M, N))])[0]
 
 
 def check_algebra_map(source, target, rows, unit=None):

@@ -134,6 +134,9 @@ def make_input_algebra(args, field, validate=True):
     witness; the built-in algebras are algebras by construction.
     """
     if args.deltas is not None:
+        if args.input_algebra != "trivial":
+            raise CliError("--deltas gives the cyclic input algebra; it cannot be "
+                           "combined with an --input-algebra file")
         deltas = parse_deltas(field, args.deltas)
         return cyclic_group_algebra(field, len(deltas), deltas), f"cyclic({len(deltas)})"
     if args.input_algebra == "trivial":
@@ -153,10 +156,20 @@ def make_input_algebra(args, field, validate=True):
     return A, args.input_algebra
 
 
+# the size options a kind does not read, refused rather than dropped
+_UNREAD_SIZES = {"abrauer": ("r", "t"), "cyclotomic": ("t",), "walled": ("n",)}
+
+
 def make_context(args, field):
     """Diagram algebra of the --kind options (walled without --kind), refused
-    when its closed-form dimension exceeds --cap (before any basis is built)."""
+    when its closed-form dimension exceeds --cap (before any basis is built).
+    An option the kind does not read is refused before anything is built."""
     kind_name = getattr(args, "kind", "walled")
+    unread = [f"--{o}" for o in _UNREAD_SIZES[kind_name] if getattr(args, o, None) is not None]
+    if kind_name != "abrauer" and args.input_algebra != "trivial":
+        unread.append("--input-algebra")
+    if unread:
+        raise CliError(f"{kind_name} kind does not read {', '.join(unread)}")
     if kind_name == "walled":
         if args.r is None or args.t is None:
             raise CliError("walled kind needs --r and --t")
@@ -171,6 +184,8 @@ def make_context(args, field):
         if kind_name == "cyclotomic":
             if args.deltas is not None:
                 deltas = parse_deltas(field, args.deltas)
+                if args.r not in (None, len(deltas)):
+                    raise CliError(f"--r {args.r} does not match the {len(deltas)} values of --deltas")
             elif args.r is not None:
                 deltas = [field.parse(args.delta)] * args.r
             else:

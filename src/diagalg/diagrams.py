@@ -204,7 +204,7 @@ class DiagramAlgebra:
         verts = tuple(range(2 * n))
         diagrams = []
         legal = self.check_edge_legal if self.kind.family == "walled" else None
-        for matching in _perfect_matchings(verts, legal):
+        for matching in _matchings(verts, n, legal):
             for labels in itertools.product(range(self.A.dim), repeat=len(matching)):
                 diagrams.append(Diagram(tuple([(u, v, k) for (u, v), k in zip(matching, labels)])))
         return sorted(diagrams)
@@ -213,11 +213,9 @@ class DiagramAlgebra:
         """Basis of the one-row configurations with l horizontal edges."""
         n = self.kind.n
         out = []
-        for matching in _partial_matchings(tuple(range(n)), l):
-            if self.kind.family == "walled":
-                w = self.kind.wall
-                if any((u < w) == (v < w) for (u, v) in matching):
-                    continue
+        # on one row every edge is horizontal, so a walled one must cross the wall
+        legal = self.check_edge_legal if self.kind.family == "walled" else None
+        for matching in _matchings(tuple(range(n)), l, legal):
             for labels in itertools.product(range(self.A.dim), repeat=l):
                 edges = tuple(sorted((u, v, k) for (u, v), k in zip(matching, labels)))
                 out.append(PartialDiagram(n, edges))
@@ -611,35 +609,17 @@ def format_diagram(dalg: DiagramAlgebra, d: Diagram) -> str:
     return f"[{body}] @ {_kind_suffix(dalg.kind)}"
 
 
-def _perfect_matchings(verts, legal):
-    """Perfect matchings of the vertex tuple, each a tuple of edges (a, b)
-    sorted by a, using only edges with legal(a, b) when a predicate is
-    given: an illegal edge prunes every matching through it."""
-    if not verts:
-        return [()]
-    a = verts[0]
-    out = []
-    for i in range(1, len(verts)):
-        b = verts[i]
-        if legal is None or legal(a, b):
-            out += [((a, b),) + m for m in _perfect_matchings(verts[1:i] + verts[i + 1:], legal)]
-    return out
-
-
-def _partial_matchings(verts, l):
-    """Matchings with exactly l edges on the given vertex tuple."""
+def _matchings(verts, l, legal):
+    """Matchings with exactly l edges on the vertex tuple, each a tuple of
+    edges (a, b) sorted by a, using only edges with legal(a, b) when a
+    predicate is given: an illegal edge prunes every matching through it."""
     if l == 0:
-        yield ()
-        return
+        return [()]
     if len(verts) < 2 * l:
-        return
-    a = verts[0]
-    rest0 = verts[1:]
-    # a stays free
-    yield from _partial_matchings(rest0, l)
-    # a pairs with some later vertex
-    for i in range(len(rest0)):
-        b = rest0[i]
-        rest = rest0[:i] + rest0[i + 1:]
-        for m in _partial_matchings(rest, l - 1):
-            yield ((a, b),) + m
+        return []
+    a, rest = verts[0], verts[1:]
+    out = _matchings(rest, l, legal)   # a stays free
+    for i, b in enumerate(rest):
+        if legal is None or legal(a, b):
+            out += [((a, b),) + m for m in _matchings(rest[:i] + rest[i + 1:], l - 1, legal)]
+    return out

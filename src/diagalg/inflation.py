@@ -93,9 +93,9 @@ def _lowest(F, n, result):
     return n if (not c if edges is None else F.is_zero(c)) else top
 
 
-def layer_ideal_indices(dalg: DiagramAlgebra, big: FinAlgebra, l: int):
+def layer_ideal_indices(dalg: DiagramAlgebra, l: int):
     """Coordinates of the basis diagrams with at least l horizontal edges."""
-    return [i for i, d in enumerate(big.basis_keys) if dalg.layer(d) >= l]
+    return [i for i, h in enumerate(dalg.basis_layers()) if h >= l]
 
 
 def check_layer_ideal_closed(dalg: DiagramAlgebra, l: int, seed, table):
@@ -120,7 +120,7 @@ def check_layer_ideal_closed(dalg: DiagramAlgebra, l: int, seed, table):
         return None
     basis = dalg.basis()
     dim = len(basis)
-    members = [i for i, h in enumerate(dalg.basis_layers()) if h >= l]
+    members = layer_ideal_indices(dalg, l)
     F, n, product = dalg.field, dalg.kind.n, dalg.product
 
     def lowest(i, j):

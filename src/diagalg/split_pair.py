@@ -46,23 +46,29 @@ W-embedding; ``natural_unit_iso`` realizes M = res(ind M) through the class
 of e, which is the unit of the split-pair adjunction, and the regular
 sample's unit map checks that path in every report.  Induced and restricted
 modules build each matrix on first use.
+
+The report's sequences are ``algebra_kernel.ShortExactSequence``s, the
+presentations among them from ``free_presentation``.  Each goes through one
+``apply_functor_to_sequence`` with the datum's (induce, induce_map) on the
+small side or (restrict, restrict_map) on the big side, and its image is
+checked exact.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from .algebra_kernel import (
     FinAlgebra,
     LazyAction,
     ModuleMap,
     RightModule,
+    ShortExactSequence,
     check_algebra_map,
     direct_sum,
     ext1_dims,
     free_presentation,
     hom_space,
     hom_spaces,
+    in_span,
     quotient_module,
     regular_module,
     stable_action,
@@ -73,7 +79,6 @@ from .input_algebra import perm_sign
 from .linalg import (
     Echelon,
     entry_iadd,
-    identity_rows,
     kernel_basis,
     mat_mul,
     transpose_rows,
@@ -123,7 +128,7 @@ class CornerSplitDatum:
         self._coords = [self._coordinate(d) for d in big.basis_keys]
 
         self.mu_rows = [self._mu(d) for d in self.small_big.basis_keys]
-        self._first_layer = layer_ideal_indices(self.small_dalg, self.small_big, 1)
+        self._first_layer = layer_ideal_indices(self.small_dalg, 1)
 
         self._build_alpha()
         self._build_transfer_bimodule()
@@ -428,57 +433,13 @@ def corner_split_datum(dalg: DiagramAlgebra, big: FinAlgebra, l: int):
 # short exact sequences and the exactness verdicts
 # ---------------------------------------------------------------------------
 
-class ShortExactSequence(NamedTuple):
-    incl: ModuleMap
-    proj: ModuleMap
-    name: str = "ses"
-
-    @property
-    def sub(self):
-        return self.incl.source
-
-    @property
-    def mid(self):
-        return self.incl.target
-
-    @property
-    def quot(self):
-        return self.proj.target
-
-    def is_exact(self):
-        F = self.mid.algebra.field
-        if self.mid.dim != self.sub.dim + self.quot.dim:
-            return False
-        if self.incl.image_rank() != self.sub.dim:
-            return False
-        if self.proj.image_rank() != self.quot.dim:
-            return False
-        comp = mat_mul(F, self.incl.rows, self.proj.rows)
-        return all(not r for r in comp)
-
-    def is_split(self):
-        """Does the projection admit a module section?"""
-        F = self.mid.algebra.field
-        if self.quot.dim == 0:
-            return True
-        q = self.quot.dim
-        ech = Echelon(F).insert_all(_flatten_rows(mat_mul(F, h.rows, self.proj.rows), q)
-                                    for h in hom_space(self.quot, self.mid))
-        return ech.contains(_flatten_rows(identity_rows(F, q), q))
-
-
-def presentation_sequence(M) -> ShortExactSequence:
-    pres = free_presentation(M)
-    return ShortExactSequence(pres.incl, pres.proj, name=f"presentation({M.name})")
-
-
 def split_control_sequence(M, M2) -> ShortExactSequence:
     both = direct_sum(M, M2)
     F = M.algebra.field
     incl = ModuleMap(M, both, [{i: F.one} for i in range(M.dim)])
     proj = ModuleMap(both, M2, [{} for _ in range(M.dim)]
                      + [{j: F.one} for j in range(M2.dim)])
-    return ShortExactSequence(incl, proj, name="split-control")
+    return ShortExactSequence(incl, proj, "split-control")
 
 
 def coordinate_submodule(big, indices, name):
@@ -499,13 +460,13 @@ def chain_ideal_sequence(dalg, big, l) -> ShortExactSequence:
     """0 -> J_{l+1} -> J_l -> J_l / J_{l+1} -> 0 as right modules.  The
     quotient and its projection come from ``quotient_module``, which
     certifies that J_{l+1} is action-stable inside J_l."""
-    upper = layer_ideal_indices(dalg, big, l)
-    lower = set(layer_ideal_indices(dalg, big, l + 1))
+    upper = layer_ideal_indices(dalg, l)
+    lower = set(layer_ideal_indices(dalg, l + 1))
     J_l = coordinate_submodule(big, upper, name=f"J{l}")
     J_next = coordinate_submodule(big, [i for i in upper if i in lower], name=f"J{l + 1}")
     incl = ModuleMap(J_next, J_l, [{t: big.field.one} for t, i in enumerate(upper) if i in lower])
     _, proj = quotient_module(J_l, incl.rows, name=f"J{l}/J{l + 1}")
-    return ShortExactSequence(incl, proj, name=f"layer-chain({l})")
+    return ShortExactSequence(incl, proj, f"layer-chain({l})")
 
 
 def cell_head_sequence(datum, char_module) -> ShortExactSequence:
@@ -530,24 +491,18 @@ def cell_head_sequence(datum, char_module) -> ShortExactSequence:
             for row in contraction_forms(datum.dalg, datum.W, datum.layer)]
     rad = kernel_basis(F, transpose_rows(gram, len(gram)), len(gram))
     head, _ = quotient_module(ind, rad, name=f"head({ind.name})")
-    return presentation_sequence(head)
+    return free_presentation(head)
 
 
 def apply_functor_to_sequence(seq, on_module, on_map) -> ShortExactSequence:
+    """The image of seq under a functor given on modules and on maps
+    (on_map(f, image of its source, image of its target))."""
     sub = on_module(seq.sub)
     mid = on_module(seq.mid)
     quot = on_module(seq.quot)
     incl = on_map(seq.incl, sub, mid)
     proj = on_map(seq.proj, mid, quot)
-    return ShortExactSequence(incl, proj, name=f"F({seq.name})")
-
-
-def induce_sequence(datum, seq) -> ShortExactSequence:
-    return apply_functor_to_sequence(seq, datum.induce, datum.induce_map)
-
-
-def restrict_sequence(datum, seq) -> ShortExactSequence:
-    return apply_functor_to_sequence(seq, datum.restrict, datum.restrict_map)
+    return ShortExactSequence(incl, proj, f"F({seq.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +559,7 @@ def verify_exact_split_pair(datum, samples=None) -> dict:
     if samples is None:
         triv, sign = wreath_trivial_module(datum.W), wreath_sign_module(datum.W)
         samples = default_sample_modules(datum.W)
-        small_sequences = [presentation_sequence(triv), split_control_sequence(triv, sign)]
+        small_sequences = [free_presentation(triv), split_control_sequence(triv, sign)]
         big_sequences = [chain_ideal_sequence(datum.dalg, datum.big, datum.layer),
                          cell_head_sequence(datum, triv)]
     F = datum.field
@@ -629,22 +584,22 @@ def verify_exact_split_pair(datum, samples=None) -> dict:
             "unitMapIsModuleMap": eta.is_module_map(),
             "unitMapIsIso": eta.is_iso(),
         }
-        ech = Echelon(F).insert_all(_flatten_rows(h.rows, res.dim) for h in hom_space(M, res))
-        entry["unitMapInHomSpace"] = ech.contains(_flatten_rows(eta.rows, res.dim))
+        entry["unitMapInHomSpace"] = in_span(F, eta.rows, [h.rows for h in hom_space(M, res)],
+                                             res.dim)
         etas.append((M, eta, ind, res))
         report["samples"].append(entry)
 
     report["naturality"] = _check_naturality(datum, etas)
 
-    sides = [("small", induce_sequence, "inducedExact", small_sequences),
-             ("big", restrict_sequence, "restrictedExact", big_sequences)]
+    sides = [("small", (datum.induce, datum.induce_map), "inducedExact", small_sequences),
+             ("big", (datum.restrict, datum.restrict_map), "restrictedExact", big_sequences)]
     for side, functor, key, seqs in sides:
         for seq in seqs:
             report["sequences"].append({
                 "name": seq.name, "side": side, "exact": seq.is_exact(),
                 # None when too large to certify; exactness is still checked
                 "split": seq.is_split() if seq.quot.dim * seq.mid.dim <= SPLIT_LIMIT else None,
-                key: functor(datum, seq).is_exact()})
+                key: apply_functor_to_sequence(seq, *functor).is_exact()})
 
     report["ok"] = (all(c["ok"] for c in certificates.values())
                     and all(s["dimIndOK"] and s["unitMapIsModuleMap"]
@@ -655,14 +610,6 @@ def verify_exact_split_pair(datum, samples=None) -> dict:
                             and s.get("restrictedExact", True)
                             for s in report["sequences"]))
     return report
-
-
-def _flatten_rows(rows, width):
-    flat = {}
-    for i, r in enumerate(rows):
-        for j, c in r.items():
-            flat[i * width + j] = c
-    return flat
 
 
 def _check_naturality(datum, etas):

@@ -126,6 +126,44 @@ def test_walled_kind_refuses_deltas(capsys, monkeypatch, command):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["dims", "--kind", "cyclotomic", "--n", "2", "--r", "3", "--deltas", "1,1"],
+     "--r 3 does not match the 2 values of --deltas"),
+    (["verify-inflation", "--kind", "cyclotomic", "--n", "2", "--deltas", "1,1",
+      "--input-algebra", "missing.json"],
+     "cyclotomic kind does not read --input-algebra"),
+    (["dims", "--kind", "abrauer", "--n", "2", "--r", "3"], "abrauer kind does not read --r"),
+    (["dims", "--kind", "walled", "--r", "1", "--t", "1", "--n", "5"],
+     "walled kind does not read --n"),
+    (["verify-split-pair", "--kind", "walled", "--r", "1", "--t", "1", "--l", "0",
+      "--input-algebra", "missing.json"],
+     "walled kind does not read --input-algebra"),
+    (["dominance-table", "--r", "2", "--t", "1", "--l", "0", "--field", "fp:5",
+      "--input-algebra", "missing.json"],
+     "walled kind does not read --input-algebra"),
+    (["dims", "--kind", "abrauer", "--n", "2", "--deltas", "1,1",
+      "--input-algebra", "missing.json"],
+     "--deltas gives the cyclic input algebra; it cannot be combined with an --input-algebra file"),
+    (["validate-input-algebra", "--deltas", "1,1", "--input-algebra", "missing.json"],
+     "--deltas gives the cyclic input algebra; it cannot be combined with an --input-algebra file"),
+], ids=["cyclotomic-r-vs-deltas", "cyclotomic-input-file", "abrauer-r", "walled-n",
+        "walled-input-file", "dominance-input-file", "deltas-with-file",
+        "validate-deltas-with-file"])
+def test_an_option_the_kind_does_not_read_is_refused(capsys, monkeypatch, argv, message):
+    """An option the run would drop exits 2 with a message before any input
+    or diagram algebra is built."""
+    def never(*args, **kwargs):
+        raise AssertionError("algebra built")
+
+    for name in ("DiagramAlgebra", "cyclic_group_algebra", "trivial_input_algebra",
+                 "input_algebra_from_json"):
+        monkeypatch.setattr(cli, name, never)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     out = tmp_path / "missing" / "report.json"
     assert main(["--out", str(out), "dims", "--kind", "abrauer", "--n", "2"]) == 2

@@ -82,7 +82,7 @@ def test_corner_reading_matches_the_corner_algebra(cache, name):
     # (c) mu of J_1 of the small algebra spans the kernel of alpha
     ker = kernel_basis(F, transpose_rows(alpha_rows, W.dim), corner.algebra.dim)
     ker_big = [vec_times_rows(F, k, corner.rows) for k in ker]
-    first_layer = layer_ideal_indices(datum.small_dalg, datum.small_big, 1)
+    first_layer = layer_ideal_indices(datum.small_dalg, 1)
     assert _same_span(F, ker_big, [datum.mu_rows[i] for i in first_layer])
 
     # (d) theta inverted on S*e, at the unit, is the class of e

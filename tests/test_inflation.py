@@ -4,7 +4,7 @@ import pytest
 
 from diagalg import inflation
 from diagalg.algebra_kernel import index_cases
-from diagalg.diagrams import DiagramAlgebra, DiagramKind, diagram_fin_algebra
+from diagalg.diagrams import DiagramAlgebra, DiagramKind
 from diagalg.fields import PrimeField, RationalField
 from diagalg.inflation import (
     contraction_form,
@@ -39,13 +39,11 @@ def walled(r, t, delta="1", field=Q):
 
 def test_layer_ideal_dims():
     dalg = brauer(2)
-    big = diagram_fin_algebra(dalg)
-    assert len(layer_ideal_indices(dalg, big, 0)) == 3
-    assert len(layer_ideal_indices(dalg, big, 1)) == 1
+    assert len(layer_ideal_indices(dalg, 0)) == 3
+    assert len(layer_ideal_indices(dalg, 1)) == 1
 
     wd = walled(2, 2)
-    wbig = diagram_fin_algebra(wd)
-    assert len(layer_ideal_indices(wd, wbig, 2)) == 4
+    assert len(layer_ideal_indices(wd, 2)) == 4
 
 
 def test_layer_ideal_closed_exhaustive_small():

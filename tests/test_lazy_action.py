@@ -12,7 +12,7 @@ import pytest
 from diagalg.algebra_kernel import (
     AlgebraError,
     LazyAction,
-    ext1,
+    _omega_spin,
     ext1_dims,
     free_module,
     free_presentation,
@@ -67,12 +67,12 @@ def test_lazy_presentation_equals_eager(kind, l, field):
     F = field
     ind = datum.induce(wreath_trivial_module(datum.W))
     pres = free_presentation(ind)
-    cover, kernel, incl = pres.cover, pres.kernel, pres.incl
+    cover, kernel, incl = pres.mid, pres.sub, pres.incl
     d = big.dim
     for b in range(d):
         # the free cover: basis (g, i) goes to (g, b_i * b)
         eager_cover = [{g * d + j: c for j, c in big.mul_basis(i, b).items()}
-                       for g in range(pres.cover_rank) for i in range(d)]
+                       for g in range(cover.dim // d) for i in range(d)]
         assert cover.action[b] == eager_cover
         # the kernel: its matrix K is the unique one with K * incl = incl * cover(b),
         # because the inclusion rows are independent
@@ -104,11 +104,12 @@ def test_ext1_builds_only_the_generator_matrices_of_the_kernel():
     big = datum.big
     ind = datum.induce(wreath_trivial_module(datum.W))
     pres = free_presentation(ind)
-    ext1(ind, ind, presentation=pres)
+    # the spin of Omega M that Ext^1 runs, inside the presentation's cover
+    _omega_spin(ind, pres.mid, Spin(ind, cover=True).relations, [ind])
     support = generator_support(big)
     assert (len(support), big.dim) == (6, 105)
-    assert pres.kernel.action.built_indices() == support
-    assert pres.cover.action.built_indices() == support
+    assert pres.sub.action.built_indices() == support
+    assert pres.mid.action.built_indices() == support
 
 
 def test_ext1_reads_only_the_generator_matrices_of_the_module():

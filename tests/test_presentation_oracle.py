@@ -1,7 +1,9 @@
 """Presentations and Ext^1 from the spin's relations, against the kernel solve.
 
 ``free_presentation`` and ``ext1_dims`` spin Omega M inside the free cover
-from the relations that the spin of M meets; ``presentation_oracle.py``
+from the relations that the spin of M meets (``Spin(M, cover=True)``), and
+the presentation is the exact sequence 0 -> Omega M -> A^b -> M -> 0;
+``presentation_oracle.py``
 solves Omega M as the null space of the cover projection and spins it from
 its own basis.  The two must agree on the cover rank, dim Omega M, the
 kernel as a subspace of the cover, and Ext^1, on Brauer, walled Brauer,
@@ -18,6 +20,9 @@ from hypothesis import given, settings, strategies as st
 from diagalg.algebra_kernel import (
     AlgebraError,
     RightModule,
+    ShortExactSequence,
+    Spin,
+    _omega_spin,
     direct_sum,
     ext1_dims,
     free_presentation,
@@ -33,7 +38,12 @@ from diagalg.input_algebra import (
     wreath_product,
 )
 from diagalg.linalg import Echelon
-from diagalg.split_pair import corner_split_datum, wreath_sign_module, wreath_trivial_module
+from diagalg.split_pair import (
+    corner_split_datum,
+    default_sample_modules,
+    wreath_sign_module,
+    wreath_trivial_module,
+)
 from presentation_oracle import KernelPresentation
 from test_input_algebra import DUAL_NUMBERS
 
@@ -67,17 +77,22 @@ def assert_matches_oracle(M, targets):
     F = M.algebra.field
     pres = free_presentation(M)
     oracle = KernelPresentation(M)
-    assert pres.cover_rank == oracle.cover_rank
-    assert pres.cover.dim == oracle.cover.dim
-    assert pres.kernel.dim == oracle.kernel.dim == pres.cover.dim - M.dim
+    relations = Spin(M, cover=True).relations
+    b = pres.mid.dim // M.algebra.dim
+    assert b == oracle.cover_rank
+    assert pres.mid.dim == oracle.cover.dim
+    assert pres.sub.dim == oracle.kernel.dim == pres.mid.dim - M.dim
     assert kernel_rows(F, pres.incl.rows) == kernel_rows(F, oracle.incl.rows)
     kernel = Echelon(F).insert_all(oracle.incl.rows)
-    assert all(kernel.contains(r) for r in pres.relations)
+    assert all(kernel.contains(r) for r in relations)
     assert pres.proj.rows == oracle.proj_rows
     hom_dims = [len(maps) for maps in hom_spaces(M, targets)]
     expected = oracle.ext1_dims(targets, hom_dims)
     assert ext1_dims(M, targets, hom_dims) == expected
-    assert ext1_dims(M, targets, hom_dims, presentation=pres) == expected
+    # Omega M spun inside the presentation's own cover gives the same Ext^1
+    omega = _omega_spin(M, pres.mid, relations, targets).solutions
+    assert [len(sols) - b * N.dim + hom
+            for sols, N, hom in zip(omega, targets, hom_dims)] == expected
     return expected
 
 
@@ -134,7 +149,23 @@ def test_a_withheld_relation_is_refused():
     W = wreath_product(cyclic_group_algebra(F2, 2, [F2.one] * 2), 1)
     triv = RightModule(W, 1, [[{0: F2.one}] for _ in range(W.dim)], name="trivial")
     pres = free_presentation(triv)
-    assert pres.kernel.dim == 1 and len(pres.relations) == 1
-    assert ext1_dims(triv, [triv], [1], presentation=pres) == [1]
+    relations = Spin(triv, cover=True).relations
+    assert pres.sub.dim == 1 and len(relations) == 1
+    assert ext1_dims(triv, [triv], [1]) == [1]
+    assert len(_omega_spin(triv, pres.mid, relations, [triv]).solutions[0]) == 1
     with pytest.raises(AlgebraError):
-        ext1_dims(triv, [triv], [1], presentation=pres._replace(relations=[]))
+        _omega_spin(triv, pres.mid, [], [triv])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_free_presentation_is_an_exact_sequence(cache, n):
+    # 0 -> Omega M -> A^b -> M -> 0 for the five default samples at l = 1
+    W = cache.datum("abrauer", n, 1).W
+    for M in default_sample_modules(W):
+        seq = free_presentation(M)
+        b = len(Spin(M, cover=True).generators)
+        assert isinstance(seq, ShortExactSequence)
+        assert seq.name == f"presentation({M.name})"
+        assert seq.quot is M
+        assert (seq.sub.dim, seq.mid.dim, seq.quot.dim) == (b * W.dim - M.dim, b * W.dim, M.dim)
+        assert seq.is_exact()

@@ -7,13 +7,12 @@ from diagalg.fields import PrimeField, RationalField
 from diagalg.input_algebra import cyclic_group_algebra, trivial_input_algebra
 from diagalg.split_pair import (
     SplitPairError,
+    apply_functor_to_sequence,
     cell_head_sequence,
     chain_ideal_sequence,
     corner_split_datum,
     default_sample_modules,
     hom_ext_transfer,
-    induce_sequence,
-    restrict_sequence,
     split_control_sequence,
     verify_exact_split_pair,
     wreath_sign_module,
@@ -360,7 +359,7 @@ def test_split_control_sequence_is_split_exact():
                                  wreath_sign_module(datum.W))
     assert seq.is_exact()
     assert seq.is_split()
-    ind_seq = induce_sequence(datum, seq)
+    ind_seq = apply_functor_to_sequence(seq, datum.induce, datum.induce_map)
     assert ind_seq.is_exact()
 
 
@@ -369,7 +368,7 @@ def test_chain_ideal_sequence_exact_and_res_exact():
     datum = corner_split_datum(dalg, big, 1)
     seq = chain_ideal_sequence(dalg, big, 1)
     assert seq.is_exact()
-    res_seq = restrict_sequence(datum, seq)
+    res_seq = apply_functor_to_sequence(seq, datum.restrict, datum.restrict_map)
     assert res_seq.is_exact()
 
 

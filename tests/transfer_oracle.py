@@ -85,7 +85,7 @@ class TransferOracle:
 
         rel = Echelon(F)
         if datum.layer == 0:
-            for i in layer_ideal_indices(datum.dalg, big, 1):
+            for i in layer_ideal_indices(datum.dalg, 1):
                 rel.insert(self._eD_coords(big.basis_vec(i)))
         else:
             corner = corner_algebra(big, datum.idem_vec)
