@@ -26,6 +26,7 @@ from .algebra_kernel import (
     ModuleMap,
     RightModule,
     ShortExactSequence,
+    SpanModule,
     direct_sum,
     ext1,
     free_module,

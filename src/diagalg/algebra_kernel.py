@@ -13,13 +13,15 @@ be used without materializing the full multiplication table.  The checks of
 the algebra axioms (unit, associativity, involution) return a witness tuple
 of basis indices or None; input-algebra validation reports them.
 
-Module actions are built on first use in the same spirit: free modules,
-direct sums, submodules, quotients and inductions hold a ``LazyAction``
-whose matrix for basis element b is computed when ``action[b]`` is first
-read.  Hom spaces, Ext^1, module generators and module-map checks read only
-the action of the algebra generators, so an induced module builds a handful
-of its ``dim A`` matrices.  Action stability of a submodule or
-quotient is checked at construction on every basis element in the support
+Module actions are built on first use in the same spirit: free modules
+(the regular module is the one of rank one), direct sums, submodules,
+quotients and inductions hold a ``LazyAction`` whose matrix for basis
+element b is computed when ``action[b]`` is first read.  Hom spaces, Ext^1,
+module generators and module-map checks read only the action of the algebra
+generators, so an induced module builds a handful of its ``dim A``
+matrices.  Every module on a subspace (submodules, presentation kernels, Specht
+modules, restrictions) is a ``SpanModule``, and it and every quotient are
+checked action-stable at construction on every basis element in the support
 of the generators, which suffices because the generators and the unit
 generate the algebra.
 
@@ -319,13 +321,6 @@ class RightModule:
         return None
 
 
-def regular_module(alg):
-    action = []
-    for b in range(alg.dim):
-        action.append([alg.mul_basis(i, b) for i in range(alg.dim)])
-    return RightModule(alg, alg.dim, action, name="regular")
-
-
 class FreeModule(RightModule):
     """Free right module of the given rank, coordinates (g, i) -> g*dim + i."""
 
@@ -347,6 +342,13 @@ class FreeModule(RightModule):
 free_module = FreeModule
 
 
+def regular_module(alg):
+    """The regular right module: the free module of rank one, named "regular"."""
+    regular = FreeModule(alg, 1)
+    regular.name = "regular"
+    return regular
+
+
 class ModuleMap:
     def __init__(self, source, target, rows):
         self.source = source
@@ -358,15 +360,9 @@ class ModuleMap:
 
     def is_module_map(self):
         F = self.source.algebra.field
-        alg = self.source.algebra
-        gens = _generating_vectors(alg)
-        for g in gens:
-            for i in range(self.source.dim):
-                lhs = self.apply(self.source.act({i: F.one}, g))
-                rhs = self.target.act(self.rows[i], g)
-                if lhs != rhs:
-                    return False
-        return True
+        return all(self.apply(self.source.act({i: F.one}, g)) == self.target.act(self.rows[i], g)
+                   for g in _generating_vectors(self.source.algebra)
+                   for i in range(self.source.dim))
 
     def image_rank(self):
         return Echelon(self.source.algebra.field).insert_all(self.rows).dim
@@ -570,24 +566,13 @@ class Spin:
 
 
 def hom_spaces(M, targets):
-    """A basis of Hom(M, N) for each target N, from one spin of M.
-
-    Greedy generators of M are spun under the algebra generators, carrying
-    their images in every target (see ``Spin``).  The unknowns are the
-    images of the k generators of M, k*dim N of them per target rather than
-    dim M * dim N, and each relation the spin meets gives dim N equations.
-    This rests on the premise that the algebra generators and the unit
-    generate the algebra; without generators, the basis is used.
-    """
+    """A basis of Hom(M, N) for each target N, from one spin of M carrying
+    images in every target (``Spin``)."""
     return Spin(M, targets).maps()
 
 
 def hom_space(M, N):
-    """A basis of Hom(M, N) over the common algebra: ``hom_spaces(M, [N])``.
-
-    Solved in the images of the generators of M, by a spin under the algebra
-    generators, which must generate the algebra together with the unit.
-    """
+    """A basis of Hom(M, N) over the common algebra: ``hom_spaces(M, [N])``."""
     return hom_spaces(M, [N])[0]
 
 
@@ -603,31 +588,39 @@ def direct_sum(M, N):
                        name=f"{M.name}+{N.name}")
 
 
+class SpanModule(RightModule):
+    """Module on the span of an Echelon ``ech``, acted on by ``algebra``
+    through ``act(v, b)``, a vector of the ambient coordinates times basis
+    element b.  Its basis is the reduced rows ``rows``, in the ambient
+    coordinates, and ``coords(v)`` reads a vector of the span over them.
+    Action stability is certified at construction on the basis elements in
+    the support of the generators (``stable_action``): AlgebraError if the
+    span is not stable."""
+
+    def __init__(self, algebra, ech, act, name):
+        self.rows = ech.basis_rows()
+        self._ech = ech
+
+        def rows_for(b):
+            return [self.coords(act(r, b)) for r in self.rows]
+
+        action = stable_action(algebra, LazyAction(algebra.dim, rows_for))
+        super().__init__(algebra, len(self.rows), action, name)
+
+    def coords(self, v):
+        got = self._ech.coords(v)
+        if got is None:
+            raise AlgebraError("span is not action-stable")
+        return got
+
+
 def submodule(M, vectors, name):
     """Submodule spanned by the given vectors (must be action-stable).
 
     Returns (module, inclusion map); AlgebraError if the span is not stable.
     """
-    return _span_submodule(M, Echelon(M.algebra.field).insert_all(vectors), name)
-
-
-def _span_submodule(M, ech, name):
-    """Submodule of M on the span of an Echelon over M's coordinates, with
-    the echelon rows as its basis; as ``submodule``."""
-    rows = ech.basis_rows()
-
-    def rows_for(b):
-        mats = []
-        for r in rows:
-            coords = ech.coords(M.act_basis(r, b))
-            if coords is None:
-                raise AlgebraError("span is not action-stable")
-            mats.append(coords)
-        return mats
-
-    action = stable_action(M.algebra, LazyAction(M.algebra.dim, rows_for))
-    sub = RightModule(M.algebra, len(rows), action, name=name)
-    return sub, ModuleMap(sub, M, rows)
+    sub = SpanModule(M.algebra, Echelon(M.algebra.field).insert_all(vectors), M.act_basis, name)
+    return sub, ModuleMap(sub, M, sub.rows)
 
 
 def quotient_module(M, vectors, name):
@@ -638,7 +631,7 @@ def quotient_module(M, vectors, name):
     alg = M.algebra
     F = alg.field
     ech = Echelon(F).insert_all(vectors)
-    _span_submodule(M, ech, name)   # raises if the span is not action-stable
+    SpanModule(alg, ech, M.act_basis, name)   # raises if the span is not action-stable
     keep = [j for j in range(M.dim) if j not in ech.rows]
     pos = {j: t for t, j in enumerate(keep)}
 
@@ -674,14 +667,10 @@ class ShortExactSequence(NamedTuple):
 
     def is_exact(self):
         F = self.mid.algebra.field
-        if self.mid.dim != self.sub.dim + self.quot.dim:
-            return False
-        if self.incl.image_rank() != self.sub.dim:
-            return False
-        if self.proj.image_rank() != self.quot.dim:
-            return False
-        comp = mat_mul(F, self.incl.rows, self.proj.rows)
-        return all(not r for r in comp)
+        return (self.mid.dim == self.sub.dim + self.quot.dim
+                and self.incl.image_rank() == self.sub.dim
+                and self.proj.image_rank() == self.quot.dim
+                and not any(mat_mul(F, self.incl.rows, self.proj.rows)))
 
     def is_split(self):
         """Does the projection admit a module section?"""
@@ -713,19 +702,18 @@ def free_presentation(M):
     the sequence ``presentation(<name of M>)``.
 
     The spin of M carrying preimages gives the generators and the relations;
-    the kernel's basis is the echelon of the spin of Omega M from them.
+    the kernel's basis is the echelon of the spin of Omega M from them.  The
+    spin reaching dim M certifies that the projection is onto.
     """
     alg = M.algebra
     F = alg.field
     spin = Spin(M, cover=True)
     cover = free_module(alg, len(spin.generators))
-    omega = _omega_spin(M, cover, spin.relations, [])
-    _, incl = _span_submodule(cover, omega._ech, name=f"Omega({M.name})")
+    omega = SpanModule(alg, _omega_spin(M, cover, spin.relations, [])._ech, cover.act_basis,
+                       name=f"Omega({M.name})")
     proj_rows = [M.act_basis({g: F.one}, i) for g in spin.generators for i in range(alg.dim)]
-    proj = ModuleMap(cover, M, proj_rows)
-    if proj.image_rank() != M.dim:
-        raise AlgebraError("the free cover does not surject")
-    return ShortExactSequence(incl, proj, f"presentation({M.name})")
+    return ShortExactSequence(ModuleMap(omega, cover, omega.rows), ModuleMap(cover, M, proj_rows),
+                              f"presentation({M.name})")
 
 
 def ext1_dims(M, targets, hom_dims):

@@ -27,7 +27,7 @@ from .input_algebra import (
     trivial_input_algebra,
     validate_input_algebra,
 )
-from .specht import SpechtError, dominance_vanishing_experiment, table_with_ext
+from .specht import EXT_SKIPPED, SpechtError, dominance_vanishing_experiment, table_with_ext
 from .split_pair import (
     SplitPairError,
     corner_split_datum,
@@ -46,7 +46,7 @@ class CliError(ValueError):
     pass
 
 
-_SHARED_DEFAULTS = {"field": "q", "delta": "1", "deltas": None,
+_SHARED_DEFAULTS = {"field": "q", "delta": None, "deltas": None,
                     "input_algebra": "trivial", "out": None, "format": "json",
                     "seed": 0, "cap": 2000, "replay": None}
 
@@ -54,26 +54,21 @@ _SHARED_DEFAULTS = {"field": "q", "delta": "1", "deltas": None,
 def _shared_options(defaults: bool):
     """Global options; subparser copies use SUPPRESS so a value given before
     the subcommand is not clobbered by the second parsing pass."""
-    sup = argparse.SUPPRESS
-    d = _SHARED_DEFAULTS
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--field", default=d["field"] if defaults else sup,
-                        help="q | fp:<p> | cyc:<r>")
-    shared.add_argument("--delta", default=d["delta"] if defaults else sup,
-                        help="loop parameter (field element)")
-    shared.add_argument("--deltas", default=d["deltas"] if defaults else sup,
-                        help="comma list of trace values for the cyclic input algebra")
-    shared.add_argument("--input-algebra", default=d["input_algebra"] if defaults else sup,
-                        help="'trivial' or a path to an input-algebra JSON file")
-    shared.add_argument("--out", default=d["out"] if defaults else sup,
-                        help="output path (default stdout)")
-    shared.add_argument("--format", default=d["format"] if defaults else sup,
-                        choices=["json", "csv"])
-    shared.add_argument("--seed", type=int, default=d["seed"] if defaults else sup)
-    shared.add_argument("--cap", type=int, default=d["cap"] if defaults else sup,
-                        help="diagram-algebra dimension cap")
-    shared.add_argument("--replay", default=d["replay"] if defaults else sup,
-                        help="witness file to re-execute")
+
+    def option(name, **kwargs):
+        default = _SHARED_DEFAULTS[name.replace("-", "_")] if defaults else argparse.SUPPRESS
+        shared.add_argument(f"--{name}", default=default, **kwargs)
+
+    option("field", help="q | fp:<p> | cyc:<r>")
+    option("delta", help="loop parameter (field element, 1 when not given)")
+    option("deltas", help="comma list of trace values for the cyclic input algebra")
+    option("input-algebra", help="'trivial' or a path to an input-algebra JSON file")
+    option("out", help="output path (default stdout)")
+    option("format", choices=["json", "csv"])
+    option("seed", type=int)
+    option("cap", type=int, help="diagram-algebra dimension cap")
+    option("replay", help="witness file to re-execute")
     return shared
 
 
@@ -293,12 +288,14 @@ def cmd_hom_ext(args, field):
 
 def cmd_dominance_table(args, field):
     dalg, params = make_context(args, field)
-    failed, rows = walled_table(args, dalg, table_with_ext(field))
+    with_ext = table_with_ext(field)
+    failed, rows = walled_table(args, dalg, with_ext)
     return {
         "config": config_echo(args, field, params),
         "rows": rows,
         "strictReading": "the published implication is stated with strict dominance, "
                          "which fails on the diagonal; the table tests the non-strict form",
+        **({} if with_ext else {"extSkipped": EXT_SKIPPED}),
         **failed,
         "ok": all(row["transferOK"] and not row["violation"] for row in rows) and not failed,
     }
@@ -379,6 +376,11 @@ def run(argv, args=None):
         return run_replay(args.replay)
     if not args.command:
         build_parser().error("a subcommand is required (or --replay)")
+    if args.delta is None:
+        args.delta = "1"
+    elif args.deltas is not None or args.input_algebra != "trivial":
+        raise CliError("--delta is not read when --deltas or an --input-algebra file "
+                       "gives the input algebra")
     field = make_field(args.field)
     report = COMMANDS[args.command](args, field)
     report["argv"] = list(argv)

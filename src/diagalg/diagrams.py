@@ -139,6 +139,7 @@ class DiagramAlgebra:
         self._basis_layers = None
         self._configs = {}
         self._units = {}
+        self._unit_labels = {}
         # (walk position, seen marks) of each start: result vertices r, then
         # middle columns c, whose loops are read from the upper factor
         n = kind.n
@@ -516,14 +517,19 @@ class DiagramAlgebra:
 
     def unit_assembly(self, pd: PartialDiagram):
         """The element (pd, pd, 1): pd in both rows and a strand labeled 1
-        of A on each free column, built once per algebra."""
+        of A on each free column, built once per algebra.  The label
+        choices of 1 on m strands are multiplied out once per m."""
         got = self._units.get(pd)
         if got is None:
             n, free = self.kind.n, self.configuration(pd)[0]
+            choices = self._unit_labels.get(len(free))
+            if choices is None:
+                choices = self._unit_labels[len(free)] = label_choices(
+                    self.field, [self.A.unit] * len(free))
             rows = list(pd.edges) + [(n + u, n + v, k) for u, v, k in pd.edges]
             got = self._units[pd] = {
                 Diagram(tuple(sorted(rows + [(w, n + w, k) for w, k in zip(free, ks)]))): c
-                for ks, c in label_choices(self.field, [self.A.unit] * len(free))}
+                for ks, c in choices}
         return got
 
     def layer_factorize(self, d: Diagram):

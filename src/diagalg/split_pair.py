@@ -41,8 +41,8 @@ own, as the certificates above give it:
 
 Induction tensors against S, so dim ind M = rank V * dim M; the left
 coordinates of (e_top, f, identity) * b are the keys of one diagram product,
-read as above.  Restriction multiplies by e and restricts along the
-W-embedding; ``natural_unit_iso`` realizes M = res(ind M) through the class
+read as above.  Restriction is the ``SpanModule`` on N*e, W acting along
+the W-embedding; ``natural_unit_iso`` realizes M = res(ind M) through the class
 of e, which is the unit of the split-pair adjunction, and the regular
 sample's unit map checks that path in every report.  Induced and restricted
 modules build each matrix on first use.
@@ -57,11 +57,13 @@ checked exact.
 from __future__ import annotations
 
 from .algebra_kernel import (
+    AlgebraError,
     FinAlgebra,
     LazyAction,
     ModuleMap,
     RightModule,
     ShortExactSequence,
+    SpanModule,
     check_algebra_map,
     direct_sum,
     ext1_dims,
@@ -383,33 +385,24 @@ class CornerSplitDatum:
                 rows.append({j * n_l + k: c for j, c in f.rows[i].items()})
         return ModuleMap(src_ind, dst_ind, rows)
 
-    def restrict(self, N: RightModule) -> RightModule:
-        """N*e with the wreath algebra acting through the corner embedding."""
+    def restrict(self, N: RightModule) -> SpanModule:
+        """N*e, the span of N's rows of e, with the wreath algebra acting
+        through the corner embedding: w acts on N by ``section_big[w]``."""
         if N.algebra is not self.big and N.algebra.dim != self.big.dim:
             raise SplitPairError("module is not over the diagram algebra")
         img = Echelon(self.field).insert_all(N.action_rows(self.idem_vec))
-        rows = img.basis_rows()
-
-        def coords(v):
-            got = img.coords(v)
-            if got is None:
-                raise SplitPairError("restriction escaped N*e")
-            return got
-
-        def rows_for(w):
-            return [coords(N.act(r, self.section_big[w])) for r in rows]
-
-        # built now for W's generators and unit, so a section leaving N*e raises
-        action = stable_action(self.W, LazyAction(self.W.dim, rows_for))
-        for w in self.W.unit:
-            action[w]
-        res = RightModule(self.W, len(rows), action, name=f"res_{self.layer}({N.name})")
-        res.subspace_rows = rows
-        res.subspace_coords = coords
+        try:
+            res = SpanModule(self.W, img, lambda v, w: N.act(v, self.section_big[w]),
+                             name=f"res_{self.layer}({N.name})")
+            # the unit too, so a section leaving N*e raises here
+            for w in self.W.unit:
+                res.action[w]
+        except AlgebraError:
+            raise SplitPairError("restriction escaped N*e") from None
         return res
 
     def restrict_map(self, f: ModuleMap, src_res, dst_res) -> ModuleMap:
-        rows = [dst_res.subspace_coords(f.apply(r)) for r in src_res.subspace_rows]
+        rows = [dst_res.coords(f.apply(r)) for r in src_res.rows]
         return ModuleMap(src_res, dst_res, rows)
 
     def natural_unit_iso(self, M: RightModule):
@@ -420,7 +413,7 @@ class CornerSplitDatum:
         ind = self.induce(M)
         res = self.restrict(ind)
         slots = self._left_coords(self._e_class)
-        rows = [res.subspace_coords(ind.act(self._ind_row(M, i, slots), self.idem_vec))
+        rows = [res.coords(ind.act(self._ind_row(M, i, slots), self.idem_vec))
                 for i in range(M.dim)]
         return ModuleMap(M, res, rows), ind, res
 

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from diagalg import cli
+from diagalg import cli, specht
 from diagalg.cli import emit, main, run
 from diagalg.input_algebra import perm_sign
 from diagalg.linalg import vec_times_rows
@@ -146,9 +146,14 @@ def test_walled_kind_refuses_deltas(capsys, monkeypatch, command):
      "--deltas gives the cyclic input algebra; it cannot be combined with an --input-algebra file"),
     (["validate-input-algebra", "--deltas", "1,1", "--input-algebra", "missing.json"],
      "--deltas gives the cyclic input algebra; it cannot be combined with an --input-algebra file"),
+    (["dims", "--kind", "cyclotomic", "--n", "2", "--deltas", "1,1", "--delta", "5"],
+     "--delta is not read when --deltas or an --input-algebra file gives the input algebra"),
+    (["dims", "--kind", "abrauer", "--n", "2", "--deltas", "2,1", "--delta", "7"],
+     "--delta is not read when --deltas or an --input-algebra file gives the input algebra"),
 ], ids=["cyclotomic-r-vs-deltas", "cyclotomic-input-file", "abrauer-r", "walled-n",
         "walled-input-file", "dominance-input-file", "deltas-with-file",
-        "validate-deltas-with-file"])
+        "validate-deltas-with-file", "cyclotomic-delta-with-deltas",
+        "abrauer-delta-with-deltas"])
 def test_an_option_the_kind_does_not_read_is_refused(capsys, monkeypatch, argv, message):
     """An option the run would drop exits 2 with a message before any input
     or diagram algebra is built."""
@@ -538,6 +543,18 @@ def test_failing_csv_table_leaves_its_report_on_stderr(tmp_path, monkeypatch, ca
     witness.write_text(line)
     replay_report, replay_code = run_json(["--replay", str(witness)])
     assert replay_report["stillFailing"] is True and replay_code == 1
+
+
+def test_dominance_table_says_why_ext_is_skipped_in_characteristic_3():
+    """Over F_3 the Ext^1 columns are empty, and one top-level field names
+    the reason; in other characteristics the field is absent."""
+    argv = ["dominance-table", "--r", "2", "--t", "1", "--l", "0"]
+    report, code = run_json([*argv, "--field", "fp:3"])
+    assert code == 0 and report["ok"]
+    assert report["extSkipped"] == specht.EXT_SKIPPED
+    assert all(row["dimExt_big"] == row["dimExt_small"] == "" for row in report["rows"])
+    report, code = run_json([*argv, "--field", "fp:5"])
+    assert code == 0 and "extSkipped" not in report
 
 
 def test_passing_csv_table_writes_no_report(capsys):

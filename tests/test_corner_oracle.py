@@ -103,7 +103,7 @@ def test_corner_reading_matches_the_corner_algebra(cache, name):
     M = regular_module(W)
     eta, ind, res = datum.natural_unit_iso(M)
     slots = datum._left_coords(unit)
-    assert eta.rows == [res.subspace_coords(ind.act(datum._ind_row(M, i, slots), datum.idem_vec))
+    assert eta.rows == [res.coords(ind.act(datum._ind_row(M, i, slots), datum.idem_vec))
                         for i in range(M.dim)]
 
     # (e) the section, through corner coordinates and back

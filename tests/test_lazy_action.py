@@ -18,11 +18,13 @@ from diagalg.algebra_kernel import (
     free_presentation,
     hom_space,
     quotient_module,
+    regular_module,
     Spin,
     submodule,
 )
 from diagalg.diagrams import DiagramAlgebra, DiagramKind, diagram_fin_algebra
 from diagalg.fields import PrimeField, RationalField
+from diagalg.inflation import small_algebra
 from diagalg.input_algebra import trivial_input_algebra
 from diagalg.linalg import vec_times_rows
 from diagalg.split_pair import corner_split_datum, wreath_sign_module, wreath_trivial_module
@@ -83,6 +85,20 @@ def test_lazy_presentation_equals_eager(kind, l, field):
     assert cover.check() is None
     assert kernel.check() is None
     assert ind.check() is None
+
+
+@pytest.mark.parametrize("n,l", [(3, 0), (3, 1), (4, 0), (4, 1)],
+                         ids=["D3-l0", "D3-l1", "D4-l0", "D4-l1"])
+def test_regular_module_is_the_lazy_free_module_of_rank_one(n, l):
+    """The regular module of the layer's wreath algebra W builds no matrix
+    at construction, and matrix b is the column of products b_i * b."""
+    dalg = DiagramAlgebra(DiagramKind.abrauer(n), trivial_input_algebra(Q, Q.one))
+    W = small_algebra(dalg, l)
+    R = regular_module(W)
+    assert (R.name, R.dim) == ("regular", W.dim)
+    assert R.action.built_indices() == []
+    for b in range(W.dim):
+        assert R.action[b] == [W.mul_basis(i, b) for i in range(W.dim)]
 
 
 def test_unstable_span_raises_at_construction():

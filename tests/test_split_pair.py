@@ -5,6 +5,7 @@ import pytest
 from diagalg.diagrams import DiagramAlgebra, DiagramKind, diagram_fin_algebra
 from diagalg.fields import PrimeField, RationalField
 from diagalg.input_algebra import cyclic_group_algebra, trivial_input_algebra
+from diagalg.linalg import Echelon
 from diagalg.split_pair import (
     SplitPairError,
     apply_functor_to_sequence,
@@ -326,6 +327,25 @@ def test_restrict_regular_b2():
     res = datum.restrict(N)
     assert res.dim == 1
     assert res.check() is None
+
+
+@pytest.mark.parametrize("config", [("abrauer", 3, l) for l in (0, 1)]
+                         + [("abrauer", 4, l) for l in (0, 1, 2)]
+                         + [("walled", (2, 2), l) for l in (0, 1, 2)],
+                         ids=["D3-l0", "D3-l1", "D4-l0", "D4-l1", "D4-l2",
+                              "walled22-l0", "walled22-l1", "walled22-l2"])
+def test_restriction_declares_its_basis_and_coordinates(cache, config):
+    """res(ind M) is the span module on N*e, N = ind M: its rows are a basis
+    of the span of N's rows of e, and coords reads row t as the t-th unit
+    vector, for each default sample M."""
+    datum = cache.datum(*config)
+    F = datum.field
+    for M in default_sample_modules(datum.W):
+        N = datum.induce(M)
+        res = datum.restrict(N)
+        rank = Echelon(F).insert_all(N.action_rows(datum.idem_vec)).dim
+        assert res.dim == len(res.rows) == rank
+        assert [res.coords(row) for row in res.rows] == [{t: F.one} for t in range(rank)]
 
 
 def test_restrict_of_induce_has_same_dim_and_unit_iso():
